@@ -242,31 +242,47 @@ class MPoly:
         return total
 
     def eval_rational(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
-        """Exact value at a rational point.
+        """Exact value at a rational point, summed over a common denominator.
 
-        Every variable occurring with nonzero exponent must be assigned;
-        zero assigned to a negatively-powered variable raises
-        ZeroDivisionError.
+        Each occurring variable's value is written a/b and its exponents
+        over the terms span [lo, hi].  Then v^e = N[e] * a^lo / b^hi with
+        the integer N[e] = a^(e-lo) * b^(hi-e), so every term adds the
+        integer c * prod N[e_i] to one integer sum, and a single Fraction
+        is built at the end.
+
+        Every variable occurring with nonzero exponent must be assigned
+        (MissingAssignmentError otherwise); zero assigned to a
+        negatively-powered variable raises ZeroDivisionError.  Variables
+        are checked in (y, p, q, r, t) order.
         """
         values: list[Fraction | None] = [None] * NVARS
         for name, v in assignment.items():
             values[_VAR_INDEX[name]] = Fraction(v)
-        total = Fraction(0)
-        for exp, c in self._terms.items():
-            term = Fraction(c)
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                v = values[i]
-                if v is None:
-                    raise MissingAssignmentError(VARS[i])
-                if not v and e < 0:
-                    raise ZeroDivisionError(
-                        f"zero assigned to negatively-powered variable {VARS[i]}"
-                    )
-                term *= v ** e
-            total += term
-        return total
+        terms = self._terms
+        scale = Fraction(1)
+        factors: list[tuple[int, dict[int, int]]] = []
+        for i in range(NVARS):
+            exps = {exp[i] for exp in terms}
+            if exps <= {0}:
+                continue
+            v = values[i]
+            if v is None:
+                raise MissingAssignmentError(VARS[i])
+            lo, hi = min(exps), max(exps)
+            if not v and lo < 0:
+                raise ZeroDivisionError(
+                    f"zero assigned to negatively-powered variable {VARS[i]}"
+                )
+            a, b = v.numerator, v.denominator
+            table = {e: a ** (e - lo) * b ** (hi - e) for e in range(lo, hi + 1)}
+            factors.append((i, table))
+            scale *= v ** lo / b ** (hi - lo)  # a^lo / b^hi
+        total = 0
+        for exp, c in terms.items():
+            for i, table in factors:
+                c *= table[exp[i]]
+            total += c
+        return total * scale
 
     # -- canonical text and JSON forms ---------------------------------------
 

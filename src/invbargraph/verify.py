@@ -14,7 +14,7 @@ from fractions import Fraction
 from invbargraph import bijections as bj
 from invbargraph import gfseries as gf
 from invbargraph import invseq, recur
-from invbargraph.mpoly import MPoly
+from invbargraph.mpoly import P, Q, R
 from invbargraph.recur import DistTable
 from invbargraph.reporting import CheckResult, IdentityViolationError
 
@@ -43,8 +43,10 @@ class _Tables:
         self.a_brute = invseq.brute_dist_area_sper(nmax)
         self.b_brute = invseq.brute_dist_lda(nmax)
         if corrupt:
-            bad_a = self.a_lemma[3, 1] + MPoly.one()
-            bad_b = self.b_lemma[3, 1] + MPoly.one()
+            # p*q and p*q*r move every weighted-exponent total, which a
+            # constant would not, so the totals suite sees them too
+            bad_a = self.a_lemma[3, 1] + P * Q
+            bad_b = self.b_lemma[3, 1] + P * Q * R
             self.a_lemma = self.a_lemma.with_cell(3, 1, bad_a)
             self.b_lemma = self.b_lemma.with_cell(3, 1, bad_b)
 

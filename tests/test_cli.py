@@ -6,8 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from invbargraph import cli
-from invbargraph.recur import DistTable, a_table_lemma, row_poly
+from invbargraph import cli, verify
+from invbargraph.recur import (
+    DistTable,
+    a_table_lemma,
+    row_poly,
+    total_area,
+    total_ascents,
+    total_descents,
+    total_levels,
+    total_sper,
+)
 
 SCI_NOTATION = re.compile(r"\d[eE][+-]?\d")
 
@@ -106,6 +115,25 @@ def test_totals_n1(capsys):
     }
 
 
+def test_totals_max_prints(capsys):
+    code, out, _ = run_cli(capsys, "totals", "-n", str(cli.TOTALS_MAX))
+    assert code == 0
+    assert set(json.loads(out)) == {"area", "sper", "levels", "descents", "ascents"}
+
+
+def test_totals_guard(capsys):
+    code, out, err = run_cli(capsys, "totals", "-n", str(cli.TOTALS_MAX + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: n must be in 1..{cli.TOTALS_MAX}\n"
+
+
+def test_totals_max_is_the_digit_limit():
+    # the default int->str limit is 4300 digits; TOTALS_MAX is the last n under it
+    totals = (total_area, total_sper, total_levels, total_descents, total_ascents)
+    assert all(abs(f(cli.TOTALS_MAX)) < 10 ** 4300 for f in totals)
+    assert any(abs(f(cli.TOTALS_MAX + 1)) >= 10 ** 4300 for f in totals)
+
+
 def test_map_f_example(capsys):
     code, out, _ = run_cli(capsys, "map", "f", "1,2,2,4,3,3,7,7")
     assert (code, out.strip()) == (0, "(1,2)(3,5,4)(6,7)(8)")
@@ -184,6 +212,14 @@ def test_verify_corrupt_control_fails(capsys):
     assert code == 1
     report = json.loads(out)
     assert any(r["status"] == "fail" for r in report)
+
+
+@pytest.mark.parametrize("suite", ("all",) + verify.SUITES)
+def test_verify_corrupt_fails_every_suite(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite,
+                           "--nmax", "4", "--order", "4", "--corrupt")
+    assert code == 1
+    assert any(r["status"] == "fail" for r in json.loads(out))
 
 
 def test_verify_guards(capsys):

@@ -167,6 +167,34 @@ def test_eval_is_ring_homomorphism(a, b):
     assert (a + b).eval_rational(point) == a.eval_rational(point) + b.eval_rational(point)
 
 
+def naive_eval(poly, point):
+    """Reference: one Fraction power per factor, summed term by term."""
+    total = Fraction(0)
+    for exp, c in poly.items():
+        term = Fraction(c)
+        for v, e in zip(VARS, exp):
+            if e:
+                term *= Fraction(point[v]) ** e
+        total += term
+    return total
+
+
+rationals = st.builds(Fraction, st.integers(min_value=-4, max_value=4),
+                      st.integers(min_value=1, max_value=5))
+
+
+@given(polys, st.tuples(*[rationals] * NVARS))
+def test_eval_matches_naive_reference(a, values):
+    point = dict(zip(VARS, values))
+    try:
+        want = naive_eval(a, point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            a.eval_rational(point)
+    else:
+        assert a.eval_rational(point) == want
+
+
 @given(polys)
 def test_text_round_trip(a):
     assert MPoly.from_text(a.to_text()) == a
