@@ -1,21 +1,38 @@
 """Sparse multivariate Laurent polynomials over arbitrary-precision integers.
 
 Every polynomial lives in the fixed variable set (y, p, q, r, t), in that
-order.  A polynomial is stored as a map from exponent vectors (one signed
-integer per variable) to nonzero integer coefficients:
+order, and is stored as a map from packed exponent keys to nonzero integer
+coefficients (after Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).
 
-    p*q^2        ->  {(0, 1, 2, 0, 0): 1}
-    y*p + y^2*r  ->  {(1, 1, 0, 0, 0): 1, (2, 0, 0, 1, 0): 1}
+Key layout: one Python int with a field of W = 16 bits per variable, y in
+the most significant field and t in the least.  Field i holds e_i + OFFSET
+with OFFSET = 2^(W-2), so the exponent range is [EXP_MIN, EXP_MAX] =
+[-16384, 16383] and the top bit of every field (the guard bit) is clear:
 
-Exponents may be negative (Laurent support), coefficients are Python ints,
-and zero terms are never stored, so equality is plain term-map equality.
-Values are immutable after construction and safe to share between threads.
+    p*q^2  ->  {key(0, 1, 2, 0, 0): 1}
+    key(y, p, q, r, t) = sum_i (e_i + OFFSET) << (W * (4 - i))
+
+Each field is nonnegative and below 2^W, so integer order on keys is the
+lexicographic (y, p, q, r, t) order on exponent vectors: sorted(keys) lists
+the terms in canonical order.  Multiplying monomials is one integer
+addition, key_a + key_b - key(0, 0, 0, 0, 0); a sum outside the range sets
+the guard bit of its field (directly, or through the borrow of a negative
+field), so one mask check over the result keys detects every overflow.
+Exponents outside the range raise OverflowError and never wrap.
+
+Coefficients are Python ints and zero terms are never stored, so equality
+is plain term-map equality.  Values are immutable after construction and
+safe to share between threads.  items() yields (exponent tuple, coeff)
+pairs; no code outside this module reads or builds packed keys.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator, Mapping
 
 VARS = ("y", "p", "q", "r", "t")
@@ -24,7 +41,22 @@ _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 
 ExpVec = tuple[int, int, int, int, int]
 
-_ZERO_EXP: ExpVec = (0,) * NVARS
+# Bits per exponent field.  Exponents span [-16384, 16383].  A full
+# `verify --nmax 9 --order 12` and `dist` at the CLI's n = 12 stay within
+# [-11, 80], and an area/sper table at n = 24, which already takes seconds,
+# has area exponents up to n(n+1)/2 = 300: fifty times inside the range.
+W = 16
+_OFFSET = 1 << (W - 2)
+_FIELD = (1 << W) - 1
+EXP_MIN, EXP_MAX = -_OFFSET, _OFFSET - 1
+_SHIFTS = tuple(W * (NVARS - 1 - i) for i in range(NVARS))  # y most significant
+_ZERO_KEY = sum(_OFFSET << s for s in _SHIFTS)
+_GUARD = sum(1 << (s + W - 1) for s in _SHIFTS)
+_VAR_SHIFT = {v: s for v, s in zip(VARS, _SHIFTS)}
+
+_FACTOR_RE = re.compile(r"([ypqrt])(?:\^(-?\d+))?")
+_DIGITS_RE = re.compile(r"\d+")
+_TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
 
 
 class NegativePowerSubstitutionError(ValueError):
@@ -42,22 +74,41 @@ def _as_expvec(exps: Mapping[str, int]) -> ExpVec:
     return tuple(vec)
 
 
+def _overflow(what: object) -> OverflowError:
+    return OverflowError(f"exponent outside the packable range [{EXP_MIN}, {EXP_MAX}]: {what}")
+
+
+def _pack(exp: Iterable[int]) -> int:
+    """Packed key of an exponent vector; ValueError or OverflowError if invalid."""
+    exp = tuple(exp)
+    if len(exp) != NVARS:
+        raise ValueError(f"exponent vector must have length {NVARS}: {exp!r}")
+    if min(exp) < EXP_MIN or max(exp) > EXP_MAX:
+        raise _overflow(exp)
+    key = 0
+    for e in exp:
+        key = key << W | (e + _OFFSET)
+    return key
+
+
+def _unpack(key: int) -> ExpVec:
+    return tuple(((key >> s) & _FIELD) - _OFFSET for s in _SHIFTS)
+
+
 class MPoly:
     """An immutable sparse Laurent polynomial in (y, p, q, r, t)."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[ExpVec, int] | None = None):
-        clean: dict[ExpVec, int] = {}
+        clean: dict[int, int] = {}
         if terms:
             for exp, c in terms.items():
                 if c:
-                    exp = tuple(exp)
-                    if len(exp) != NVARS:
-                        raise ValueError(f"exponent vector must have length {NVARS}: {exp!r}")
-                    clean[exp] = clean.get(exp, 0) + c
-                    if not clean[exp]:
-                        del clean[exp]
+                    key = _pack(exp)
+                    clean[key] = clean.get(key, 0) + c
+                    if not clean[key]:
+                        del clean[key]
         object.__setattr__(self, "_terms", clean)
 
     # -- constructors ------------------------------------------------------
@@ -68,11 +119,12 @@ class MPoly:
 
     @classmethod
     def one(cls) -> "MPoly":
-        return cls({_ZERO_EXP: 1})
+        return _raw({_ZERO_KEY: 1})
 
     @classmethod
     def const(cls, c: int) -> "MPoly":
-        return cls({_ZERO_EXP: int(c)})
+        c = int(c)
+        return _raw({_ZERO_KEY: c} if c else {})
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
@@ -86,7 +138,7 @@ class MPoly:
     # -- basic protocol ----------------------------------------------------
 
     def items(self) -> Iterator[tuple[ExpVec, int]]:
-        return iter(self._terms.items())
+        return ((_unpack(k), c) for k, c in self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -113,20 +165,23 @@ class MPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "MPoly | int") -> "MPoly":
-        other = _coerce(other)
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, 0) + c
+        a, b = self._terms, _coerce(other)._terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        get = out.get
+        for k, c in b.items():
+            s = get(k, 0) + c
             if s:
-                out[exp] = s
+                out[k] = s
             else:
-                out.pop(exp, None)
+                del out[k]
         return _raw(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return _raw({exp: -c for exp, c in self._terms.items()})
+        return _raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "MPoly | int") -> "MPoly":
         return self + (-_coerce(other))
@@ -138,17 +193,30 @@ class MPoly:
         if isinstance(other, int):
             if not other:
                 return MPoly.zero()
-            return _raw({exp: c * other for exp, c in self._terms.items()})
-        out: dict[ExpVec, int] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2],
-                       ea[3] + eb[3], ea[4] + eb[4])
-                s = out.get(exp, 0) + ca * cb
+            return _raw({k: c * other for k, c in self._terms.items()})
+        a, b = self._terms, other._terms
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return MPoly.zero()
+        # The first term of the smaller factor shifts every key of the larger
+        # one, which cannot collide; later terms merge into that.
+        outer = iter(a.items())
+        ka, ca = next(outer)
+        shift = ka - _ZERO_KEY
+        out = {kb + shift: ca * cb for kb, cb in b.items()}
+        get = out.get
+        for ka, ca in outer:
+            shift = ka - _ZERO_KEY
+            for kb, cb in b.items():
+                k = kb + shift
+                s = get(k, 0) + ca * cb
                 if s:
-                    out[exp] = s
+                    out[k] = s
                 else:
-                    del out[exp]
+                    del out[k]
+        if reduce(operator.or_, out, 0) & _GUARD:
+            raise _overflow("in a product")
         return _raw(out)
 
     __rmul__ = __mul__
@@ -175,29 +243,31 @@ class MPoly:
             exps = _as_expvec(kw)
         elif isinstance(exps, Mapping):
             exps = _as_expvec(exps)
-        else:
-            exps = tuple(exps)
-        return self._terms.get(exps, 0)
+        return self._terms.get(_pack(exps), 0)
 
     def degree(self, name: str) -> int:
         """Largest exponent of `name` appearing (0 for the zero polynomial)."""
-        i = _VAR_INDEX[name]
-        return max((exp[i] for exp in self._terms), default=0)
+        if not self._terms:
+            return 0
+        s = _VAR_SHIFT[name]
+        return max((k >> s) & _FIELD for k in self._terms) - _OFFSET
 
     def min_degree(self, name: str) -> int:
-        i = _VAR_INDEX[name]
-        return min((exp[i] for exp in self._terms), default=0)
+        if not self._terms:
+            return 0
+        s = _VAR_SHIFT[name]
+        return min((k >> s) & _FIELD for k in self._terms) - _OFFSET
 
     def as_unit_monomial(self) -> ExpVec | None:
         """Exponent vector if this is a single term with coefficient +-1."""
         if len(self._terms) != 1:
             return None
-        (exp, c), = self._terms.items()
-        return exp if c in (1, -1) else None
+        (k, c), = self._terms.items()
+        return _unpack(k) if c in (1, -1) else None
 
     def _unit_monomial_pow(self, n: int) -> "MPoly":
-        (exp, c), = self._terms.items()
-        return _raw({tuple(e * n for e in exp): c if n % 2 else 1})
+        (k, c), = self._terms.items()
+        return _raw({_pack([e * n for e in _unpack(k)]): c if n % 2 else 1})
 
     def weighted_exponent_sum(self, name: str) -> int:
         """Sum of coeff * exponent-of-`name` over all terms.
@@ -205,8 +275,28 @@ class MPoly:
         Equals the derivative with respect to `name` evaluated at the
         all-ones point; used to extract statistic totals from distributions.
         """
-        i = _VAR_INDEX[name]
-        return sum(c * exp[i] for exp, c in self._terms.items())
+        s = _VAR_SHIFT[name]
+        return sum(c * (((k >> s) & _FIELD) - _OFFSET) for k, c in self._terms.items())
+
+    def by_degree(self, name: str) -> dict[int, "MPoly"]:
+        """The coefficients of this polynomial as a Laurent polynomial in `name`.
+
+        Returns {e: c_e} with self = sum_e c_e * name^e, where no c_e
+        contains `name` and every c_e is nonzero.
+        """
+        if name not in _VAR_SHIFT:
+            raise ValueError(f"unknown variable {name!r}")
+        s = _VAR_SHIFT[name]
+        keep = ~(_FIELD << s)
+        zero_field = _OFFSET << s
+        groups: dict[int, dict[int, int]] = {}
+        for k, c in self._terms.items():
+            e = ((k >> s) & _FIELD) - _OFFSET
+            group = groups.get(e)
+            if group is None:
+                group = groups[e] = {}
+            group[k & keep | zero_field] = c
+        return {e: _raw(group) for e, group in groups.items()}
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -217,28 +307,16 @@ class MPoly:
         substituted into negative powers; any other replacement requires the
         exponents of `name` to be nonnegative.
         """
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r}")
-        vi = _VAR_INDEX[name]
+        groups = self.by_degree(name)
         repl = _coerce(repl)
         invertible = repl.as_unit_monomial() is not None
-        if not invertible and any(exp[vi] < 0 for exp in self._terms):
+        if not invertible and any(e < 0 for e in groups):
             raise NegativePowerSubstitutionError(
                 f"cannot substitute a non-monomial into a negative power of {name}"
             )
-        # Group terms by the exponent of `name`, then multiply by repl^e.
-        groups: dict[int, dict[ExpVec, int]] = {}
-        for exp, c in self._terms.items():
-            e = exp[vi]
-            rest = exp[:vi] + (0,) + exp[vi + 1:]
-            group = groups.setdefault(e, {})
-            group[rest] = group.get(rest, 0) + c
-        powers: dict[int, MPoly] = {}
         total = MPoly.zero()
         for e, sub in groups.items():
-            if e not in powers:
-                powers[e] = repl ** e
-            total = total + _raw(sub) * powers[e]
+            total = total + sub * repl ** e
         return total
 
     def eval_rational(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
@@ -260,27 +338,30 @@ class MPoly:
             values[_VAR_INDEX[name]] = Fraction(v)
         terms = self._terms
         scale = Fraction(1)
+        # (field mask, N keyed by the masked field) per occurring variable
         factors: list[tuple[int, dict[int, int]]] = []
-        for i in range(NVARS):
-            exps = {exp[i] for exp in terms}
-            if exps <= {0}:
+        for i, s in enumerate(_SHIFTS):
+            mask = _FIELD << s
+            fields = {k & mask for k in terms}
+            if fields <= {_OFFSET << s}:
                 continue
             v = values[i]
             if v is None:
                 raise MissingAssignmentError(VARS[i])
-            lo, hi = min(exps), max(exps)
+            lo, hi = (min(fields) >> s) - _OFFSET, (max(fields) >> s) - _OFFSET
             if not v and lo < 0:
                 raise ZeroDivisionError(
                     f"zero assigned to negatively-powered variable {VARS[i]}"
                 )
             a, b = v.numerator, v.denominator
-            table = {e: a ** (e - lo) * b ** (hi - e) for e in range(lo, hi + 1)}
-            factors.append((i, table))
+            table = {(e + _OFFSET) << s: a ** (e - lo) * b ** (hi - e)
+                     for e in range(lo, hi + 1)}
+            factors.append((mask, table))
             scale *= v ** lo / b ** (hi - lo)  # a^lo / b^hi
         total = 0
-        for exp, c in terms.items():
-            for i, table in factors:
-                c *= table[exp[i]]
+        for k, c in terms.items():
+            for mask, table in factors:
+                c *= table[k & mask]
             total += c
         return total * scale
 
@@ -291,12 +372,12 @@ class MPoly:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for exp in sorted(self._terms):
-            c = self._terms[exp]
+        for k in sorted(self._terms):
+            c = self._terms[k]
             factors = [
                 v if e == 1 else f"{v}^{e}"
-                for v, e in zip(VARS, exp)
-                if e
+                for v, s in _VAR_SHIFT.items()
+                if (e := ((k >> s) & _FIELD) - _OFFSET)
             ]
             if not factors:
                 body = str(abs(c))
@@ -316,27 +397,37 @@ class MPoly:
         s = text.strip()
         if s == "0":
             return cls.zero()
-        terms: dict[ExpVec, int] = {}
+        terms: dict[int, int] = {}
         for sign, body in _iter_signed_terms(s):
             coeff = sign
-            vec = [0] * NVARS
+            key = _ZERO_KEY
             for factor in body.split("*"):
                 factor = factor.strip()
-                m = re.fullmatch(r"([ypqrt])(?:\^(-?\d+))?", factor)
+                m = _FACTOR_RE.fullmatch(factor)
                 if m:
-                    vec[_VAR_INDEX[m.group(1)]] += int(m.group(2) or 1)
-                elif re.fullmatch(r"\d+", factor):
+                    e = int(m.group(2) or 1)
+                    # A field kept in range by every step stays detectable:
+                    # one in-range exponent cannot carry past the guard bit.
+                    if not EXP_MIN <= e <= EXP_MAX:
+                        raise _overflow(factor)
+                    key += e << _VAR_SHIFT[m.group(1)]
+                    if key & _GUARD:
+                        raise _overflow(body)
+                elif _DIGITS_RE.fullmatch(factor):
                     coeff *= int(factor)
                 else:
                     raise ValueError(f"bad factor {factor!r} in polynomial text {text!r}")
-            exp = tuple(vec)
-            terms[exp] = terms.get(exp, 0) + coeff
-        return cls(terms)
+            total = terms.get(key, 0) + coeff
+            if total:
+                terms[key] = total
+            else:
+                terms.pop(key, None)
+        return _raw(terms)
 
     def to_json_obj(self) -> list[dict[str, object]]:
         return [
-            {"coeff": str(self._terms[exp]), "exp": list(exp)}
-            for exp in sorted(self._terms)
+            {"coeff": str(self._terms[k]), "exp": list(_unpack(k))}
+            for k in sorted(self._terms)
         ]
 
     @classmethod
@@ -349,7 +440,7 @@ class MPoly:
 
 
 def _iter_signed_terms(s: str) -> Iterator[tuple[int, str]]:
-    pieces = re.split(r"\s+([+-])\s+", s)
+    pieces = _TERM_SPLIT_RE.split(s)
     first = pieces[0].strip()
     sign = 1
     if first.startswith("-"):
@@ -363,8 +454,8 @@ def _coerce(x: "MPoly | int") -> MPoly:
     return x if isinstance(x, MPoly) else MPoly.const(x)
 
 
-def _raw(terms: dict[ExpVec, int]) -> MPoly:
-    """Internal constructor for dicts already in canonical form."""
+def _raw(terms: dict[int, int]) -> MPoly:
+    """Internal constructor for key maps already in canonical form."""
     poly = MPoly.__new__(MPoly)
     object.__setattr__(poly, "_terms", terms)
     return poly

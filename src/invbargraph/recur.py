@@ -269,17 +269,15 @@ def divide_exact_one_minus_y(num: MPoly) -> MPoly:
     """
     if num.min_degree("y") < 0:
         raise NonDivisibleError("negative powers of y in the dividend")
-    by_deg: dict[int, dict] = {}
-    for exp, c in num.items():
-        rest = (0,) + exp[1:]
-        by_deg.setdefault(exp[0], {})[rest] = c
+    by_deg = num.by_degree("y")
     if not by_deg:
         return MPoly.zero()
     top = max(by_deg)
     quotient = MPoly.zero()
     partial = MPoly.zero()
+    zero = MPoly.zero()
     for k in range(top + 1):
-        partial = partial + MPoly(by_deg.get(k, {}))
+        partial = partial + by_deg.get(k, zero)
         if k < top:
             quotient = quotient + partial * MPoly.monomial(1, y=k)
     if partial:  # partial now equals num(y=1); it must vanish for exactness

@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invbargraph.mpoly import (
+    EXP_MAX,
+    EXP_MIN,
     NVARS,
     VARS,
     MissingAssignmentError,
@@ -104,6 +106,11 @@ def test_coeff_lookup():
     assert MPoly.monomial(2, y=2, p=1, r=1).coeff(y=2, p=1, r=1) == 2
 
 
+def test_coeff_wrong_length_exponent_vector():
+    with pytest.raises(ValueError, match="exponent vector must have length 5: \\(0, 1\\)"):
+        PQ2.coeff((0, 1))
+
+
 def test_canonical_text_examples():
     assert PQ2.to_text() == "p*q^2"
     assert (Y * P + Y * Y * R).to_text() == "y*p + y^2*r"
@@ -118,6 +125,12 @@ def test_text_parse_examples():
     assert MPoly.from_text("0") == MPoly.zero()
     assert MPoly.from_text("-2*y^2 + 2*y^3") == MPoly.monomial(2, y=3) - MPoly.monomial(2, y=2)
     assert MPoly.from_text("q^-2") == MPoly.monomial(1, q=-2)
+
+
+@pytest.mark.parametrize("text", ["p*x", "2.5*p", "p^", "p^+2", "p**2", ""])
+def test_text_parse_bad_factor(text):
+    with pytest.raises(ValueError, match="bad factor"):
+        MPoly.from_text(text)
 
 
 def test_immutability():
@@ -203,3 +216,174 @@ def test_text_round_trip(a):
 @given(polys)
 def test_json_round_trip(a):
     assert MPoly.from_json_obj(a.to_json_obj()) == a
+
+
+# -- exponent range ----------------------------------------------------------------
+
+HALF = (EXP_MAX + 1) // 2
+
+
+@pytest.mark.parametrize("var", VARS)
+def test_constructor_range(var):
+    for e in (EXP_MIN, EXP_MAX):
+        poly = MPoly.monomial(3, **{var: e})
+        assert poly.degree(var) == e
+        assert MPoly({tuple(e if v == var else 0 for v in VARS): 3}) == poly
+        assert MPoly.from_text(poly.to_text()) == poly
+        assert MPoly.from_json_obj(poly.to_json_obj()) == poly
+    for e in (EXP_MIN - 1, EXP_MAX + 1, 2 ** 70):
+        exp = tuple(e if v == var else 0 for v in VARS)
+        with pytest.raises(OverflowError):
+            MPoly.monomial(1, **{var: e})
+        with pytest.raises(OverflowError):
+            MPoly({exp: 1})
+        with pytest.raises(OverflowError):
+            MPoly.from_text(f"{var}^{e}")
+        with pytest.raises(OverflowError):
+            MPoly.from_json_obj([{"coeff": "1", "exp": list(exp)}])
+
+
+@pytest.mark.parametrize("var", VARS)
+def test_repeated_square_range(var):
+    x = MPoly.var(var)
+    assert x ** EXP_MAX == MPoly.monomial(1, **{var: EXP_MAX})
+    assert MPoly.monomial(1, **{var: HALF}) * MPoly.monomial(1, **{var: HALF - 1}) == x ** EXP_MAX
+    assert MPoly.monomial(1, **{var: -HALF}) ** 2 == MPoly.monomial(1, **{var: EXP_MIN})
+    assert x ** EXP_MIN == MPoly.monomial(1, **{var: EXP_MIN})
+    with pytest.raises(OverflowError):
+        x ** (EXP_MAX + 1)
+    with pytest.raises(OverflowError):
+        MPoly.monomial(1, **{var: HALF}) ** 2
+    with pytest.raises(OverflowError):
+        MPoly.monomial(1, **{var: -HALF - 1}) ** 2
+    with pytest.raises(OverflowError):
+        x ** (EXP_MIN - 1)
+
+
+@pytest.mark.parametrize("var", VARS)
+def test_product_overflow_never_wraps(var):
+    top = MPoly.monomial(1, **{var: EXP_MAX})
+    bottom = MPoly.monomial(1, **{var: EXP_MIN})
+    x = MPoly.var(var)
+    assert (top * x ** -1).degree(var) == EXP_MAX - 1
+    for a, b in ((top, x), (bottom, x ** -1), (top, P + Q + Y * T + x), (bottom, 1 + x ** -1)):
+        with pytest.raises(OverflowError):
+            a * b
+        with pytest.raises(OverflowError):
+            b * a
+
+
+def test_text_factors_accumulate_within_range():
+    assert MPoly.from_text(f"p^{EXP_MAX - 1}*p") == MPoly.monomial(1, p=EXP_MAX)
+    assert MPoly.from_text(f"p^{EXP_MIN}*p^{EXP_MAX}") == MPoly.monomial(1, p=-1)
+    with pytest.raises(OverflowError):
+        MPoly.from_text(f"p^{EXP_MAX}*p")
+    with pytest.raises(OverflowError):
+        MPoly.from_text("*".join([f"q^{EXP_MAX}"] * 4))
+
+
+# -- property test against a plain {exponent tuple: coeff} reference --------------------
+
+ZERO_EXP = (0,) * NVARS
+
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return ref_clean(out)
+
+
+def ref_pow(a, n):
+    if n < 0:
+        (e, c), = a.items()
+        return {tuple(x * n for x in e): c if n % 2 else 1}
+    out = {ZERO_EXP: 1}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_substitute(a, i, repl):
+    out = {}
+    for e, c in a.items():
+        rest = e[:i] + (0,) + e[i + 1:]
+        out = ref_add(out, ref_mul({rest: c}, ref_pow(repl, e[i])))
+    return out
+
+
+def ref_text(a):
+    if not a:
+        return "0"
+    parts = []
+    for e in sorted(a):
+        c = a[e]
+        body = "*".join(
+            ([str(abs(c))] if abs(c) != 1 or not any(e) else [])
+            + [v if k == 1 else f"{v}^{k}" for v, k in zip(VARS, e) if k]
+        )
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts)
+
+
+laurent_exps = st.tuples(*[st.integers(min_value=-6, max_value=6)] * NVARS)
+ref_polys = st.dictionaries(laurent_exps, st.integers(min_value=-9, max_value=9),
+                            max_size=4).map(ref_clean)
+unit_monomials = st.tuples(laurent_exps, st.sampled_from([1, -1])).map(lambda ec: {ec[0]: ec[1]})
+
+
+def as_ref(poly):
+    return dict(poly.items())
+
+
+@given(ref_polys, ref_polys)
+def test_ring_ops_match_reference(a, b):
+    pa, pb = MPoly(a), MPoly(b)
+    assert as_ref(pa) == a
+    assert as_ref(pa + pb) == ref_add(a, b)
+    assert as_ref(pa - pb) == ref_add(a, {e: -c for e, c in b.items()})
+    assert as_ref(pa * pb) == ref_mul(a, b)
+    assert as_ref(-pa) == {e: -c for e, c in a.items()}
+    assert as_ref(pa * 3) == {e: 3 * c for e, c in a.items()}
+
+
+@given(ref_polys, st.integers(min_value=0, max_value=3))
+def test_pow_matches_reference(a, n):
+    assert as_ref(MPoly(a) ** n) == ref_pow(a, n)
+
+
+@given(unit_monomials, st.integers(min_value=-4, max_value=4))
+def test_unit_monomial_pow_matches_reference(a, n):
+    assert as_ref(MPoly(a) ** n) == ref_pow(a, n)
+
+
+@given(ref_polys, st.sampled_from(range(NVARS)), st.one_of(ref_polys, unit_monomials))
+def test_substitute_matches_reference(a, i, repl):
+    poly = MPoly(a)
+    if any(e[i] < 0 for e in a) and MPoly(repl).as_unit_monomial() is None:
+        with pytest.raises(NegativePowerSubstitutionError):
+            poly.substitute(VARS[i], MPoly(repl))
+    else:
+        assert as_ref(poly.substitute(VARS[i], MPoly(repl))) == ref_substitute(a, i, repl)
+
+
+@given(ref_polys)
+def test_text_and_json_match_reference(a):
+    poly = MPoly(a)
+    assert poly.to_text() == ref_text(a)
+    assert MPoly.from_text(ref_text(a)) == poly
+    assert poly.to_json_obj() == [{"coeff": str(a[e]), "exp": list(e)} for e in sorted(a)]

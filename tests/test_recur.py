@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations
 from math import factorial
 
@@ -287,3 +288,15 @@ def test_table_csv_round_trip(b_lemma_9):
 
 def test_table_json_round_trip(a_lemma_8):
     assert DistTable.from_json(a_lemma_8.to_json()) == a_lemma_8
+
+
+# sha256 of the serialized tables as written by the tuple-keyed MPoly, which
+# any change of term storage must reproduce byte for byte.
+@pytest.mark.parametrize("serialize,digest", [
+    (lambda: a_table_lemma(12).to_csv(),
+     "8aeb11268289c6d9e0a5a2767ca74a887b63a456e9eb66b2540a6cac4bd8be3d"),
+    (lambda: b_table_lemma(14).to_json(),
+     "3180eef3b192aa432823fbf72fcc9657028b41a79e02fbec70c87f0af4524e9b"),
+])
+def test_table_serialization_bytes_pinned(serialize, digest):
+    assert hashlib.sha256(serialize().encode()).hexdigest() == digest
