@@ -2,7 +2,7 @@
 
 These walk all n! inversion sequences of length n and accumulate joint
 statistic counts.  They are the reference implementation of the compiled
-kernels in ``_speedups``; the interface of both must stay identical.
+walkers in ``_kernel.c``, and ``kernel`` returns the same dicts from both.
 
 Conventions (shared with the compiled kernel):
 
@@ -15,6 +15,10 @@ and levels/descents/ascents count adjacent equal/falling/rising pairs.
 
 from __future__ import annotations
 
+# The one limit on n for both backends.  Both walks together take about
+# 2.3 s at n = 12 on the compiled kernel, and each step up multiplies the
+# cost by n; the pure kernel takes 3.6 s at n = 10 and 42 s at n = 11, so
+# several minutes at 12.
 MAX_N = 12
 
 

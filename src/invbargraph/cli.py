@@ -49,8 +49,11 @@ def _rational_str(x: Fraction) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write {out_path}: {err.strerror or err}") from None
     else:
         sys.stdout.write(text)
 

@@ -184,10 +184,10 @@ class MPoly:
         return _raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "MPoly | int") -> "MPoly":
-        return self + (-_coerce(other))
+        return _raw(_minus(self._terms, _coerce(other)._terms))
 
     def __rsub__(self, other: int) -> "MPoly":
-        return _coerce(other) + (-self)
+        return _raw(_minus(_coerce(other)._terms, self._terms))
 
     def __mul__(self, other: "MPoly | int") -> "MPoly":
         if isinstance(other, int):
@@ -452,6 +452,19 @@ def _iter_signed_terms(s: str) -> Iterator[tuple[int, str]]:
 
 def _coerce(x: "MPoly | int") -> MPoly:
     return x if isinstance(x, MPoly) else MPoly.const(x)
+
+
+def _minus(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The key map of a - b, zero coefficients dropped."""
+    out = dict(a)
+    get = out.get
+    for k, c in b.items():
+        s = get(k, 0) - c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
 
 def _raw(terms: dict[int, int]) -> MPoly:

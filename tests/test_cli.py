@@ -235,6 +235,19 @@ def test_out_flag(tmp_path, capsys):
     assert json.loads(target.read_text())["area"] == "5"
 
 
+@pytest.mark.parametrize("argv", [
+    ("totals", "-n", "3"),
+    ("verify", "--suite", "totals", "--nmax", "3", "--order", "1"),
+])
+def test_out_flag_unwritable(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2 and err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

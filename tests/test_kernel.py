@@ -1,19 +1,32 @@
+import os
+import shutil
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from invbargraph import _kernel_py, kernel
 
-try:
-    from invbargraph import _speedups
-except ImportError:
-    _speedups = None
+PACKAGE = Path(kernel.__file__).resolve().parent
 
-needs_speedups = pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
+# Without a compiler, or with the pure kernel forced, the C backend cannot
+# load; anywhere else it must, so a broken build fails here instead of
+# silently running the pure kernel.
+needs_c = pytest.mark.skipif(
+    shutil.which("cc") is None or os.environ.get("INVBARGRAPH_PURE") == "1",
+    reason="no C compiler, or INVBARGRAPH_PURE=1",
+)
 
 
 def test_selected_backend_exposed():
-    assert kernel.BACKEND in ("cython", "python")
+    assert kernel.BACKEND in ("c", "python")
+
+
+@needs_c
+def test_c_backend_selected():
+    assert kernel.BACKEND == "c"
 
 
 def test_n1_base_cases():
@@ -45,16 +58,52 @@ def test_guard():
         _kernel_py.lda_counts(13)
 
 
-@needs_speedups
+@needs_c
 @pytest.mark.parametrize("n", range(1, 9))
 def test_backends_agree(n):
-    assert _speedups.area_sper_counts(n) == _kernel_py.area_sper_counts(n)
-    assert _speedups.lda_counts(n) == _kernel_py.lda_counts(n)
+    assert kernel.area_sper_counts(n) == _kernel_py.area_sper_counts(n)
+    assert kernel.lda_counts(n) == _kernel_py.lda_counts(n)
 
 
-@needs_speedups
-def test_compiled_guard():
+class _NoCalls:
+    def __getattr__(self, name):
+        raise AssertionError(f"C walker {name} reached")
+
+
+@needs_c
+def test_compiled_guard(monkeypatch):
+    monkeypatch.setattr(kernel, "_lib", _NoCalls())
     with pytest.raises(ValueError):
-        _speedups.area_sper_counts(0)
+        kernel.area_sper_counts(0)
     with pytest.raises(ValueError):
-        _speedups.lda_counts(13)
+        kernel.lda_counts(13)
+
+
+_PROBE = """
+from invbargraph import _kernel_py, kernel
+assert kernel.area_sper_counts(7) == _kernel_py.area_sper_counts(7)
+assert kernel.lda_counts(7) == _kernel_py.lda_counts(7)
+print(kernel.BACKEND)
+"""
+
+
+@pytest.mark.parametrize("with_cc", [
+    pytest.param(True, marks=needs_c),
+    False,
+])
+def test_first_import_of_a_fresh_copy(tmp_path, with_cc):
+    """A copy with no built kernel compiles it on import, or falls back without a compiler."""
+    shutil.copytree(PACKAGE, tmp_path / "invbargraph",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "INVBARGRAPH_PURE"}
+    env["PYTHONPATH"] = str(tmp_path)
+    if not with_cc:
+        env["PATH"] = str(empty)
+    proc = subprocess.run([sys.executable, "-c", _PROBE], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("c\n" if with_cc else "python\n")
+    built = list((tmp_path / "invbargraph" / "__pycache__").glob("_kernel-*"))
+    assert [p.suffix for p in built] == ([".so"] if with_cc else [])
