@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from invbargraph.invseq import InversionSequence, Permutation
+from invbargraph.invseq import InversionSequence, Permutation, parse_ints
 
 
 class TooShortError(ValueError):
@@ -33,6 +33,8 @@ class CycleForm:
 
     def __init__(self, cycles: Iterable[Iterable[int]]):
         raw = [tuple(int(v) for v in cycle) for cycle in cycles]
+        if not raw:
+            raise MalformedCyclesError("empty cycle form")
         seen: set[int] = set()
         for cycle in raw:
             if not cycle:
@@ -83,7 +85,7 @@ class CycleForm:
         if not (s.startswith("(") and s.endswith(")")):
             raise MalformedCyclesError(f"not a cycle form: {text!r}")
         parts = s[1:-1].split(")(")
-        return cls([part.split(",") for part in parts] if parts != [""] else [])
+        return cls([parse_ints(part, text) for part in parts] if parts != [""] else [])
 
     def to_permutation(self) -> Permutation:
         succ: dict[int, int] = {}
@@ -254,12 +256,6 @@ def ascent_count(pi: Permutation) -> int:
     """Number of indices i with pi_i < pi_{i+1}."""
     word = pi.oneline
     return sum(1 for i in range(len(word) - 1) if word[i] < word[i + 1])
-
-
-def levels_count(rho: InversionSequence) -> int:
-    return sum(
-        1 for a, b in zip(rho.entries, rho.entries[1:]) if a == b
-    )
 
 
 def iter_undefined_sper(n: int) -> Iterator[InversionSequence]:

@@ -203,6 +203,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         point = (parse_rational(args.p), parse_rational(args.q), parse_rational(args.r))
         if point[1] == 0:
             raise UsageError("q must be nonzero for the kernel identity")
+    if args.out:
+        _emit("", args.out)  # an unwritable path fails before the suites run
     results, ok = verify.run_verify(
         suites, nmax=args.nmax, order=args.order, seed=args.seed,
         point=point, corrupt=args.corrupt,

@@ -11,12 +11,13 @@ rational parameter points.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import factorial
+from typing import Iterable
 
 from invbargraph import recur
 from invbargraph.mpoly import MPoly
 from invbargraph.recur import DistTable, row_poly
-from invbargraph.reporting import CheckResult, violation
+from invbargraph.reporting import CheckResult, check
 
 Rat = Fraction | int
 
@@ -60,10 +61,6 @@ class RationalSeries:
     @classmethod
     def x(cls, order: int) -> "RationalSeries":
         return cls([0, 1], order)
-
-    @classmethod
-    def from_poly(cls, coeffs: Sequence[Rat], order: int) -> "RationalSeries":
-        return cls(coeffs, order)
 
     @property
     def order(self) -> int:
@@ -212,30 +209,21 @@ def series_from_table(
 # -- closed-form expansions: area / semi-perimeter ------------------------------
 
 
-def _area_sum_series(p: Fraction, order: int, y: Fraction | None = None) -> RationalSeries:
-    """sum_j (-1)^j x^j C_j p-powers / prod_i (1 - p - x block) as used below.
+def _area_sum_series(p: Fraction, order: int, z: Fraction = Fraction(1)) -> RationalSeries:
+    """sum_j (-z)^j p^(j + C(j+2,2)) x^j / prod_{i=0..j} (1 - p - x z p^(i+1)).
 
-    With y omitted: term j = (-1)^j x^j p^(j + C(j+2,2)) / prod_{i=0..j} (1-p-x p^(i+1)).
-    With y given:  term j = (-1)^j (xy)^j p^(2j + C(j+2,2)) / prod_{i=0..j} (1-p-xy p^(i+2)).
+    z = 1 is the sum in expand_area_ogf; z = y p is the second sum in
+    expand_area_last_ogf.  The product of the inverted denominators is
+    carried from j to j.
     """
-    total = RationalSeries.zero(order)
+    total = [Fraction(0)] * (order + 1)
+    den_inv = RationalSeries.one(order)
     for j in range(order + 1):
-        binom = (j + 2) * (j + 1) // 2
-        if y is None:
-            sign_coeff = (-1) ** j * p ** (j + binom)
-            lead = RationalSeries([0] * j + [sign_coeff], order)
-        else:
-            sign_coeff = (-1) ** j * y ** j * p ** (2 * j + binom)
-            lead = RationalSeries([0] * j + [sign_coeff], order)
-        term = lead
-        for i in range(j + 1):
-            if y is None:
-                den = RationalSeries([1 - p, -(p ** (i + 1))], order)
-            else:
-                den = RationalSeries([1 - p, -y * p ** (i + 2)], order)
-            term = term * den.inv()
-        total = total + term
-    return total
+        den_inv = den_inv * RationalSeries([1 - p, -z * p ** (j + 1)], order).inv()
+        lead = (-z) ** j * p ** (j + (j + 2) * (j + 1) // 2)
+        for k, c in enumerate(den_inv.coeffs[: order + 1 - j]):
+            total[j + k] += lead * c
+    return RationalSeries(total, order)
 
 
 def expand_area_ogf(p: Rat, order: int) -> RationalSeries:
@@ -268,15 +256,18 @@ def expand_area_last_ogf(p: Rat, y: Rat, order: int) -> RationalSeries:
     if order < 1:
         raise ValueError("order must be at least 1")
     s1 = _area_sum_series(p, order)
-    s2 = _area_sum_series(p, order, y=y)
+    s2 = _area_sum_series(p, order, z=y * p)
     bracket = s1 - s2.scale(y * y * p * p)
     prefactor = RationalSeries([0, 0, y * p * (1 - p) / (1 - y * p)], order)
     return RationalSeries([0, y * p], order) + prefactor * bracket
 
 
-def check_area_ogf_recursion(
-    p: Rat, order: int, table: DistTable | None = None
-) -> CheckResult:
+def _coeff_cases(got: RationalSeries, want: RationalSeries):
+    """(x^k, got_k, want_k) for each coefficient, for `reporting.check`."""
+    return ((f"x^{k}", a, b) for k, (a, b) in enumerate(zip(got.coeffs, want.coeffs)))
+
+
+def check_area_ogf_recursion(p: Rat, order: int, table: DistTable) -> CheckResult:
     """Self-substitution identity for the area OGF built from recurrence data.
 
     A(x) = x p (1-p)/(1-p-xp) - x p^2/(1-p-xp) * A(xp), checked mod x^(order+1).
@@ -284,8 +275,6 @@ def check_area_ogf_recursion(
     p = Fraction(p)
     if p == 1:
         raise SingularParameterError("p = 1 is singular for the area OGF")
-    if table is None:
-        table = recur.a_table_lemma(order)
     data = series_from_table(table, order, {"p": p, "q": 1})
     scaled = RationalSeries(
         [c * p ** n for n, c in enumerate(data.coeffs)], order
@@ -294,20 +283,12 @@ def check_area_ogf_recursion(
     rhs = RationalSeries([0, p * (1 - p)], order) * den_inv - (
         RationalSeries([0, p * p], order) * den_inv * scaled
     )
-    if rhs != data:
-        k = next(i for i, (a, b) in enumerate(zip(rhs.coeffs, data.coeffs)) if a != b)
-        raise violation("area-ogf-recursion", f"order={order}", f"p={p}",
-                        f"x^{k}: {rhs.coeff(k)} != {data.coeff(k)}")
-    return CheckResult("area-ogf-recursion", f"order={order}", f"p={p}")
+    return check("area-ogf-recursion", f"order={order}", f"p={p}", _coeff_cases(rhs, data))
 
 
-def check_area_ogf_closed(
-    p: Rat, y: Rat | None, order: int, table: DistTable | None = None
-) -> CheckResult:
+def check_area_ogf_closed(p: Rat, y: Rat | None, order: int, table: DistTable) -> CheckResult:
     """Closed-form area OGF (optionally joint with last letter) vs recurrence data."""
     p = Fraction(p)
-    if table is None:
-        table = recur.a_table_lemma(order)
     if y is None:
         series = expand_area_ogf(p, order)
         data = series_from_table(table, order, {"p": p, "q": 1})
@@ -317,13 +298,7 @@ def check_area_ogf_closed(
         series = expand_area_last_ogf(p, y, order)
         data = series_from_table(table, order, {"y": y, "p": p, "q": 1})
         params = f"p={p},y={y}"
-    if series != data:
-        k = next(
-            i for i, (a, b) in enumerate(zip(series.coeffs, data.coeffs)) if a != b
-        )
-        raise violation("area-ogf-closed", f"order={order}", params,
-                        f"x^{k}: {series.coeff(k)} != {data.coeff(k)}")
-    return CheckResult("area-ogf-closed", f"order={order}", params)
+    return check("area-ogf-closed", f"order={order}", params, _coeff_cases(series, data))
 
 
 # -- kernel-method identity for the lda distribution ----------------------------
@@ -341,9 +316,7 @@ def _rho_at(
     return _linear_at(p - q, arg, order) * _linear_at(p - r, arg, order).inv()
 
 
-def check_lda_kernel(
-    p: Rat, q: Rat, r: Rat, order: int, table: DistTable | None = None
-) -> list[CheckResult]:
+def check_lda_kernel(p: Rat, q: Rat, r: Rat, order: int, table: DistTable) -> list[CheckResult]:
     """Kernel-method identities for B(x) = sum_n rowsum_n(p,q,r) x^n.
 
     Checks, mod x^(order+1):
@@ -356,18 +329,12 @@ def check_lda_kernel(
     p, q, r = Fraction(p), Fraction(q), Fraction(r)
     if q == 0:
         raise SingularParameterError("q = 0 is singular for the kernel identity")
-    if table is None:
-        table = recur.b_table_lemma(order)
     data = series_from_table(table, order, {"p": p, "q": q, "r": r})
     params = f"p={p},q={q},r={r}"
 
     rho = _rho_at(p, q, r, RationalSeries.x(order), order)
     inner = RationalSeries.x(order) * rho
     rhs = (rho - RationalSeries.one(order)).scale(1 / q) + rho.scale(r / q) * data.compose(inner)
-    if rhs != data:
-        k = next(i for i, (a, b) in enumerate(zip(rhs.coeffs, data.coeffs)) if a != b)
-        raise violation("lda-kernel-substitution", f"order={order}", params,
-                        f"x^{k}: {rhs.coeff(k)} != {data.coeff(k)}")
 
     total = RationalSeries.zero(order)
     v_product = RationalSeries.one(order)
@@ -382,15 +349,9 @@ def check_lda_kernel(
         ratio_power *= r / q
     remainder = v_product.scale(ratio_power) * data.compose(xj)
     unrolled = total + remainder
-    if unrolled != data:
-        k = next(
-            i for i, (a, b) in enumerate(zip(unrolled.coeffs, data.coeffs)) if a != b
-        )
-        raise violation("lda-kernel-unrolled", f"order={order}", params,
-                        f"x^{k}: {unrolled.coeff(k)} != {data.coeff(k)}")
     return [
-        CheckResult("lda-kernel-substitution", f"order={order}", params),
-        CheckResult("lda-kernel-unrolled", f"order={order}", params),
+        check("lda-kernel-substitution", f"order={order}", params, _coeff_cases(rhs, data)),
+        check("lda-kernel-unrolled", f"order={order}", params, _coeff_cases(unrolled, data)),
     ]
 
 
@@ -490,55 +451,39 @@ _TOTAL_GF_BUILDERS = {
 
 
 def check_total_gfs(
-    y: Rat,
-    order: int,
-    a_table: DistTable | None = None,
-    b_table: DistTable | None = None,
+    y: Rat, order: int, a_table: DistTable, b_table: DistTable
 ) -> list[CheckResult]:
     """All four total-GF closed forms vs per-last-letter totals from the tables."""
     y = Fraction(y)
-    if a_table is None:
-        a_table = recur.a_table_lemma(order)
-    if b_table is None:
-        b_table = recur.b_table_lemma(order)
     tables = {"a": a_table, "b": b_table}
-    results = []
-    factorial = 1
-    per_stat_series = {
-        stat: builder(y, order) for stat, (builder, _, _) in _TOTAL_GF_BUILDERS.items()
-    }
-    for n in range(1, order + 1):
-        factorial *= n
-        for stat, (_, which, marker) in _TOTAL_GF_BUILDERS.items():
+
+    def cases(builder, which, marker):
+        series = builder(y, order)
+        for n in range(1, order + 1):
             by_last = recur.table_stat_total_by_last(tables[which], n, marker)
             expected = sum(
                 (Fraction(total) * y ** j for j, total in by_last.items()),
                 Fraction(0),
             )
-            got = per_stat_series[stat].coeff(n) * factorial
-            if got != expected:
-                raise violation(f"total-{stat}-gf", f"n={n}", f"y={y}",
-                                f"{got} != {expected}")
-    for stat in _TOTAL_GF_BUILDERS:
-        results.append(CheckResult(f"total-{stat}-gf", f"1<=n<={order}", f"y={y}"))
-    return results
+            yield f"n={n}", series.coeff(n) * factorial(n), expected
+
+    return [
+        check(f"total-{stat}-gf", f"1<=n<={order}", f"y={y}", cases(*spec))
+        for stat, spec in _TOTAL_GF_BUILDERS.items()
+    ]
 
 
-def check_last_letter_uniformity(nmax: int, table: DistTable | None = None) -> CheckResult:
+def check_last_letter_uniformity(nmax: int, table: DistTable) -> CheckResult:
     """With both markers at 1, row n is (n-1)! (y + y^2 + ... + y^n), exactly."""
     if nmax < 1:
         raise ValueError(f"nmax must be positive, got {nmax}")
-    if table is None:
-        table = recur.a_table_lemma(nmax)
-    factorial = 1
-    for n in range(1, nmax + 1):
-        if n >= 2:
-            factorial *= n - 1
-        flat = row_poly(table, n).substitute("p", 1).substitute("q", 1)
-        expected = MPoly.zero()
-        for i in range(1, n + 1):
-            expected = expected + MPoly.monomial(factorial, y=i)
-        if flat != expected:
-            raise violation("uniform-last-letter-rows", f"n={n}", "p=1,q=1",
-                            f"{flat.to_text()} != {expected.to_text()}")
-    return CheckResult("uniform-last-letter-rows", f"1<=n<={nmax}", "p=1,q=1")
+
+    def cases():
+        for n in range(1, nmax + 1):
+            flat = row_poly(table, n).substitute("p", 1).substitute("q", 1)
+            expected = MPoly.zero()
+            for i in range(1, n + 1):
+                expected = expected + MPoly.monomial(factorial(n - 1), y=i)
+            yield f"n={n}", flat, expected
+
+    return check("uniform-last-letter-rows", f"1<=n<={nmax}", "p=1,q=1", cases())

@@ -36,6 +36,14 @@ class OutOfRangeError(ValueError):
         self.value = value
 
 
+def parse_ints(fields: str, text: str) -> list[int]:
+    """The comma-separated integers in `fields`, part of the user input `text`."""
+    try:
+        return [int(field) for field in fields.split(",")]
+    except ValueError:
+        raise ValueError(f"not a comma-separated list of integers: {text!r}") from None
+
+
 class InversionSequence:
     """A validated sequence rho with 1 <= rho_i <= i."""
 
@@ -80,7 +88,7 @@ class InversionSequence:
 
     @classmethod
     def from_text(cls, text: str) -> "InversionSequence":
-        return cls(int(part) for part in text.strip().split(","))
+        return cls(parse_ints(text.strip(), text))
 
 
 class Permutation:
@@ -124,7 +132,7 @@ class Permutation:
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
-        return cls(int(part) for part in text.strip().split(","))
+        return cls(parse_ints(text.strip(), text))
 
 
 @dataclass(frozen=True)

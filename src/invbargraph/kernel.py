@@ -5,7 +5,7 @@ On import, loads the plain-C walkers of ``_kernel.c`` with ``ctypes`` from
 source and the compiler command), compiling them there first with ``cc`` if
 that file is missing.  If anything on that path fails (no compiler, a
 directory that cannot be written, a load error), the pure-Python
-``_kernel_py`` is used instead.  ``BACKEND`` says which one is active:
+``_kernel_py`` is used instead, and one line on stderr gives the reason.  ``BACKEND`` says which one is active:
 ``"c"`` or ``"python"``.  Set ``INVBARGRAPH_PURE=1`` to force the pure
 kernel, e.g. for benchmarking or debugging.
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import sys
 import zlib
 from collections.abc import Iterator
 
@@ -57,7 +58,10 @@ def _load() -> ctypes.CDLL | None:
         if not os.path.exists(target):
             _compile(target)
         lib = ctypes.CDLL(target)
-    except OSError:
+    except OSError as err:
+        reason = " ".join(str(err).split())  # compiler output can span lines
+        print(f"invbargraph: C kernel unavailable ({reason}); using the pure-Python kernel",
+              file=sys.stderr)
         return None
     for fn in (lib.area_sper_counts, lib.lda_counts):
         fn.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_int,

@@ -479,4 +479,3 @@ P = MPoly.var("p")
 Q = MPoly.var("q")
 R = MPoly.var("r")
 T = MPoly.var("t")
-ONE = MPoly.one()

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterable, Iterator
 
 from invbargraph.mpoly import MPoly, P, Q, R, T, Y
-from invbargraph.reporting import CheckResult, violation
+from invbargraph.reporting import CheckResult, check
 
 
 class NonDivisibleError(ArithmeticError):
@@ -178,7 +179,7 @@ def a_table_threeterm(n: int) -> DistTable:
     return DistTable(rows)
 
 
-def check_an_functional(nmax: int, table: DistTable | None = None) -> CheckResult:
+def check_an_functional(nmax: int, table: DistTable) -> CheckResult:
     """Denominator-cleared row-polynomial identity for the area/sper table.
 
     For each n, with A_n(y) the row polynomial:
@@ -188,27 +189,24 @@ def check_an_functional(nmax: int, table: DistTable | None = None) -> CheckResul
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
-    if table is None:
-        table = a_table_lemma(nmax)
-    ypq = Y * P * Q
-    yp = Y * P
-    a_prev = row_poly(table, 1)
-    for n in range(2, nmax + 1):
-        a_n = row_poly(table, n)
-        at_one = a_prev.substitute("y", 1)
-        at_yp = a_prev.substitute("y", yp)
-        at_qinv = a_prev.substitute("y", MPoly.monomial(1, q=-1))
-        lhs = (1 - yp) * (1 - ypq) * a_n
-        rhs = ypq * (1 - ypq) * (at_one - at_yp) + Y * P * Q * Q * (1 - yp) * (
-            at_yp - ypq ** n * at_qinv
-        )
-        if lhs != rhs:
-            raise violation(
-                "area-sper-row-functional", f"n={n}", "",
-                f"difference {(lhs - rhs).to_text()}",
+
+    def cases():
+        ypq = Y * P * Q
+        yp = Y * P
+        a_prev = row_poly(table, 1)
+        for n in range(2, nmax + 1):
+            a_n = row_poly(table, n)
+            at_one = a_prev.substitute("y", 1)
+            at_yp = a_prev.substitute("y", yp)
+            at_qinv = a_prev.substitute("y", MPoly.monomial(1, q=-1))
+            lhs = (1 - yp) * (1 - ypq) * a_n
+            rhs = ypq * (1 - ypq) * (at_one - at_yp) + Y * P * Q * Q * (1 - yp) * (
+                at_yp - ypq ** n * at_qinv
             )
-        a_prev = a_n
-    return CheckResult("area-sper-row-functional", f"2<=n<={nmax}")
+            yield f"n={n}", lhs, rhs
+            a_prev = a_n
+
+    return check("area-sper-row-functional", f"2<=n<={nmax}", "", cases())
 
 
 # -- levels / descents / ascents tables ----------------------------------------
@@ -307,13 +305,6 @@ def bn_poly_recurrence(nmax: int) -> list[MPoly]:
 # -- closed-form totals --------------------------------------------------------
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 @dataclass(frozen=True)
 class HarmonicInteger:
     """The exact integer n! * H_n = sum_{i=1}^n n!/i."""
@@ -325,7 +316,7 @@ class HarmonicInteger:
     def of(cls, n: int) -> "HarmonicInteger":
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
-        fact = _factorial(n)
+        fact = factorial(n)
         return cls(n, sum(fact // i for i in range(1, n + 1)))
 
 
@@ -334,7 +325,7 @@ def total_area(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     binom = (n + 2) * (n + 1) // 2
-    num = _factorial(n) * (binom - 1)
+    num = factorial(n) * (binom - 1)
     q, rem = divmod(num, 2)
     assert rem == 0
     return q
@@ -344,7 +335,7 @@ def total_sper(n: int) -> int:
     """Sum of semi-perimeters over all length-n sequences: (n^2+15n+8) n!/12."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    q, rem = divmod((n * n + 15 * n + 8) * _factorial(n), 12)
+    q, rem = divmod((n * n + 15 * n + 8) * factorial(n), 12)
     assert rem == 0
     return q
 
@@ -353,14 +344,14 @@ def total_levels(n: int) -> int:
     """Total number of levels over all length-n sequences: n!(H_n - 1)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    return HarmonicInteger.of(n).value - _factorial(n)
+    return HarmonicInteger.of(n).value - factorial(n)
 
 
 def total_descents(n: int) -> int:
     """Total number of descents: (n+1)!/2 - n! H_n."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    q, rem = divmod(_factorial(n + 1), 2)
+    q, rem = divmod(factorial(n + 1), 2)
     assert rem == 0
     return q - HarmonicInteger.of(n).value
 
@@ -369,7 +360,7 @@ def total_ascents(n: int) -> int:
     """Total number of ascents: (n-1) n!/2."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    q, rem = divmod((n - 1) * _factorial(n), 2)
+    q, rem = divmod((n - 1) * factorial(n), 2)
     assert rem == 0
     return q
 
@@ -424,7 +415,15 @@ def eulerian(n: int, k: int) -> int:
     return row[k]
 
 
-def check_stirling_eulerian(nmax: int, table: DistTable | None = None) -> list[CheckResult]:
+def _t_poly(coeffs: Iterable[int]) -> MPoly:
+    """sum_k coeffs[k] t^k."""
+    out = MPoly.zero()
+    for k, c in enumerate(coeffs):
+        out = out + MPoly.monomial(c, t=k)
+    return out
+
+
+def check_stirling_eulerian(nmax: int, table: DistTable) -> list[CheckResult]:
     """Row sums of the lda table specialize to Stirling and Eulerian rows.
 
     With B_n = rowsum(n): B_n(p=t,q=1,r=1) = sum_k c(n,k+1) t^k, and
@@ -432,40 +431,24 @@ def check_stirling_eulerian(nmax: int, table: DistTable | None = None) -> list[C
     """
     if nmax < 1:
         raise ValueError(f"nmax must be positive, got {nmax}")
-    if table is None:
-        table = b_table_lemma(nmax)
-    results = []
-    for n in range(1, nmax + 1):
-        row_sum = table.row_sum(n)
-        levels_dist = row_sum.substitute("p", T).substitute("q", 1).substitute("r", 1)
-        stirling_poly = MPoly.zero()
-        for k in range(n):
-            stirling_poly = stirling_poly + MPoly.monomial(stirling_first(n, k + 1), t=k)
-        if levels_dist != stirling_poly:
-            raise violation("levels-vs-stirling", f"n={n}", "",
-                            f"{levels_dist.to_text()} != {stirling_poly.to_text()}")
-        ascents_dist = row_sum.substitute("p", 1).substitute("q", 1).substitute("r", T)
-        pq_dist = row_sum.substitute("p", T).substitute("q", T).substitute("r", 1)
-        eulerian_poly = MPoly.zero()
-        for k in range(n):
-            eulerian_poly = eulerian_poly + MPoly.monomial(eulerian(n, k), t=k)
-        if ascents_dist != eulerian_poly:
-            raise violation("ascents-vs-eulerian", f"n={n}", "",
-                            f"{ascents_dist.to_text()} != {eulerian_poly.to_text()}")
-        if pq_dist != eulerian_poly:
-            raise violation("levels+descents-vs-eulerian", f"n={n}", "",
-                            f"{pq_dist.to_text()} != {eulerian_poly.to_text()}")
-    results.append(CheckResult("levels-vs-stirling", f"1<=n<={nmax}"))
-    results.append(CheckResult("ascents-vs-eulerian", f"1<=n<={nmax}"))
-    results.append(CheckResult("levels+descents-vs-eulerian", f"1<=n<={nmax}"))
-    return results
+    ns = range(1, nmax + 1)
+    row_sums = [table.row_sum(n) for n in ns]
+    eulerian_polys = [_t_poly(eulerian(n, k) for k in range(n)) for n in ns]
+    stirling_polys = (_t_poly(stirling_first(n, k + 1) for k in range(n)) for n in ns)
+
+    def cases(p, q, r, wants):
+        for n, row_sum, want in zip(ns, row_sums, wants):
+            yield f"n={n}", row_sum.substitute("p", p).substitute("q", q).substitute("r", r), want
+
+    n_range = f"1<=n<={nmax}"
+    return [
+        check("levels-vs-stirling", n_range, "", cases(T, 1, 1, stirling_polys)),
+        check("ascents-vs-eulerian", n_range, "", cases(1, 1, T, eulerian_polys)),
+        check("levels+descents-vs-eulerian", n_range, "", cases(T, T, 1, eulerian_polys)),
+    ]
 
 
-def check_sign_balance(
-    nmax: int,
-    a_table: DistTable | None = None,
-    b_table: DistTable | None = None,
-) -> list[CheckResult]:
+def check_sign_balance(nmax: int, a_table: DistTable, b_table: DistTable) -> list[CheckResult]:
     """Sign-balance evaluations of both tables against their closed forms.
 
     For n >= 3: A_n(y; p=-1, q=1) = 0 and A_n(y; p=1, q=-1) = 2^(n-2) y^(n-1) (y-1).
@@ -473,34 +456,22 @@ def check_sign_balance(
     """
     if nmax < 3:
         raise ValueError("nmax must be at least 3")
-    if a_table is None:
-        a_table = a_table_lemma(nmax)
-    if b_table is None:
-        b_table = b_table_lemma(nmax)
-    for n in range(3, nmax + 1):
-        a_n = row_poly(a_table, n)
-        at_p = a_n.substitute("p", -1).substitute("q", 1)
-        if at_p != MPoly.zero():
-            raise violation("area-sign-balance", f"n={n}", "p=-1,q=1",
-                            f"nonzero {at_p.to_text()}")
-        at_q = a_n.substitute("p", 1).substitute("q", -1)
-        expected = MPoly.monomial(2 ** (n - 2), y=n) - MPoly.monomial(2 ** (n - 2), y=n - 1)
-        if at_q != expected:
-            raise violation("sper-sign-balance", f"n={n}", "p=1,q=-1",
-                            f"{at_q.to_text()} != {expected.to_text()}")
+    a_rows = [(n, row_poly(a_table, n)) for n in range(3, nmax + 1)]
     minus_t = MPoly.monomial(-1, t=1)
-    for n in range(2, nmax + 1):
-        b_n = row_poly(b_table, n)
-        at = b_n.substitute("p", minus_t).substitute("q", T).substitute("r", T)
-        sign = (-1) ** n
-        expected = MPoly.monomial(sign * 2 ** (n - 2), y=2, t=n - 1) - MPoly.monomial(
-            sign * 2 ** (n - 2), y=1, t=n - 1
-        )
-        if at != expected:
-            raise violation("levels-sign-balance", f"n={n}", "p=-t,q=t,r=t",
-                            f"{at.to_text()} != {expected.to_text()}")
+
+    def levels_cases():
+        for n in range(2, nmax + 1):
+            at = row_poly(b_table, n).substitute("p", minus_t).substitute("q", T).substitute("r", T)
+            c = (-1) ** n * 2 ** (n - 2)
+            yield f"n={n}", at, MPoly.monomial(c, y=2, t=n - 1) - MPoly.monomial(c, y=1, t=n - 1)
+
     return [
-        CheckResult("area-sign-balance", f"3<=n<={nmax}", "p=-1,q=1"),
-        CheckResult("sper-sign-balance", f"3<=n<={nmax}", "p=1,q=-1"),
-        CheckResult("levels-sign-balance", f"2<=n<={nmax}", "p=-t,q=t,r=t"),
+        check("area-sign-balance", f"3<=n<={nmax}", "p=-1,q=1",
+              ((f"n={n}", a_n.substitute("p", -1).substitute("q", 1), MPoly.zero())
+               for n, a_n in a_rows)),
+        check("sper-sign-balance", f"3<=n<={nmax}", "p=1,q=-1",
+              ((f"n={n}", a_n.substitute("p", 1).substitute("q", -1),
+                MPoly.monomial(2 ** (n - 2), y=n) - MPoly.monomial(2 ** (n - 2), y=n - 1))
+               for n, a_n in a_rows)),
+        check("levels-sign-balance", f"2<=n<={nmax}", "p=-t,q=t,r=t", levels_cases()),
     ]

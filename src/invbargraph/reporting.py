@@ -1,8 +1,9 @@
-"""Check results and the identity-violation error shared by the verifiers."""
+"""Check results, and the one way the verifiers turn a checked identity into one."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable
 
 
 @dataclass(frozen=True)
@@ -25,18 +26,23 @@ class CheckResult:
         }
 
 
-class IdentityViolationError(Exception):
-    """A machine-checked identity failed; carries the failing check result."""
-
-    def __init__(self, result: CheckResult):
-        super().__init__(
-            f"{result.formula} [{result.n_range}] at ({result.params}): "
-            f"{result.first_mismatch}"
-        )
-        self.result = result
+def _show(value: Any) -> str:
+    to_text = getattr(value, "to_text", None)
+    return to_text() if to_text is not None else str(value)
 
 
-def violation(formula: str, n_range: str, params: str, mismatch: str) -> IdentityViolationError:
-    return IdentityViolationError(
-        CheckResult(formula, n_range, params, status="fail", first_mismatch=mismatch)
-    )
+def check(
+    formula: str, n_range: str, params: str, cases: Iterable[tuple[Any, Any, Any]]
+) -> CheckResult:
+    """Pass, or fail at the first `(where, got, want)` case with `got != want`.
+
+    `cases` is read lazily, so no case after the first mismatch is computed,
+    and the three values are only turned into text for that mismatch (with
+    `to_text()` where they have it).  The result carries `formula`,
+    `n_range` and `params` either way.
+    """
+    for where, got, want in cases:
+        if got != want:
+            return CheckResult(formula, n_range, params, "fail",
+                               f"{_show(where)}: {_show(got)} != {_show(want)}")
+    return CheckResult(formula, n_range, params)

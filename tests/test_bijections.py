@@ -158,6 +158,8 @@ def test_cycle_form_validation():
         CycleForm([(1, 3)])
     with pytest.raises(MalformedCyclesError):
         CycleForm([(0, 1)])
+    with pytest.raises(MalformedCyclesError):
+        CycleForm([])
 
 
 def test_cycle_form_standardization_idempotent():

@@ -164,6 +164,20 @@ def test_map_invalid_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("stats", "1,,2"),
+    ("stats", "abc"),
+    ("map", "g-inverse", "1,a"),
+    ("map", "f-inverse", "(1,a)"),
+    ("map", "f-inverse", "()"),
+])
+def test_malformed_integer_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "int()" not in err
+
+
 def test_series_a1_matches_recurrence(capsys):
     code, out, _ = run_cli(capsys, "series", "A1", "--p", "1/2", "--order", "4", "--format", "json")
     assert code == 0
@@ -214,12 +228,45 @@ def test_verify_corrupt_control_fails(capsys):
     assert any(r["status"] == "fail" for r in report)
 
 
+# The (formula-id, parameter-point) entries that `--corrupt` cannot reach at
+# --nmax 4 --order 4 and the default seed: the adjacency count and the
+# exhaustive sweeps read no table; the added p*q and p*q*r vanish at p = 0;
+# every row polynomial vanishes at y = 0; and at p = q = r = 1 the kernel
+# substitution x -> x rho(x) is the identity.
+CORRUPT_STAYS_PASS = {
+    "recurrences": set(),
+    "totals": {("adjacency-count-consistency", "")},
+    "signbalance": {("area-flip-pairing", ""), ("sper-involution-pairing", ""),
+                    ("levels-involution-pairing", "")},
+    "bijections": {("levels-to-cycles-roundtrip", ""), ("ascents-map-roundtrip", ""),
+                   ("complement-transport", ""), ("bijection-injectivity", "")},
+    "gf": {("area-ogf-recursion", "p=0"), ("area-ogf-closed", "p=0"),
+           ("area-ogf-closed", "p=-1,y=0"),
+           ("lda-kernel-substitution", "p=1,q=1,r=1"), ("lda-kernel-unrolled", "p=1,q=1,r=1"),
+           ("lda-kernel-substitution", "p=0,q=1,r=1"), ("lda-kernel-unrolled", "p=0,q=1,r=1")},
+}
+
+
 @pytest.mark.parametrize("suite", ("all",) + verify.SUITES)
 def test_verify_corrupt_fails_every_suite(capsys, suite):
-    code, out, _ = run_cli(capsys, "verify", "--suite", suite,
-                           "--nmax", "4", "--order", "4", "--corrupt")
+    """A failing report lists the passing report's checks; only the outcomes differ."""
+    argv = ("verify", "--suite", suite, "--nmax", "4", "--order", "4")
+    code, out, _ = run_cli(capsys, *argv)
+    passing = json.loads(out)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--corrupt")
+    report = json.loads(out)
     assert code == 1
-    assert any(r["status"] == "fail" for r in json.loads(out))
+    assert any(r["status"] == "fail" for r in report)
+
+    def key(r):
+        return r["formula-id"], r["n-range"], r["parameter-point"]
+
+    assert [key(r) for r in report] == [key(r) for r in passing]
+    assert all((r["status"] == "fail") == bool(r["first-mismatch"]) for r in report)
+    pinned = set().union(*(CORRUPT_STAYS_PASS[s] for s in verify.SUITES if suite in ("all", s)))
+    assert {(r["formula-id"], r["parameter-point"])
+            for r in report if r["status"] == "pass"} == pinned
 
 
 def test_verify_guards(capsys):
@@ -246,6 +293,17 @@ def test_out_flag_unwritable(tmp_path, capsys, argv):
     assert err == f"error: cannot write {target}: No such file or directory\n"
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 2 and err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_verify_out_checked_before_the_suites(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("suites ran before --out was checked")
+
+    monkeypatch.setattr(verify, "run_verify", must_not_run)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "verify", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 @pytest.mark.parametrize(

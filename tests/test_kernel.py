@@ -92,7 +92,10 @@ print(kernel.BACKEND)
     False,
 ])
 def test_first_import_of_a_fresh_copy(tmp_path, with_cc):
-    """A copy with no built kernel compiles it on import, or falls back without a compiler."""
+    """A copy with no built kernel compiles it on import, or falls back without a compiler.
+
+    The fallback says why in one stderr line, unless the pure kernel was asked for.
+    """
     shutil.copytree(PACKAGE, tmp_path / "invbargraph",
                     ignore=shutil.ignore_patterns("__pycache__"))
     empty = tmp_path / "bin"
@@ -107,3 +110,13 @@ def test_first_import_of_a_fresh_copy(tmp_path, with_cc):
     assert proc.stdout == ("c\n" if with_cc else "python\n")
     built = list((tmp_path / "invbargraph" / "__pycache__").glob("_kernel-*"))
     assert [p.suffix for p in built] == ([".so"] if with_cc else [])
+    if with_cc:
+        assert proc.stderr == ""
+        return
+    assert proc.stderr == (
+        "invbargraph: C kernel unavailable ([Errno 2] No such file or directory: 'cc'); "
+        "using the pure-Python kernel\n")
+    env["INVBARGRAPH_PURE"] = "1"
+    proc = subprocess.run([sys.executable, "-c", _PROBE], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "python\n", "")
