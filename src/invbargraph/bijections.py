@@ -9,6 +9,7 @@ ascent count is preserved (`g_ascents`).
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator
 
 from invbargraph.invseq import InversionSequence, Permutation, parse_ints
@@ -32,7 +33,7 @@ class CycleForm:
     __slots__ = ("_cycles",)
 
     def __init__(self, cycles: Iterable[Iterable[int]]):
-        raw = [tuple(int(v) for v in cycle) for cycle in cycles]
+        raw = [tuple(map(index, cycle)) for cycle in cycles]
         if not raw:
             raise MalformedCyclesError("empty cycle form")
         seen: set[int] = set()
@@ -184,7 +185,7 @@ def f_levels_to_cycles(rho: InversionSequence) -> CycleForm:
         if v == prev:
             cycles.append([j])
             continue
-        rank = sorted(set(range(1, j + 1)) - {prev}).index(v) + 1
+        rank = v if v < prev else v - 1  # rank of v in {1..j} minus {prev}
         for cycle in cycles:
             if rank in cycle:
                 cycle.insert(cycle.index(rank) + 1, j)
@@ -213,7 +214,7 @@ def f_inverse(pi: CycleForm) -> InversionSequence:
         if x == j:
             entries.append(prev)
         else:
-            entries.append(sorted(set(range(1, j + 1)) - {prev})[x - 1])
+            entries.append(x if x < prev else x + 1)  # x-th of {1..j} minus {prev}
     return InversionSequence(entries)
 
 

@@ -37,6 +37,20 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end in one `error:` line (exit 2)."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _int(text: str) -> int:
+    """Type of the integer options: a plain decimal integer (no '+', '_' or '1e3')."""
+    if not invseq.INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text.strip()):
         raise UsageError(f"not a rational (use num or num/den): {text!r}")
@@ -218,13 +232,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "json"), default="text",
                         help="output format (default: text)")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write output to a file instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="invbargraph",
         description="Exact statistics on bargraphs of inversion sequences.",
     )
@@ -232,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="list all inversion sequences of length n")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int, required=True)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("stats", parents=[common],
@@ -243,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", parents=[common],
                        help="distribution table for a statistic pair")
     p.add_argument("kind", choices=("area-sper", "lda"))
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int, required=True)
     p.add_argument("--engine", choices=("brute", "lemma", "threeterm"),
                    default="lemma")
     p.set_defaults(handler=_cmd_dist)
 
     p = sub.add_parser("totals", parents=[common],
                        help="closed-form statistic totals over all length-n sequences")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int, required=True)
     p.set_defaults(handler=_cmd_totals)
 
     p = sub.add_parser("map", parents=[common],
@@ -268,15 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default=None)
     p.add_argument("--r", default=None)
     p.add_argument("--y", default=None)
-    p.add_argument("--order", type=int, default=verify.DEFAULT_ORDER)
+    p.add_argument("--order", type=_int, default=verify.DEFAULT_ORDER)
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("verify", parents=[common],
                        help="machine-check the identity suites")
     p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
-    p.add_argument("--nmax", type=int, default=verify.DEFAULT_NMAX)
-    p.add_argument("--order", type=int, default=verify.DEFAULT_ORDER)
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--nmax", type=_int, default=verify.DEFAULT_NMAX)
+    p.add_argument("--order", type=_int, default=verify.DEFAULT_ORDER)
+    p.add_argument("--seed", type=_int, default=verify.DEFAULT_SEED)
     p.add_argument("--p", default=None, help="kernel-identity point, with --q and --r")
     p.add_argument("--q", default=None)
     p.add_argument("--r", default=None)
@@ -287,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (UsageError, SingularParameterError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -6,20 +6,24 @@ operations (plus inverse, logarithm and composition) this module builds the
 closed-form generating functions for the bargraph statistics and checks them
 coefficient-by-coefficient against the recurrence tables, always at fixed
 rational parameter points.
+
+The area and lda series checks read point tables (`recur.point_table`: the
+recurrence run on the numbers of the point).  Each of them also links that
+data to the symbolic table: the symbolic rows it is given, evaluated at the
+same point, must equal the point table's rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from invbargraph import recur
 from invbargraph.mpoly import MPoly
-from invbargraph.recur import DistTable, row_poly
+from invbargraph.recur import DistTable, Rat, row_poly
 from invbargraph.reporting import CheckResult, check
-
-Rat = Fraction | int
 
 
 class NonUnitConstantTermError(ValueError):
@@ -195,15 +199,23 @@ def log_ratio(y: Rat, order: int) -> RationalSeries:
 # -- series taken from recurrence data -----------------------------------------
 
 
-def series_from_table(
-    table: DistTable, order: int, assignment: dict[str, Rat]
-) -> RationalSeries:
-    """sum_n rowpoly_n(assignment) x^n for n = 1..order (row sums if no y given)."""
-    coeffs = [Fraction(0)]
-    for n in range(1, order + 1):
-        poly = row_poly(table, n) if "y" in assignment else table.row_sum(n)
-        coeffs.append(poly.eval_rational(assignment))
-    return RationalSeries(coeffs, order)
+def series_from_table(table: DistTable, order: int, y: Rat | None = None) -> RationalSeries:
+    """sum_n row_n x^n for n = 1..order, from a point table (`recur.point_table`).
+
+    row_n is sum_i cell(n, i) y^i, or the plain row sum when y is None.
+    """
+    if y is None:
+        rows = [table.row_sum(n) for n in range(1, order + 1)]
+    else:
+        rows = [sum(cell * y ** i for i, cell in enumerate(table.row(n), start=1))
+                for n in range(1, order + 1)]
+    return RationalSeries([0, *rows], order)
+
+
+def _link_cases(data: RationalSeries, link: Sequence[MPoly], assignment: dict[str, Rat]):
+    """(link n=.., point row, symbolic row at the point) for n = 1..len(link)."""
+    return ((f"link n={n}", data.coeff(n), poly.eval_rational(assignment))
+            for n, poly in enumerate(link, start=1))
 
 
 # -- closed-form expansions: area / semi-perimeter ------------------------------
@@ -267,15 +279,19 @@ def _coeff_cases(got: RationalSeries, want: RationalSeries):
     return ((f"x^{k}", a, b) for k, (a, b) in enumerate(zip(got.coeffs, want.coeffs)))
 
 
-def check_area_ogf_recursion(p: Rat, order: int, table: DistTable) -> CheckResult:
+def check_area_ogf_recursion(
+    p: Rat, order: int, table: DistTable, link: Sequence[MPoly]
+) -> CheckResult:
     """Self-substitution identity for the area OGF built from recurrence data.
 
     A(x) = x p (1-p)/(1-p-xp) - x p^2/(1-p-xp) * A(xp), checked mod x^(order+1).
+    `table` is the area/sper point table at (p, q=1); `link` holds the
+    symbolic row sums A_n(1) for n = 1..len(link) <= order.
     """
     p = Fraction(p)
     if p == 1:
         raise SingularParameterError("p = 1 is singular for the area OGF")
-    data = series_from_table(table, order, {"p": p, "q": 1})
+    data = series_from_table(table, order)
     scaled = RationalSeries(
         [c * p ** n for n, c in enumerate(data.coeffs)], order
     )
@@ -283,22 +299,32 @@ def check_area_ogf_recursion(p: Rat, order: int, table: DistTable) -> CheckResul
     rhs = RationalSeries([0, p * (1 - p)], order) * den_inv - (
         RationalSeries([0, p * p], order) * den_inv * scaled
     )
-    return check("area-ogf-recursion", f"order={order}", f"p={p}", _coeff_cases(rhs, data))
+    return check("area-ogf-recursion", f"order={order}", f"p={p}",
+                 chain(_coeff_cases(rhs, data), _link_cases(data, link, {"p": p, "q": 1})))
 
 
-def check_area_ogf_closed(p: Rat, y: Rat | None, order: int, table: DistTable) -> CheckResult:
-    """Closed-form area OGF (optionally joint with last letter) vs recurrence data."""
+def check_area_ogf_closed(
+    p: Rat, y: Rat | None, order: int, table: DistTable, link: Sequence[MPoly]
+) -> CheckResult:
+    """Closed-form area OGF (optionally joint with last letter) vs recurrence data.
+
+    `table` is the area/sper point table at (p, q=1); `link` holds the
+    symbolic rows for n = 1..len(link) <= order: row sums when y is None,
+    row polynomials otherwise.
+    """
     p = Fraction(p)
     if y is None:
         series = expand_area_ogf(p, order)
-        data = series_from_table(table, order, {"p": p, "q": 1})
+        assignment = {"p": p, "q": 1}
         params = f"p={p}"
     else:
         y = Fraction(y)
         series = expand_area_last_ogf(p, y, order)
-        data = series_from_table(table, order, {"y": y, "p": p, "q": 1})
+        assignment = {"y": y, "p": p, "q": 1}
         params = f"p={p},y={y}"
-    return check("area-ogf-closed", f"order={order}", params, _coeff_cases(series, data))
+    data = series_from_table(table, order, y)
+    return check("area-ogf-closed", f"order={order}", params,
+                 chain(_coeff_cases(series, data), _link_cases(data, link, assignment)))
 
 
 # -- kernel-method identity for the lda distribution ----------------------------
@@ -316,7 +342,9 @@ def _rho_at(
     return _linear_at(p - q, arg, order) * _linear_at(p - r, arg, order).inv()
 
 
-def check_lda_kernel(p: Rat, q: Rat, r: Rat, order: int, table: DistTable) -> list[CheckResult]:
+def check_lda_kernel(
+    p: Rat, q: Rat, r: Rat, order: int, table: DistTable, link: Sequence[MPoly]
+) -> list[CheckResult]:
     """Kernel-method identities for B(x) = sum_n rowsum_n(p,q,r) x^n.
 
     Checks, mod x^(order+1):
@@ -324,12 +352,15 @@ def check_lda_kernel(p: Rat, q: Rat, r: Rat, order: int, table: DistTable) -> li
       2. the iteration unrolled J = order times with its exact remainder:
          B(x) = sum_{j<=J} r^j (v_j - 1)/q^(j+1) * v_0..v_{j-1}
               + (r/q)^(J+1) v_0..v_J B(x_{J+1}),
-    where x_0 = x, v_j = rho(x_j) and x_{j+1} = x_j v_j.
+    where x_0 = x, v_j = rho(x_j) and x_{j+1} = x_j v_j.  `table` is the lda
+    point table at (p, q, r); `link` holds the symbolic row sums B_n(1) for
+    n = 1..len(link) <= order, checked in both entries.
     """
     p, q, r = Fraction(p), Fraction(q), Fraction(r)
     if q == 0:
         raise SingularParameterError("q = 0 is singular for the kernel identity")
-    data = series_from_table(table, order, {"p": p, "q": q, "r": r})
+    data = series_from_table(table, order)
+    links = list(_link_cases(data, link, {"p": p, "q": q, "r": r}))
     params = f"p={p},q={q},r={r}"
 
     rho = _rho_at(p, q, r, RationalSeries.x(order), order)
@@ -350,8 +381,10 @@ def check_lda_kernel(p: Rat, q: Rat, r: Rat, order: int, table: DistTable) -> li
     remainder = v_product.scale(ratio_power) * data.compose(xj)
     unrolled = total + remainder
     return [
-        check("lda-kernel-substitution", f"order={order}", params, _coeff_cases(rhs, data)),
-        check("lda-kernel-unrolled", f"order={order}", params, _coeff_cases(unrolled, data)),
+        check("lda-kernel-substitution", f"order={order}", params,
+              chain(_coeff_cases(rhs, data), links)),
+        check("lda-kernel-unrolled", f"order={order}", params,
+              chain(_coeff_cases(unrolled, data), links)),
     ]
 
 

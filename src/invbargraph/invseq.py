@@ -14,8 +14,10 @@ StatRecord(area=15, sper=12, levels=0, descents=2, ascents=3)
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import count, product
+from operator import eq, gt, index, le, sub
 from typing import Iterable, Iterator
 
 from invbargraph import kernel
@@ -36,26 +38,34 @@ class OutOfRangeError(ValueError):
         self.value = value
 
 
+# A decimal integer as users type it: no sign but '-', no '_', ASCII digits only.
+INT_RE = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+
+
 def parse_ints(fields: str, text: str) -> list[int]:
     """The comma-separated integers in `fields`, part of the user input `text`."""
-    try:
-        return [int(field) for field in fields.split(",")]
-    except ValueError:
-        raise ValueError(f"not a comma-separated list of integers: {text!r}") from None
+    parts = fields.split(",")
+    if not all(map(INT_RE.fullmatch, parts)):
+        raise ValueError(f"not a comma-separated list of integers: {text!r}")
+    return [int(part) for part in parts]
 
 
 class InversionSequence:
-    """A validated sequence rho with 1 <= rho_i <= i."""
+    """A validated sequence rho with 1 <= rho_i <= i.
+
+    Entries must be integers (`operator.index`): a float or a string raises
+    TypeError instead of being truncated or parsed.
+    """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable[int]):
-        entries = tuple(int(v) for v in entries)
+        entries = tuple(map(index, entries))
         if not entries:
             raise EmptySequenceError("empty sequence")
-        for i, v in enumerate(entries, start=1):
-            if not 1 <= v <= i:
-                raise OutOfRangeError(i, v)
+        if min(entries) < 1 or not all(map(le, entries, count(1))):
+            i, v = next((i, v) for i, v in enumerate(entries, start=1) if not 1 <= v <= i)
+            raise OutOfRangeError(i, v)
         object.__setattr__(self, "_entries", entries)
 
     @property
@@ -97,7 +107,7 @@ class Permutation:
     __slots__ = ("_oneline",)
 
     def __init__(self, oneline: Iterable[int]):
-        oneline = tuple(int(v) for v in oneline)
+        oneline = tuple(map(index, oneline))
         n = len(oneline)
         if n == 0:
             raise ValueError("empty permutation")
@@ -183,14 +193,12 @@ def stats(rho: InversionSequence) -> StatRecord:
     """All five bargraph statistics of a sequence."""
     e = rho.entries
     n = len(e)
-    area = sum(e)
-    boundary = e[0] + sum(abs(e[i] - e[i - 1]) for i in range(1, n)) + e[-1]
+    tail = e[1:]  # e[i] is followed by tail[i]
+    boundary = e[0] + sum(map(abs, map(sub, tail, e))) + e[-1]
     # boundary is even: the step sum telescopes to rho_n - rho_1 mod 2
-    sper = n + boundary // 2
-    levels = sum(1 for i in range(n - 1) if e[i] == e[i + 1])
-    descents = sum(1 for i in range(n - 1) if e[i] > e[i + 1])
-    ascents = sum(1 for i in range(n - 1) if e[i] < e[i + 1])
-    return StatRecord(area, sper, levels, descents, ascents)
+    levels = sum(map(eq, e, tail))
+    descents = sum(map(gt, e, tail))
+    return StatRecord(sum(e), n + boundary // 2, levels, descents, n - 1 - levels - descents)
 
 
 def brute_dist_area_sper(n: int) -> DistTable:

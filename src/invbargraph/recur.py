@@ -8,17 +8,27 @@ Notation used throughout: cell (n, i) of the area/sper table is the
 polynomial a(n,i) in p (area) and q (sper) summed over length-n sequences
 ending in i; row polynomials attach y^i to cell (n, i).  The lda table b(n,i)
 uses p (levels), q (descents), r (ascents).
+
+Each recurrence is written once and fills either the symbolic table
+(`a_table_lemma` and friends) or the table of its values at a numeric point
+(`point_table`), so the generating-function checks can recur at the point
+instead of evaluating symbolic tables.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from invbargraph.mpoly import MPoly, P, Q, R, T, Y
 from invbargraph.reporting import CheckResult, check
+
+Rat = Fraction | int
 
 
 class NonDivisibleError(ArithmeticError):
@@ -26,7 +36,11 @@ class NonDivisibleError(ArithmeticError):
 
 
 class DistTable:
-    """Triangular array of distribution polynomials, cells (m, i), 1 <= i <= m <= n."""
+    """Triangular array of cells (m, i), 1 <= i <= m <= n.
+
+    The cells are distribution polynomials, or their values at a point (see
+    `point_table`); the text and JSON forms need polynomials.
+    """
 
     __slots__ = ("_rows",)
 
@@ -52,10 +66,7 @@ class DistTable:
 
     def row_sum(self, m: int) -> MPoly:
         """Sum of the cells of row m (the row polynomial at y = 1)."""
-        total = MPoly.zero()
-        for cell in self._rows[m - 1]:
-            total = total + cell
-        return total
+        return reduce(operator.add, self._rows[m - 1])
 
     def cells(self) -> Iterator[tuple[int, int, MPoly]]:
         for m, row in enumerate(self._rows, start=1):
@@ -115,13 +126,102 @@ class DistTable:
 
 def row_poly(table: DistTable, m: int) -> MPoly:
     """Row polynomial of row m: sum_i cell(m, i) * y^i."""
-    total = MPoly.zero()
-    for i, cell in enumerate(table.row(m), start=1):
-        total = total + cell * MPoly.monomial(1, y=i)
-    return total
+    return reduce(
+        operator.add,
+        (cell * MPoly.monomial(1, y=i) for i, cell in enumerate(table.row(m), start=1)),
+    )
 
 
-# -- area / semi-perimeter tables ---------------------------------------------
+# -- the recurrence engines ------------------------------------------------------
+#
+# Each engine is written once over `mono(coeff, **exponents)`, the value of the
+# monomial coeff * p^a q^b r^c in the ring the table lives in.  With
+# MPoly.monomial the cells are the symbolic distribution polynomials; with
+# `_at_point(values)` they are those polynomials evaluated at a point, computed
+# by the same recurrence (evaluate-then-recur).
+
+Mono = Callable[..., Any]
+
+
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+
+
+def _a_lemma(n: int, mono: Mono) -> DistTable:
+    _check_size(n)
+    q = mono(1, q=1)
+    rows = [(mono(1, p=1, q=2),)]
+    for m in range(2, n + 1):
+        prev = rows[-1]
+        # suffix[k] = sum of prev[k:], so cell i sees sum_{j >= i} a(m-1,j)
+        suffix = list(prev)
+        for k in range(m - 3, -1, -1):
+            suffix[k] = suffix[k + 1] + prev[k]
+        row = [mono(1, p=1, q=1) * suffix[0]]
+        weighted = prev[0] * q  # sum_{j<i} q^(i-j) a(m-1,j), grown with i
+        for i in range(2, m):
+            row.append(mono(1, p=i, q=1) * (suffix[i - 1] + weighted))
+            weighted = (weighted + prev[i - 1]) * q
+        row.append(mono(1, p=m, q=1) * weighted)
+        rows.append(tuple(row))
+    return DistTable(rows)
+
+
+def _a_threeterm(n: int, mono: Mono) -> DistTable:
+    _check_size(n)
+    p, pq = mono(1, p=1), mono(1, p=1, q=1)
+    up, back = pq + p, mono(1, p=2, q=1)  # p(q+1) and p^2 q
+    rows = [(mono(1, p=1, q=2),)]
+    for m in range(2, n + 1):
+        prev = rows[-1]
+        row = [pq * reduce(operator.add, prev)]
+        row.append(p * row[0] + (mono(1, p=2, q=2) - back) * prev[0])
+        for i in range(3, m + 1):
+            fresh = mono(1, p=i, q=2) - mono(1, p=i, q=1)  # p^i q (q-1)
+            row.append(up * row[i - 2] - back * row[i - 3] + fresh * prev[i - 2])
+        rows.append(tuple(row))
+    return DistTable(rows)
+
+
+def _b_lemma(n: int, mono: Mono) -> DistTable:
+    _check_size(n)
+    p, q, r = mono(1, p=1), mono(1, q=1), mono(1, r=1)
+    rows = [(mono(1),)]
+    for m in range(2, n + 1):
+        prev = rows[-1]
+        if m == 2:
+            rows.append((p * prev[0], r * prev[0]))
+            continue
+        # above[k] = sum of prev[k+1:], so cell i < m-1 sees sum_{j > i} b(m-1,j)
+        above = list(prev[1:])
+        for k in range(m - 4, -1, -1):
+            above[k] = above[k + 1] + prev[k + 1]
+        row = [p * prev[0] + q * above[0]]
+        below = prev[0]  # sum_{j < i} b(m-1,j), grown with i
+        for i in range(2, m - 1):
+            row.append(p * prev[i - 1] + q * above[i - 1] + r * below)
+            below = below + prev[i - 1]
+        row.append(p * prev[m - 2] + r * below)
+        row.append(r * (below + prev[m - 2]))
+        rows.append(tuple(row))
+    return DistTable(rows)
+
+
+def _b_threeterm(n: int, mono: Mono) -> DistTable:
+    _check_size(n)
+    q, r = mono(1, q=1), mono(1, r=1)
+    p_q, r_p = mono(1, p=1) - q, r - mono(1, p=1)
+    rows = [(mono(1),)]
+    for m in range(2, n + 1):
+        prev = rows[-1]
+        prev_sum = reduce(operator.add, prev)
+        row = [p_q * prev[0] + q * prev_sum]
+        for i in range(2, m):
+            row.append(row[i - 2] + p_q * prev[i - 1] + r_p * prev[i - 2])
+        row.append(r * prev_sum)
+        rows.append(tuple(row))
+    return DistTable(rows)
 
 
 def a_table_lemma(n: int) -> DistTable:
@@ -131,23 +231,7 @@ def a_table_lemma(n: int) -> DistTable:
     from a(1,1) = p q^2.  Appending a column of height i adds i cells and one
     half-perimeter unit, plus i-j more when the previous column is lower.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    rows = [(MPoly.monomial(1, p=1, q=2),)]
-    for m in range(2, n + 1):
-        prev = rows[-1]
-        # suffix[k] = sum of prev[k:], so cell i sees sum_{j >= i} a(m-1,j)
-        suffix = [MPoly.zero()] * m
-        for k in range(m - 2, -1, -1):
-            suffix[k] = suffix[k + 1] + prev[k]
-        row = []
-        weighted = MPoly.zero()  # sum_{j<i} q^(i-j) a(m-1,j), grown with i
-        for i in range(1, m + 1):
-            row.append(MPoly.monomial(1, p=i, q=1) * (suffix[i - 1] + weighted))
-            if i <= m - 1:
-                weighted = (weighted + prev[i - 1]) * Q
-        rows.append(tuple(row))
-    return DistTable(rows)
+    return _a_lemma(n, MPoly.monomial)
 
 
 def a_table_threeterm(n: int) -> DistTable:
@@ -157,26 +241,59 @@ def a_table_threeterm(n: int) -> DistTable:
     for 3 <= i <= n, with a(n,1) = pq * rowsum(n-1) and
     a(n,2) = p a(n,1) + p^2 q(q-1) a(n-1,1).
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    pq = P * Q
-    rows = [(MPoly.monomial(1, p=1, q=2),)]
-    for m in range(2, n + 1):
-        prev = rows[-1]
-        prev_sum = MPoly.zero()
-        for cell in prev:
-            prev_sum = prev_sum + cell
-        row = [pq * prev_sum]
-        row.append(P * row[0] + MPoly.monomial(1, p=2, q=1) * (Q - 1) * prev[0])
-        for i in range(3, m + 1):
-            cell = (
-                P * (Q + 1) * row[i - 2]
-                - MPoly.monomial(1, p=2, q=1) * row[i - 3]
-                + MPoly.monomial(1, p=i, q=1) * (Q - 1) * prev[i - 2]
-            )
-            row.append(cell)
-        rows.append(tuple(row))
-    return DistTable(rows)
+    return _a_threeterm(n, MPoly.monomial)
+
+
+def b_table_lemma(n: int) -> DistTable:
+    """Lda table via the penultimate-letter recurrence.
+
+    b(n,i) = p b(n-1,i) + q sum_{j>i} b(n-1,j) + r sum_{j<i} b(n-1,j) for
+    i < n, and b(n,n) = r * rowsum(n-1), from b(1,1) = 1.
+    """
+    return _b_lemma(n, MPoly.monomial)
+
+
+def b_table_threeterm(n: int) -> DistTable:
+    """Lda table via the three-term recurrence in the last letter.
+
+    b(n,i) = b(n,i-1) + (p-q) b(n-1,i) + (r-p) b(n-1,i-1) for 2 <= i <= n-1,
+    with b(n,1) = (p-q) b(n-1,1) + q * rowsum(n-1) and b(n,n) = r * rowsum(n-1).
+    """
+    return _b_threeterm(n, MPoly.monomial)
+
+
+# engine name: (engine, its markers)
+_ENGINES = {
+    "a_lemma": (_a_lemma, ("p", "q")),
+    "a_threeterm": (_a_threeterm, ("p", "q")),
+    "b_lemma": (_b_lemma, ("p", "q", "r")),
+    "b_threeterm": (_b_threeterm, ("p", "q", "r")),
+}
+ENGINES = tuple(_ENGINES)
+
+
+def _at_point(values: dict[str, Rat]) -> Mono:
+    def mono(coeff: int, **exps: int) -> Rat:
+        for name, e in exps.items():
+            coeff *= values[name] ** e
+        return coeff
+
+    return mono
+
+
+def point_table(engine: str, n: int, **values: Rat) -> DistTable:
+    """The table of `engine` (one of ENGINES) with its markers set to numbers.
+
+    Cell (m, i) is the symbolic cell evaluated at the point, but the table is
+    built by running the recurrence on the numbers (int cells at an integer
+    point, Fraction cells otherwise), which is far cheaper than evaluating
+    the symbolic table.  The area/sper engines take p and q, the lda engines
+    p, q and r.
+    """
+    build, markers = _ENGINES[engine]
+    if sorted(values) != sorted(markers):
+        raise ValueError(f"{engine} needs values for {', '.join(markers)}, got {sorted(values)}")
+    return build(n, _at_point(values))
 
 
 def check_an_functional(nmax: int, table: DistTable) -> CheckResult:
@@ -207,56 +324,6 @@ def check_an_functional(nmax: int, table: DistTable) -> CheckResult:
             a_prev = a_n
 
     return check("area-sper-row-functional", f"2<=n<={nmax}", "", cases())
-
-
-# -- levels / descents / ascents tables ----------------------------------------
-
-
-def b_table_lemma(n: int) -> DistTable:
-    """Lda table via the penultimate-letter recurrence.
-
-    b(n,i) = p b(n-1,i) + q sum_{j>i} b(n-1,j) + r sum_{j<i} b(n-1,j) for
-    i < n, and b(n,n) = r * rowsum(n-1), from b(1,1) = 1.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    rows = [(MPoly.one(),)]
-    for m in range(2, n + 1):
-        prev = rows[-1]
-        # above[k] = sum of prev[k+1:], so cell i sees sum_{j > i} b(m-1,j)
-        above = [MPoly.zero()] * m
-        for k in range(m - 3, -1, -1):
-            above[k] = above[k + 1] + prev[k + 1]
-        row = []
-        below = MPoly.zero()  # sum_{j < i} b(m-1,j), grown with i
-        for i in range(1, m):
-            row.append(P * prev[i - 1] + Q * above[i - 1] + R * below)
-            below = below + prev[i - 1]
-        row.append(R * below)
-        rows.append(tuple(row))
-    return DistTable(rows)
-
-
-def b_table_threeterm(n: int) -> DistTable:
-    """Lda table via the three-term recurrence in the last letter.
-
-    b(n,i) = b(n,i-1) + (p-q) b(n-1,i) + (r-p) b(n-1,i-1) for 2 <= i <= n-1,
-    with b(n,1) = (p-q) b(n-1,1) + q * rowsum(n-1) and b(n,n) = r * rowsum(n-1).
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    rows = [(MPoly.one(),)]
-    for m in range(2, n + 1):
-        prev = rows[-1]
-        prev_sum = MPoly.zero()
-        for cell in prev:
-            prev_sum = prev_sum + cell
-        row = [(P - Q) * prev[0] + Q * prev_sum]
-        for i in range(2, m):
-            row.append(row[i - 2] + (P - Q) * prev[i - 1] + (R - P) * prev[i - 2])
-        row.append(R * prev_sum)
-        rows.append(tuple(row))
-    return DistTable(rows)
 
 
 def divide_exact_one_minus_y(num: MPoly) -> MPoly:

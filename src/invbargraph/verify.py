@@ -1,21 +1,22 @@
 """Identity-suite driver behind the `verify` CLI command.
 
 Builds the distribution tables once, then runs the selected suites against
-them.  Random rational parameter points are drawn from a seeded generator so
-runs are reproducible; `corrupt=True` perturbs one cell of each recurrence
-table first, as a negative control that must make the run fail.
+them; the gf suite also builds point tables at each parameter point it draws.
+Random rational parameter points are drawn from a seeded generator so runs
+are reproducible; `corrupt=True` perturbs cell (3,1) of each lemma table
+(symbolic and point) first, as a negative control that must make the run fail.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from invbargraph import bijections as bj
 from invbargraph import gfseries as gf
 from invbargraph import invseq, recur
-from invbargraph.mpoly import P, Q, R
+from invbargraph.mpoly import MPoly, P, Q, R
 from invbargraph.recur import DistTable
 from invbargraph.reporting import CheckResult, check
 
@@ -26,13 +27,19 @@ DEFAULT_ORDER = 8
 EXHAUSTIVE_CAP = 7  # largest n for exhaustive per-sequence sweeps
 
 
+def _corrupted(table: DistTable, term: MPoly | Fraction | int) -> DistTable:
+    """The table with `term` added to cell (3,1), if it has one."""
+    return table.with_cell(3, 1, table[3, 1] + term) if table.n >= 3 else table
+
+
 class _Tables:
-    """All tables a verify run needs, built once."""
+    """All symbolic tables a verify run needs, built once."""
 
     def __init__(self, nmax: int, order: int, corrupt: bool):
         depth = max(nmax, order)
         self.nmax = nmax
         self.order = order
+        self.corrupt = corrupt
         self.a_lemma = recur.a_table_lemma(depth)
         self.a_three = recur.a_table_threeterm(depth)
         self.b_lemma = recur.b_table_lemma(depth)
@@ -42,10 +49,16 @@ class _Tables:
         if corrupt:
             # p*q and p*q*r move every weighted-exponent total, which a
             # constant would not, so the totals suite sees them too
-            bad_a = self.a_lemma[3, 1] + P * Q
-            bad_b = self.b_lemma[3, 1] + P * Q * R
-            self.a_lemma = self.a_lemma.with_cell(3, 1, bad_a)
-            self.b_lemma = self.b_lemma.with_cell(3, 1, bad_b)
+            self.a_lemma = _corrupted(self.a_lemma, P * Q)
+            self.b_lemma = _corrupted(self.b_lemma, P * Q * R)
+
+    def point_lemma(self, engine: str, **values: Fraction) -> DistTable:
+        """The lemma point table to depth `order`, corrupted as the symbolic one.
+
+        The markers' product is p*q or p*q*r at the point.
+        """
+        table = recur.point_table(engine, self.order, **values)
+        return _corrupted(table, prod(values.values())) if self.corrupt else table
 
 
 def _compare_tables(
@@ -102,6 +115,13 @@ def _suite_totals(t: _Tables) -> list[CheckResult]:
     ]
 
 
+class _Named(dict):
+    """The conditions of one sweep case, shown as (name=value, ...) in a mismatch."""
+
+    def to_text(self) -> str:
+        return "(" + ", ".join(f"{name}={value}" for name, value in self.items()) + ")"
+
+
 def _sweep(lo: int, cap: int, *maps) -> list[tuple[int, list[tuple]]]:
     """(n, [(rho, stats(rho), *(f(rho) for f in maps))]) for lo <= n <= cap.
 
@@ -121,33 +141,37 @@ def _suite_signbalance(t: _Tables) -> list[CheckResult]:
     sweep = _sweep(2, cap)
 
     def area_flip_cases():
-        # (flip twice gives rho, |area change|)
+        want = _Named(involution=True, area_change=1)
         for _, records in sweep:
             for rho, st in records:
                 flip = bj.area_flip(rho)
-                yield rho, (bj.area_flip(flip) == rho,
-                            abs(invseq.stats(flip).area - st.area)), (True, 1)
+                got = _Named(involution=bj.area_flip(flip) == rho,
+                             area_change=abs(invseq.stats(flip).area - st.area))
+                yield rho, got, want
 
     def sper_cases():
-        # outside the domain: (weakly increasing, ends in n-1 or n, sper = n + last);
-        # inside: (mate differs, mate maps back, |sper change|)
+        want_outside = _Named(weakly_increasing=True, ends_in_n_or_n_minus_1=True,
+                              sper_is_n_plus_last=True)
+        want_inside = _Named(moves=True, involution=True, sper_change=1)
         for n, records in sweep:
             undefined = 0
             for rho, st in records:
                 mate = bj.sper_involution(rho)
-                if mate is None:
+                if mate is None:  # outside the domain
                     undefined += 1
                     e = rho.entries
-                    yield rho, (all(a <= b for a, b in zip(e, e[1:])), e[-1] in (n - 1, n),
-                                st.sper == n + e[-1]), (True, True, True)
+                    got = _Named(weakly_increasing=all(a <= b for a, b in zip(e, e[1:])),
+                                 ends_in_n_or_n_minus_1=e[-1] in (n - 1, n),
+                                 sper_is_n_plus_last=st.sper == n + e[-1])
+                    yield rho, got, want_outside
                 else:
-                    yield rho, (mate != rho, bj.sper_involution(mate) == rho,
-                                abs(invseq.stats(mate).sper - st.sper)), (True, True, 1)
+                    got = _Named(moves=mate != rho, involution=bj.sper_involution(mate) == rho,
+                                 sper_change=abs(invseq.stats(mate).sper - st.sper))
+                    yield rho, got, want_inside
             yield f"n={n} undefined count", undefined, 2 * 2 ** (n - 2)
 
     def levels_cases():
-        # inside the domain: (mate differs, mate maps back, levels parity flips,
-        # same last letter)
+        want = _Named(moves=True, involution=True, levels_parity_change=1, same_last=True)
         for n, records in sweep:
             undefined = {1: 0, 2: 0}
             for rho, st in records:
@@ -155,9 +179,11 @@ def _suite_signbalance(t: _Tables) -> list[CheckResult]:
                 if mate is None:
                     undefined[rho.entries[-1]] += 1
                 else:
-                    yield rho, (mate != rho, bj.levels_involution(mate) == rho,
-                                (invseq.stats(mate).levels - st.levels) % 2,
-                                mate.entries[-1] == rho.entries[-1]), (True, True, 1, True)
+                    got = _Named(moves=mate != rho,
+                                 involution=bj.levels_involution(mate) == rho,
+                                 levels_parity_change=(invseq.stats(mate).levels - st.levels) % 2,
+                                 same_last=mate.entries[-1] == rho.entries[-1])
+                    yield rho, got, want
             yield (f"n={n} undefined count by last letter", undefined,
                    {1: 2 ** (n - 2), 2: 2 ** (n - 2)})
 
@@ -175,28 +201,37 @@ def _suite_bijections(t: _Tables) -> list[CheckResult]:
     sweep = _sweep(1, cap, bj.f_levels_to_cycles, bj.g_ascents)
 
     def complement_cases():
-        # (complement twice gives rho, ascents of the complement)
         for _, records in sweep:
             for rho, st, _, _ in records:
                 comp = bj.complement(rho)
-                yield rho, (bj.complement(comp) == rho, invseq.stats(comp).ascents), (
-                    True, st.levels + st.descents)
+                got = _Named(involution=bj.complement(comp) == rho,
+                             ascents=invseq.stats(comp).ascents)
+                yield rho, got, _Named(involution=True, ascents=st.levels + st.descents)
+
+    def roundtrip_cases():
+        for _, records in sweep:
+            for rho, st, cf, _ in records:
+                got = _Named(cycles=cf.cycle_count(), roundtrip=bj.f_inverse(cf) == rho)
+                yield rho, got, _Named(cycles=st.levels + 1, roundtrip=True)
+
+    def ascents_cases():
+        for _, records in sweep:
+            for rho, st, _, pi in records:
+                got = _Named(ascents=bj.ascent_count(pi), roundtrip=bj.g_inverse(pi) == rho)
+                yield rho, got, _Named(ascents=st.ascents, roundtrip=True)
+
+    def injectivity_cases():
+        for n, records in sweep:
+            got = _Named(cycle_images=len({cf for _, _, cf, _ in records}),
+                         permutation_images=len({pi for _, _, _, pi in records}))
+            yield f"n={n}", got, _Named(cycle_images=factorial(n),
+                                        permutation_images=factorial(n))
 
     return results + [
-        # (cycles of f rho, f^-1 f rho = rho)
-        check("levels-to-cycles-roundtrip", n_range, "",
-              ((rho, (cf.cycle_count(), bj.f_inverse(cf) == rho), (st.levels + 1, True))
-               for _, records in sweep for rho, st, cf, _ in records)),
-        # (ascents of g rho, g^-1 g rho = rho)
-        check("ascents-map-roundtrip", n_range, "",
-              ((rho, (bj.ascent_count(pi), bj.g_inverse(pi) == rho), (st.ascents, True))
-               for _, records in sweep for rho, st, _, pi in records)),
+        check("levels-to-cycles-roundtrip", n_range, "", roundtrip_cases()),
+        check("ascents-map-roundtrip", n_range, "", ascents_cases()),
         check("complement-transport", n_range, "", complement_cases()),
-        check("bijection-injectivity", n_range, "",
-              ((f"n={n} (cycle images, perm images)",
-                (len({cf for _, _, cf, _ in records}), len({pi for _, _, _, pi in records})),
-                (factorial(n), factorial(n)))
-               for n, records in sweep)),
+        check("bijection-injectivity", n_range, "", injectivity_cases()),
     ]
 
 
@@ -212,6 +247,11 @@ def _suite_gf(
     order = t.order
     rng = random.Random(seed)
     results = [gf.check_last_letter_uniformity(max(t.nmax, order), t.a_lemma)]
+    # symbolic rows that every point table is linked to
+    link = range(1, min(t.nmax, order) + 1)
+    a_sums = [t.a_lemma.row_sum(n) for n in link]
+    a_rows = [recur.row_poly(t.a_lemma, n) for n in link]
+    b_sums = [t.b_lemma.row_sum(n) for n in link]
 
     p_points = [Fraction(1, 2)]
     while len(p_points) < 6:
@@ -219,8 +259,9 @@ def _suite_gf(
         if p != 1:
             p_points.append(p)
     for p in p_points:
-        results.append(gf.check_area_ogf_recursion(p, order, t.a_lemma))
-        results.append(gf.check_area_ogf_closed(p, None, order, t.a_lemma))
+        table = t.point_lemma("a_lemma", p=p, q=1)
+        results.append(gf.check_area_ogf_recursion(p, order, table, a_sums))
+        results.append(gf.check_area_ogf_closed(p, None, order, table, a_sums))
 
     py_points = [(Fraction(1, 2), Fraction(1, 3))]
     while len(py_points) < 6:
@@ -228,7 +269,8 @@ def _suite_gf(
         if p != 1 and p * y != 1:
             py_points.append((p, y))
     for p, y in py_points:
-        results.append(gf.check_area_ogf_closed(p, y, order, t.a_lemma))
+        table = t.point_lemma("a_lemma", p=p, q=1)
+        results.append(gf.check_area_ogf_closed(p, y, order, table, a_rows))
 
     pqr_points = [
         (Fraction(1), Fraction(1), Fraction(1)),
@@ -242,7 +284,8 @@ def _suite_gf(
         if q != 0:
             pqr_points.append((p, q, r))
     for p, q, r in pqr_points:
-        results.extend(gf.check_lda_kernel(p, q, r, order, t.b_lemma))
+        table = t.point_lemma("b_lemma", p=p, q=q, r=r)
+        results.extend(gf.check_lda_kernel(p, q, r, order, table, b_sums))
 
     for y in (Fraction(1, 2), Fraction(2), Fraction(-1, 3)):
         results.extend(gf.check_total_gfs(y, order, t.a_lemma, t.b_lemma))

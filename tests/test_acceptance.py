@@ -142,19 +142,26 @@ def test_criterion_7_gf_identities():
     a_table = recur.a_table_lemma(8)
     b_table = recur.b_table_lemma(8)
     start = time.monotonic()
+    a_sums = [a_table.row_sum(n) for n in range(1, 9)]
+    a_rows = [recur.row_poly(a_table, n) for n in range(1, 9)]
+    b_sums = [b_table.row_sum(n) for n in range(1, 9)]
     ok = True
     p_points = [F(1, 2), F(-1, 2), F(2), F(1, 3), F(-3, 4)]
     for p in p_points:
-        ok &= gf.check_area_ogf_recursion(p, 8, a_table).status == "pass"
-        ok &= gf.check_area_ogf_closed(p, None, 8, a_table).status == "pass"
+        point = recur.point_table("a_lemma", 8, p=p, q=1)
+        ok &= gf.check_area_ogf_recursion(p, 8, point, a_sums).status == "pass"
+        ok &= gf.check_area_ogf_closed(p, None, 8, point, a_sums).status == "pass"
     py_points = [(F(1, 2), F(1, 3)), (F(-1, 2), F(2)), (F(1, 4), F(-2, 3)),
                  (F(3, 2), F(1, 5)), (F(-2, 3), F(-1, 2))]
     for p, y in py_points:
-        ok &= gf.check_area_ogf_closed(p, y, 8, a_table).status == "pass"
+        point = recur.point_table("a_lemma", 8, p=p, q=1)
+        ok &= gf.check_area_ogf_closed(p, y, 8, point, a_rows).status == "pass"
     pqr_points = [(F(1), F(1), F(1)), (F(1, 3), F(1, 2), F(1, 5)), (F(0), F(1), F(1)),
                   (F(2), F(-1, 2), F(1, 7)), (F(-1, 3), F(3), F(0))]
     for p, q, r in pqr_points:
-        ok &= all(res.status == "pass" for res in gf.check_lda_kernel(p, q, r, 8, b_table))
+        point = recur.point_table("b_lemma", 8, p=p, q=q, r=r)
+        ok &= all(res.status == "pass"
+                  for res in gf.check_lda_kernel(p, q, r, 8, point, b_sums))
     elapsed = time.monotonic() - start
     _record(
         "7-gf-identities",

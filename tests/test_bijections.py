@@ -162,6 +162,12 @@ def test_cycle_form_validation():
         CycleForm([])
 
 
+@pytest.mark.parametrize("cycles", [[(1, 2.0)], [(1.5,)], [("1",)]])
+def test_cycle_form_entries_must_be_integers(cycles):
+    with pytest.raises(TypeError):
+        CycleForm(cycles)
+
+
 def test_cycle_form_standardization_idempotent():
     raw = CycleForm([(5, 3, 4), (2, 1)])
     assert raw.to_text() == "(1,2)(3,4,5)"

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from invbargraph import cli, verify
+from invbargraph.invseq import Permutation
 from invbargraph.recur import (
     DistTable,
     a_table_lemma,
@@ -170,12 +171,41 @@ def test_map_invalid_input(capsys):
     ("map", "g-inverse", "1,a"),
     ("map", "f-inverse", "(1,a)"),
     ("map", "f-inverse", "()"),
+    ("stats", "1_0"),
+    ("stats", "1,+2"),
+    ("stats", "1,٢"),
+    ("totals", "-n", "1_0"),
+    ("totals", "-n", "+3"),
+    ("enumerate", "-n", "3.0"),
+    ("dist", "lda", "-n", "0x3"),
+    ("series", "A1", "--p", "1/2", "--order", "1e1"),
+    ("verify", "--nmax", "٣"),
+    ("verify", "--seed", "1_2"),
 ])
 def test_malformed_integer_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "int()" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("totals", "-n", "1_0"), "error: argument -n: not an integer: '1_0'\n"),
+    (("totals",), "error: the following arguments are required: -n\n"),
+    (("totals", "-n", "3", "--format", "xml"),
+     "error: argument --format: invalid choice: 'xml' (choose from 'text', 'csv', 'json')\n"),
+])
+def test_usage_errors_are_one_error_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
+def test_integer_options_allow_whitespace_and_minus(capsys):
+    code, out, _ = run_cli(capsys, "totals", "-n", " 3 ")
+    assert code == 0 and json.loads(out)["area"] == "27"
+    code, _, err = run_cli(capsys, "totals", "-n", "-3")
+    assert code == 2 and err == f"error: n must be in 1..{cli.TOTALS_MAX}\n"
+    assert run_cli(capsys, "stats", " 1, 2 ,3")[0] == 0
+    assert run_cli(capsys, "verify", "--suite", "totals", "--nmax", "3", "--seed", "-7")[0] == 0
 
 
 def test_series_a1_matches_recurrence(capsys):
@@ -267,6 +297,19 @@ def test_verify_corrupt_fails_every_suite(capsys, suite):
     pinned = set().union(*(CORRUPT_STAYS_PASS[s] for s in verify.SUITES if suite in ("all", s)))
     assert {(r["formula-id"], r["parameter-point"])
             for r in report if r["status"] == "pass"} == pinned
+
+
+def test_sweep_mismatch_names_its_conditions(capsys, monkeypatch):
+    # g sends every sequence to the identity permutation, which has n-1 ascents
+    monkeypatch.setattr(verify.bj, "g_ascents", lambda rho: Permutation(range(1, len(rho) + 1)))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "bijections", "--nmax", "3")
+    failed = {r["formula-id"]: r["first-mismatch"] for r in json.loads(out) if r["status"] == "fail"}
+    assert code == 1
+    assert failed == {
+        "ascents-map-roundtrip": "1,1: (ascents=1, roundtrip=False) != (ascents=0, roundtrip=True)",
+        "bijection-injectivity": "n=2: (cycle_images=2, permutation_images=1)"
+                                 " != (cycle_images=2, permutation_images=2)",
+    }
 
 
 def test_verify_guards(capsys):

@@ -124,10 +124,34 @@ def test_area_ogf_singular_guard():
         expand_area_last_ogf(F(1, 2), 2, 6)
 
 
-def test_area_ogf_matches_table(a_lemma_8):
+def a_point(p, order=8):
+    """The area/sper point table at (p, q=1), as the area checks read it."""
+    return recur.point_table("a_lemma", order, p=p, q=1)
+
+
+def b_point(p, q, r, order=8):
+    return recur.point_table("b_lemma", order, p=p, q=q, r=r)
+
+
+def sums(table, upto=8):
+    """Symbolic row sums for n <= upto, the link the area and lda checks take."""
+    return [table.row_sum(n) for n in range(1, upto + 1)]
+
+
+def rows(table, upto=8):
+    return [recur.row_poly(table, n) for n in range(1, upto + 1)]
+
+
+def test_area_ogf_matches_table():
     p = F(1, 2)
-    data = series_from_table(a_lemma_8, 8, {"p": p, "q": 1})
-    assert expand_area_ogf(p, 8) == data
+    assert expand_area_ogf(p, 8) == series_from_table(a_point(p), 8)
+
+
+def test_series_from_table_weights_rows_by_y(a_lemma_8):
+    p, y = F(-2, 3), F(3, 2)
+    data = series_from_table(a_point(p), 8, y)
+    assert data.coeffs[1:] == tuple(
+        row_poly.eval_rational({"y": y, "p": p, "q": 1}) for row_poly in rows(a_lemma_8))
 
 
 def test_area_last_ogf_leading_term():
@@ -142,18 +166,29 @@ def test_area_last_ogf_reduces_at_y_one():
 
 @pytest.mark.parametrize("p,y", [(F(1, 2), F(1, 3)), (F(-2, 3), F(3, 2)), (F(1, 4), F(-1, 2))])
 def test_area_last_ogf_matches_table(a_lemma_8, p, y):
-    assert check_area_ogf_closed(p, y, 8, a_lemma_8).status == "pass"
+    assert check_area_ogf_closed(p, y, 8, a_point(p), rows(a_lemma_8)).status == "pass"
 
 
 @pytest.mark.parametrize("p", [F(1, 2), F(-1, 2), F(0), F(2), F(3, 4)])
 def test_area_ogf_recursion(a_lemma_8, p):
-    assert check_area_ogf_recursion(p, 8, a_lemma_8).status == "pass"
+    assert check_area_ogf_recursion(p, 8, a_point(p), sums(a_lemma_8)).status == "pass"
 
 
 def test_area_ogf_recursion_detects_corruption(a_lemma_8):
-    bad = a_lemma_8.with_cell(5, 3, a_lemma_8[5, 3] + MPoly.one())
-    result = check_area_ogf_recursion(F(1, 2), 8, bad)
+    point = a_point(F(1, 2))
+    bad = point.with_cell(5, 3, point[5, 3] + 1)
+    result = check_area_ogf_recursion(F(1, 2), 8, bad, sums(a_lemma_8))
     assert result.status == "fail" and result.first_mismatch.startswith("x^5: ")
+
+
+@pytest.mark.parametrize("y", [None, F(1, 3)])
+def test_link_detects_a_symbolic_corruption(a_lemma_8, y):
+    # the point data still satisfies the identity; only the link sees the change
+    bad = a_lemma_8.with_cell(5, 3, a_lemma_8[5, 3] + MPoly.one())
+    link = sums(bad) if y is None else rows(bad)
+    result = check_area_ogf_closed(F(1, 2), y, 8, a_point(F(1, 2)), link)
+    assert result.status == "fail" and result.first_mismatch.startswith("link n=5: ")
+    assert check_area_ogf_closed(F(1, 2), y, 8, a_point(F(1, 2)), link[:4]).status == "pass"
 
 
 # -- kernel identities -----------------------------------------------------------------
@@ -170,20 +205,30 @@ def test_area_ogf_recursion_detects_corruption(a_lemma_8):
     ],
 )
 def test_lda_kernel_points(b_lemma_9, point):
-    results = check_lda_kernel(*point, 8, b_lemma_9)
+    results = check_lda_kernel(*point, 8, b_point(*point), sums(b_lemma_9))
     assert [r.status for r in results] == ["pass", "pass"]
 
 
 def test_lda_kernel_q_zero_guard(b_lemma_9):
     with pytest.raises(SingularParameterError):
-        check_lda_kernel(1, 0, 1, 4, b_lemma_9)
+        check_lda_kernel(1, 0, 1, 4, b_point(1, 0, 1, 4), sums(b_lemma_9, 4))
 
 
 def test_lda_kernel_detects_corruption(b_lemma_9):
-    bad = b_lemma_9.with_cell(6, 2, b_lemma_9[6, 2] + MPoly.one())
-    results = check_lda_kernel(F(1, 3), F(1, 2), F(1, 5), 8, bad)
+    point = b_point(F(1, 3), F(1, 2), F(1, 5))
+    bad = point.with_cell(6, 2, point[6, 2] + 1)
+    results = check_lda_kernel(F(1, 3), F(1, 2), F(1, 5), 8, bad, sums(b_lemma_9))
     assert [r.status for r in results] == ["fail", "fail"]
     assert all(r.first_mismatch.startswith("x^6: ") for r in results)
+
+
+def test_lda_link_detects_a_symbolic_corruption(b_lemma_9):
+    bad = b_lemma_9.with_cell(6, 2, b_lemma_9[6, 2] + MPoly.one())
+    point = (F(1, 3), F(1, 2), F(1, 5))
+    results = check_lda_kernel(*point, 8, b_point(*point), sums(bad))
+    # the corrupted symbolic row sum is one more than the point data
+    want = "link n=6: 2148691/1518750 != 3667441/1518750"
+    assert [r.first_mismatch for r in results] == [want, want]
 
 
 # -- total generating functions ---------------------------------------------------------

@@ -37,6 +37,23 @@ def test_validate_rejects():
         validate([1, 0])
 
 
+@pytest.mark.parametrize("entries", [[1, 2.9, True], [1.0], ["1"], [1, "2"]])
+def test_sequence_entries_must_be_integers(entries):
+    with pytest.raises(TypeError):
+        InversionSequence(entries)
+
+
+@pytest.mark.parametrize("oneline", [[2.5, 1], [1.0], ["1"]])
+def test_permutation_entries_must_be_integers(oneline):
+    with pytest.raises(TypeError):
+        Permutation(oneline)
+
+
+def test_integer_subclasses_are_integers():
+    assert InversionSequence([True, 2]).entries == (1, 2)
+    assert type(InversionSequence([True]).entries[0]) is int
+
+
 def test_from_permutation_worked_example():
     assert from_permutation(Permutation((5, 2, 4, 6, 1, 3))).entries == (1, 2, 1, 3, 5, 3)
 

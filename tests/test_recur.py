@@ -1,12 +1,16 @@
 import hashlib
+from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invbargraph import invseq
 from invbargraph.mpoly import MPoly, P, Q, R, T, Y
 from invbargraph.recur import (
+    ENGINES,
     DistTable,
     HarmonicInteger,
     NonDivisibleError,
@@ -20,6 +24,7 @@ from invbargraph.recur import (
     check_stirling_eulerian,
     divide_exact_one_minus_y,
     eulerian,
+    point_table,
     row_poly,
     stirling_first,
     table_stat_total,
@@ -109,6 +114,48 @@ def test_bn_poly_recurrence_matches_rows(b_lemma_9):
     assert rows[2] == expected3
     for n in range(1, 10):
         assert rows[n - 1] == row_poly(b_lemma_9, n)
+
+
+# -- point tables ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def symbolic_10():
+    return {"a_lemma": a_table_lemma(10), "a_threeterm": a_table_threeterm(10),
+            "b_lemma": b_table_lemma(10), "b_threeterm": b_table_threeterm(10)}
+
+
+values = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@given(engine=st.sampled_from(ENGINES), n=st.integers(1, 10), p=values, q=values, r=values)
+def test_point_table_is_the_symbolic_table_at_the_point(symbolic_10, engine, n, p, q, r):
+    point = {"p": p, "q": q} if engine.startswith("a") else {"p": p, "q": q, "r": r}
+    table = point_table(engine, n, **point)
+    symbolic = symbolic_10[engine]
+    assert table.n == n
+    assert all(table[m, i] == symbolic[m, i].eval_rational(point) for m, i, _ in table.cells())
+
+
+@pytest.mark.parametrize("p,q,r", [(2, 3, 5), (-1, 2, 0), (0, -3, 1), (1, 1, 1)])
+def test_point_lemma_equals_threeterm_deep(p, q, r):
+    assert point_table("a_lemma", 60, p=p, q=q) == point_table("a_threeterm", 60, p=p, q=q)
+    assert point_table("b_lemma", 60, p=p, q=q, r=r) == point_table("b_threeterm", 60, p=p, q=q, r=r)
+
+
+def test_point_table_at_an_integer_point_holds_ints():
+    table = point_table("b_lemma", 6, p=2, q=-1, r=3)
+    assert all(type(cell) is int for _, _, cell in table.cells())
+    assert table.row_sum(6) == b_table_lemma(6).row_sum(6).eval_rational({"p": 2, "q": -1, "r": 3})
+    assert point_table("a_lemma", 3, p=Fraction(1, 2), q=1)[1, 1] == Fraction(1, 2)
+
+
+def test_point_table_needs_exactly_its_markers():
+    with pytest.raises(ValueError, match="needs values for p, q, r"):
+        point_table("b_lemma", 4, p=1, q=1)
+    with pytest.raises(ValueError, match="needs values for p, q"):
+        point_table("a_threeterm", 4, p=1, q=1, r=1)
+    with pytest.raises(ValueError, match="n must be positive"):
+        point_table("a_lemma", 0, p=1, q=1)
 
 
 def test_divide_exact():
