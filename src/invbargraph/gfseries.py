@@ -218,6 +218,20 @@ def _link_cases(data: RationalSeries, link: Sequence[MPoly], assignment: dict[st
             for n, poly in enumerate(link, start=1))
 
 
+def _nonsingular(x: Rat, order: int, singular: str) -> Fraction:
+    """x as a Fraction, once x != 1 (else SingularParameterError(singular)) and order >= 1."""
+    x = Fraction(x)
+    if x == 1:
+        raise SingularParameterError(singular)
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    return x
+
+
+_AREA_SINGULAR = "p = 1 is singular for the area OGF"
+_TOTAL_SINGULAR = "y = 1 is singular in this evaluation"
+
+
 # -- closed-form expansions: area / semi-perimeter ------------------------------
 
 
@@ -245,11 +259,7 @@ def expand_area_ogf(p: Rat, order: int) -> RationalSeries:
     / prod_{i=0}^{j} (1 - p - x p^(i+1)); coefficient of x^n is the area
     generating polynomial of all length-n sequences evaluated at p.
     """
-    p = Fraction(p)
-    if p == 1:
-        raise SingularParameterError("p = 1 is singular for the area OGF")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    p = _nonsingular(p, order, _AREA_SINGULAR)
     shifted = RationalSeries([0, 1 - p], order)
     return shifted * _area_sum_series(p, order)
 
@@ -261,12 +271,9 @@ def expand_area_last_ogf(p: Rat, y: Rat, order: int) -> RationalSeries:
     two iterated sums of expand_area_ogf shape.
     """
     p, y = Fraction(p), Fraction(y)
-    if p == 1:
-        raise SingularParameterError("p = 1 is singular for the area OGF")
-    if y * p == 1:
+    if y * p == 1 and p != 1:  # p = 1 is reported first, by the shared guard
         raise SingularParameterError("y p = 1 is singular for the area/last OGF")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    p = _nonsingular(p, order, _AREA_SINGULAR)
     s1 = _area_sum_series(p, order)
     s2 = _area_sum_series(p, order, z=y * p)
     bracket = s1 - s2.scale(y * y * p * p)
@@ -290,7 +297,7 @@ def check_area_ogf_recursion(
     """
     p = Fraction(p)
     if p == 1:
-        raise SingularParameterError("p = 1 is singular for the area OGF")
+        raise SingularParameterError(_AREA_SINGULAR)
     data = series_from_table(table, order)
     scaled = RationalSeries(
         [c * p ** n for n, c in enumerate(data.coeffs)], order
@@ -397,11 +404,7 @@ def total_area_gf(y: Rat, order: int) -> RationalSeries:
     n! times the x^n coefficient equals sum_j (total area over length-n
     sequences ending in j) y^j.
     """
-    y = Fraction(y)
-    if y == 1:
-        raise SingularParameterError("y = 1 is singular in this evaluation")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    y = _nonsingular(y, order, _TOTAL_SINGULAR)
     part1 = log_ratio(y, order).scale(y * (1 + y) / (2 * (1 - y) ** 2))
     num = RationalSeries(
         [0, y * (2 - 6 * y), y * (5 * y ** 2 + 8 * y - 1),
@@ -416,11 +419,7 @@ def total_area_gf(y: Rat, order: int) -> RationalSeries:
 
 def total_levels_gf(y: Rat, order: int) -> RationalSeries:
     """Exponential GF of per-last-letter level totals at fixed y."""
-    y = Fraction(y)
-    if y == 1:
-        raise SingularParameterError("y = 1 is singular in this evaluation")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    y = _nonsingular(y, order, _TOTAL_SINGULAR)
     ln_y = log_one_minus(y, order)
     ln_1 = log_one_minus(1, order)
     bracket = (
@@ -433,11 +432,7 @@ def total_levels_gf(y: Rat, order: int) -> RationalSeries:
 
 def total_descents_gf(y: Rat, order: int) -> RationalSeries:
     """Exponential GF of per-last-letter descent totals at fixed y."""
-    y = Fraction(y)
-    if y == 1:
-        raise SingularParameterError("y = 1 is singular in this evaluation")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    y = _nonsingular(y, order, _TOTAL_SINGULAR)
     ln_y = log_one_minus(y, order)
     ln_1 = log_one_minus(1, order)
     part_a = (
@@ -457,11 +452,7 @@ def total_descents_gf(y: Rat, order: int) -> RationalSeries:
 
 def total_ascents_gf(y: Rat, order: int) -> RationalSeries:
     """Exponential GF of per-last-letter ascent totals at fixed y."""
-    y = Fraction(y)
-    if y == 1:
-        raise SingularParameterError("y = 1 is singular in this evaluation")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    y = _nonsingular(y, order, _TOTAL_SINGULAR)
     part_a = (
         RationalSeries([0, y], order)
         * (

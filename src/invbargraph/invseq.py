@@ -18,11 +18,11 @@ import re
 from dataclasses import asdict, dataclass
 from itertools import count, product
 from operator import eq, gt, index, le, sub
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from invbargraph import kernel
 from invbargraph.mpoly import MPoly
-from invbargraph.recur import DistTable
+from invbargraph.recur import DistTable, _check_size
 
 
 class EmptySequenceError(ValueError):
@@ -39,7 +39,8 @@ class OutOfRangeError(ValueError):
 
 
 # A decimal integer as users type it: no sign but '-', no '_', ASCII digits only.
-INT_RE = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+INTEGER = r"-?[0-9]+"
+INT_RE = re.compile(rf"\s*{INTEGER}\s*", re.ASCII)
 
 
 def parse_ints(fields: str, text: str) -> list[int]:
@@ -50,14 +51,48 @@ def parse_ints(fields: str, text: str) -> list[int]:
     return [int(part) for part in parts]
 
 
-class InversionSequence:
+class _Word:
+    """An immutable word of integers: the shared protocol of the two word types.
+
+    Words of different types never compare equal, even with the same letters.
+    """
+
+    __slots__ = ("_letters",)
+
+    def __len__(self) -> int:
+        return len(self._letters)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._letters)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._letters == other._letters
+
+    def __hash__(self) -> int:
+        return hash(self._letters)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._letters!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def to_text(self) -> str:
+        return ",".join(map(str, self._letters))
+
+    @classmethod
+    def from_text(cls, text: str) -> "_Word":
+        return cls(parse_ints(text.strip(), text))
+
+
+class InversionSequence(_Word):
     """A validated sequence rho with 1 <= rho_i <= i.
 
     Entries must be integers (`operator.index`): a float or a string raises
     TypeError instead of being truncated or parsed.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ()
 
     def __init__(self, entries: Iterable[int]):
         entries = tuple(map(index, entries))
@@ -66,45 +101,20 @@ class InversionSequence:
         if min(entries) < 1 or not all(map(le, entries, count(1))):
             i, v = next((i, v) for i, v in enumerate(entries, start=1) if not 1 <= v <= i)
             raise OutOfRangeError(i, v)
-        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_letters", entries)
 
     @property
     def entries(self) -> tuple[int, ...]:
-        return self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._entries)
+        return self._letters
 
     def __getitem__(self, i: int) -> int:
-        return self._entries[i]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, InversionSequence) and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __repr__(self) -> str:
-        return f"InversionSequence({self._entries!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("InversionSequence is immutable")
-
-    def to_text(self) -> str:
-        return ",".join(map(str, self._entries))
-
-    @classmethod
-    def from_text(cls, text: str) -> "InversionSequence":
-        return cls(parse_ints(text.strip(), text))
+        return self._letters[i]
 
 
-class Permutation:
+class Permutation(_Word):
     """A permutation of [n] in one-line notation."""
 
-    __slots__ = ("_oneline",)
+    __slots__ = ()
 
     def __init__(self, oneline: Iterable[int]):
         oneline = tuple(map(index, oneline))
@@ -113,36 +123,11 @@ class Permutation:
             raise ValueError("empty permutation")
         if sorted(oneline) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {oneline}")
-        object.__setattr__(self, "_oneline", oneline)
+        object.__setattr__(self, "_letters", oneline)
 
     @property
     def oneline(self) -> tuple[int, ...]:
-        return self._oneline
-
-    def __len__(self) -> int:
-        return len(self._oneline)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._oneline)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self._oneline == other._oneline
-
-    def __hash__(self) -> int:
-        return hash(self._oneline)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self._oneline!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Permutation is immutable")
-
-    def to_text(self) -> str:
-        return ",".join(map(str, self._oneline))
-
-    @classmethod
-    def from_text(cls, text: str) -> "Permutation":
-        return cls(parse_ints(text.strip(), text))
+        return self._letters
 
 
 @dataclass(frozen=True)
@@ -183,8 +168,7 @@ def to_permutation(rho: InversionSequence) -> Permutation:
 
 def enumerate_sequences(n: int) -> Iterator[InversionSequence]:
     """All inversion sequences of length n in lexicographic order (n! of them)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_size(n)
     for entries in product(*(range(1, i + 1) for i in range(1, n + 1))):
         yield InversionSequence(entries)
 
@@ -201,21 +185,29 @@ def stats(rho: InversionSequence) -> StatRecord:
     return StatRecord(sum(e), n + boundary // 2, levels, descents, n - 1 - levels - descents)
 
 
+def _brute_table(n: int, counts: Callable[[int], dict], pad: tuple[int, ...]) -> DistTable:
+    """The table whose cell (m, i) sums the monomials of length-m sequences ending in i.
+
+    `counts(m)` maps (last, *statistics) to multiplicities.  The statistics
+    take the exponents of p, q, ... in order, and `pad` zeroes the rest.
+    """
+    _check_size(n)
+    rows = []
+    for m in range(1, n + 1):
+        terms: list[dict] = [dict() for _ in range(m + 1)]
+        for key, mult in counts(m).items():
+            terms[key[0]][(0, *key[1:], *pad)] = mult
+        rows.append(tuple(MPoly(terms[i]) for i in range(1, m + 1)))
+    return DistTable(tuple(rows))
+
+
 def brute_dist_area_sper(n: int) -> DistTable:
     """Joint area/sper distribution table by direct enumeration.
 
     Cell (m, i) is sum of p^area q^sper over all length-m sequences ending
     in i.  Practical bound n <= 11.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    rows = []
-    for m in range(1, n + 1):
-        terms: list[dict] = [dict() for _ in range(m + 1)]
-        for (last, area, sper), mult in kernel.area_sper_counts(m).items():
-            terms[last][(0, area, sper, 0, 0)] = mult
-        rows.append(tuple(MPoly(terms[i]) for i in range(1, m + 1)))
-    return DistTable(tuple(rows))
+    return _brute_table(n, kernel.area_sper_counts, (0, 0))
 
 
 def brute_dist_lda(n: int) -> DistTable:
@@ -224,15 +216,7 @@ def brute_dist_lda(n: int) -> DistTable:
     Cell (m, i) is sum of p^levels q^descents r^ascents over length-m
     sequences ending in i.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    rows = []
-    for m in range(1, n + 1):
-        terms: list[dict] = [dict() for _ in range(m + 1)]
-        for (last, lev, des, asc), mult in kernel.lda_counts(m).items():
-            terms[last][(0, lev, des, asc, 0)] = mult
-        rows.append(tuple(MPoly(terms[i]) for i in range(1, m + 1)))
-    return DistTable(tuple(rows))
+    return _brute_table(n, kernel.lda_counts, (0,))
 
 
 def brute_stat_totals(n: int) -> dict[str, int]:

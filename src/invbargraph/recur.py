@@ -100,10 +100,7 @@ class DistTable:
         for line in text.strip().splitlines():
             m_str, i_str, poly_str = line.split(",", 2)
             cells[(int(m_str), int(i_str))] = MPoly.from_text(poly_str)
-        n = max(m for m, _ in cells)
-        return cls(
-            tuple(tuple(cells[(m, i)] for i in range(1, m + 1)) for m in range(1, n + 1))
-        )
+        return cls._from_cells(cells)
 
     def to_json(self) -> str:
         obj = [
@@ -118,6 +115,11 @@ class DistTable:
             (entry["n"], entry["i"]): MPoly.from_json_obj(entry["poly"])
             for entry in json.loads(text)
         }
+        return cls._from_cells(cells)
+
+    @classmethod
+    def _from_cells(cls, cells: dict[tuple[int, int], MPoly]) -> "DistTable":
+        """The table of {(m, i): cell}, which must hold every cell up to its largest m."""
         n = max(m for m, _ in cells)
         return cls(
             tuple(tuple(cells[(m, i)] for i in range(1, m + 1)) for m in range(1, n + 1))
@@ -381,16 +383,14 @@ class HarmonicInteger:
 
     @classmethod
     def of(cls, n: int) -> "HarmonicInteger":
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
+        _check_size(n)
         fact = factorial(n)
         return cls(n, sum(fact // i for i in range(1, n + 1)))
 
 
 def total_area(n: int) -> int:
     """Sum of areas over all length-n sequences: (n!/2) (C(n+2,2) - 1)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_size(n)
     binom = (n + 2) * (n + 1) // 2
     num = factorial(n) * (binom - 1)
     q, rem = divmod(num, 2)
@@ -400,8 +400,7 @@ def total_area(n: int) -> int:
 
 def total_sper(n: int) -> int:
     """Sum of semi-perimeters over all length-n sequences: (n^2+15n+8) n!/12."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_size(n)
     q, rem = divmod((n * n + 15 * n + 8) * factorial(n), 12)
     assert rem == 0
     return q
@@ -409,15 +408,13 @@ def total_sper(n: int) -> int:
 
 def total_levels(n: int) -> int:
     """Total number of levels over all length-n sequences: n!(H_n - 1)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_size(n)
     return HarmonicInteger.of(n).value - factorial(n)
 
 
 def total_descents(n: int) -> int:
     """Total number of descents: (n+1)!/2 - n! H_n."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_size(n)
     q, rem = divmod(factorial(n + 1), 2)
     assert rem == 0
     return q - HarmonicInteger.of(n).value
@@ -425,8 +422,7 @@ def total_descents(n: int) -> int:
 
 def total_ascents(n: int) -> int:
     """Total number of ascents: (n-1) n!/2."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_size(n)
     q, rem = divmod((n - 1) * factorial(n), 2)
     assert rem == 0
     return q

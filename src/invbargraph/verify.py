@@ -33,7 +33,7 @@ def _corrupted(table: DistTable, term: MPoly | Fraction | int) -> DistTable:
 
 
 class _Tables:
-    """All symbolic tables a verify run needs, built once."""
+    """The lemma tables every suite reads, built once (the recurrences suite builds the rest)."""
 
     def __init__(self, nmax: int, order: int, corrupt: bool):
         depth = max(nmax, order)
@@ -41,11 +41,7 @@ class _Tables:
         self.order = order
         self.corrupt = corrupt
         self.a_lemma = recur.a_table_lemma(depth)
-        self.a_three = recur.a_table_threeterm(depth)
         self.b_lemma = recur.b_table_lemma(depth)
-        self.b_three = recur.b_table_threeterm(depth)
-        self.a_brute = invseq.brute_dist_area_sper(nmax)
-        self.b_brute = invseq.brute_dist_lda(nmax)
         if corrupt:
             # p*q and p*q*r move every weighted-exponent total, which a
             # constant would not, so the totals suite sees them too
@@ -71,12 +67,14 @@ def _compare_tables(
 
 def _suite_recurrences(t: _Tables) -> list[CheckResult]:
     depth = max(t.nmax, t.order)
+    a_three, b_three = recur.a_table_threeterm(depth), recur.b_table_threeterm(depth)
+    a_brute, b_brute = invseq.brute_dist_area_sper(t.nmax), invseq.brute_dist_lda(t.nmax)
     direct = recur.bn_poly_recurrence(depth)
     return [
-        _compare_tables("area-sper-lemma-vs-threeterm", t.a_lemma, t.a_three, depth),
-        _compare_tables("area-sper-lemma-vs-brute", t.a_lemma, t.a_brute, t.nmax),
-        _compare_tables("lda-lemma-vs-threeterm", t.b_lemma, t.b_three, depth),
-        _compare_tables("lda-lemma-vs-brute", t.b_lemma, t.b_brute, t.nmax),
+        _compare_tables("area-sper-lemma-vs-threeterm", t.a_lemma, a_three, depth),
+        _compare_tables("area-sper-lemma-vs-brute", t.a_lemma, a_brute, t.nmax),
+        _compare_tables("lda-lemma-vs-threeterm", t.b_lemma, b_three, depth),
+        _compare_tables("lda-lemma-vs-brute", t.b_lemma, b_brute, t.nmax),
         check("lda-direct-row-recurrence", f"n<={depth}", "",
               ((f"row {n} (direct, table)", direct[n - 1], recur.row_poly(t.b_lemma, n))
                for n in range(1, depth + 1))),
@@ -84,7 +82,7 @@ def _suite_recurrences(t: _Tables) -> list[CheckResult]:
     ]
 
 
-_TOTALS = {  # statistic: (closed form, table, marker)
+TOTALS = {  # statistic: (closed form, table, marker)
     "area": (recur.total_area, "a", "p"),
     "sper": (recur.total_sper, "a", "q"),
     "levels": (recur.total_levels, "b", "p"),
@@ -100,7 +98,7 @@ def _suite_totals(t: _Tables) -> list[CheckResult]:
 
     def totals_cases():
         for n in ns:
-            for stat, (closed, which, marker) in _TOTALS.items():
+            for stat, (closed, which, marker) in TOTALS.items():
                 want = closed(n)
                 got = (brute[n][stat], recur.table_stat_total(tables[which], n, marker))
                 yield f"n={n} {stat} (brute, table)", got, (want, want)
@@ -239,6 +237,15 @@ def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
 
 
+def _draw(rng: random.Random, points: list[tuple], k: int, ok) -> list[tuple]:
+    """`points` filled up to k points: seeded draws, shaped as points[0], that `ok` accepts."""
+    while len(points) < k:
+        point = tuple(_random_rational(rng) for _ in points[0])
+        if ok(*point):
+            points.append(point)
+    return points
+
+
 def _suite_gf(
     t: _Tables,
     seed: int,
@@ -253,22 +260,13 @@ def _suite_gf(
     a_rows = [recur.row_poly(t.a_lemma, n) for n in link]
     b_sums = [t.b_lemma.row_sum(n) for n in link]
 
-    p_points = [Fraction(1, 2)]
-    while len(p_points) < 6:
-        p = _random_rational(rng)
-        if p != 1:
-            p_points.append(p)
-    for p in p_points:
+    for (p,) in _draw(rng, [(Fraction(1, 2),)], 6, lambda p: p != 1):
         table = t.point_lemma("a_lemma", p=p, q=1)
         results.append(gf.check_area_ogf_recursion(p, order, table, a_sums))
         results.append(gf.check_area_ogf_closed(p, None, order, table, a_sums))
 
     py_points = [(Fraction(1, 2), Fraction(1, 3))]
-    while len(py_points) < 6:
-        p, y = _random_rational(rng), _random_rational(rng)
-        if p != 1 and p * y != 1:
-            py_points.append((p, y))
-    for p, y in py_points:
+    for p, y in _draw(rng, py_points, 6, lambda p, y: p != 1 and p * y != 1):
         table = t.point_lemma("a_lemma", p=p, q=1)
         results.append(gf.check_area_ogf_closed(p, y, order, table, a_rows))
 
@@ -279,11 +277,7 @@ def _suite_gf(
     ]
     if point is not None:
         pqr_points.insert(0, point)
-    while len(pqr_points) < 8:
-        p, q, r = (_random_rational(rng) for _ in range(3))
-        if q != 0:
-            pqr_points.append((p, q, r))
-    for p, q, r in pqr_points:
+    for p, q, r in _draw(rng, pqr_points, 8, lambda p, q, r: q != 0):
         table = t.point_lemma("b_lemma", p=p, q=q, r=r)
         results.extend(gf.check_lda_kernel(p, q, r, order, table, b_sums))
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from invbargraph import cli, verify
+from invbargraph import cli, invseq, recur, verify
 from invbargraph.invseq import Permutation
 from invbargraph.recur import (
     DistTable,
@@ -43,6 +43,10 @@ def test_enumerate_guard(capsys):
     code, _, err = run_cli(capsys, "enumerate", "-n", "20")
     assert code == 2
     assert "n must be" in err
+
+
+def test_enumerate_bound_is_measured(capsys):
+    assert run_cli(capsys, "enumerate", "-n", "11") == (2, "", "error: n must be in 1..10\n")
 
 
 def test_enumerate_json(capsys):
@@ -160,6 +164,32 @@ def test_map_partial_involution_undefined(capsys):
     assert (code, out.strip()) == (0, "undefined")
 
 
+# (name, input, output): one case per map name, plus the two undefined involutions.
+MAP_CASES = [
+    ("complement", "1,2,1,3,5,3", "1,1,3,2,1,4"),
+    ("area-flip", "1,2,1,3,5,3", "1,1,1,3,5,3"),
+    ("sper-involution", "1,2,1,3,5,3", "1,1,1,3,5,3"),
+    ("sper-involution", "1,2,3", "undefined"),
+    ("levels-involution", "1,2,1,3,5,3", "1,2,2,3,5,3"),
+    ("levels-involution", "1,2,1,2", "undefined"),
+    ("f", "1,2,2,4,3,3,7,7", "(1,2)(3,5,4)(6,7)(8)"),
+    ("f-inverse", "(1,2)(3,5,4)(6,7)(8)", "1,2,2,4,3,3,7,7"),
+    ("g", "1,2,1,3,5,3", "2,5,1,4,6,3"),
+    ("g-inverse", "4,6,1,7,2,5,8,3", "1,2,1,4,2,4,7,3"),
+]
+
+
+def test_map_cases_cover_every_map():
+    assert {name for name, _, _ in MAP_CASES} == set(cli.MAPS)
+
+
+@pytest.mark.parametrize("name,payload,output", MAP_CASES)
+def test_map_output(capsys, name, payload, output):
+    assert run_cli(capsys, "map", name, payload) == (0, output + "\n", "")
+    assert run_cli(capsys, "map", name, payload, "--format", "json") == (
+        0, f'{{"map": "{name}", "input": "{payload}", "output": "{output}"}}\n', "")
+
+
 def test_map_invalid_input(capsys):
     code, _, err = run_cli(capsys, "map", "g", "3,1")
     assert code == 2
@@ -226,6 +256,39 @@ def test_series_area_gf_printed_value(capsys):
     assert coeffs[3] * 6 == Fraction(57, 8)  # 3! times x^3 coefficient
 
 
+# name: (parameter flags, coefficients of x^0..x^6)
+SERIES_CASES = {
+    "A": (("--p", "1/3", "--y", "1/2"),
+          ["0", "1/6", "7/108", "43/1458", "3367/236196", "101075/14348907",
+           "73388315/20920706406"]),
+    "A1": (("--p", "1/2"),
+           ["0", "1/2", "3/8", "21/64", "315/1024", "9765/32768", "615195/2097152"]),
+    "area-gf": (("--y", "1/2"), ["0", "1/2", "7/8", "19/16", "187/128", "137/80", "125/64"]),
+    "tote1": (("--y", "1/2"), ["0", "0", "1/4", "13/48", "103/384", "493/1920", "373/1536"]),
+    "tote2": (("--y=-1/3",),
+              ["0", "0", "0", "-1/18", "-55/972", "-899/14580", "-8557/131220"]),
+    "tote3": (("--y", "3"), ["0", "0", "9/2", "17", "111/2", "864/5", "5281/10"]),
+}
+
+
+@pytest.mark.parametrize("name", cli.SERIES)
+def test_series_output(capsys, name):
+    flags, coeffs = SERIES_CASES[name]
+    argv = ("series", name, *flags, "--order", "6")
+    text = "".join(f"x^{k}\t{c}\n" for k, c in enumerate(coeffs))
+    csv = "".join(f"{k},{c}\n" for k, c in enumerate(coeffs))
+    assert run_cli(capsys, *argv) == (0, text, "")
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, csv, "")
+    assert run_cli(capsys, *argv, "--format", "json") == (0, json.dumps(coeffs) + "\n", "")
+
+
+@pytest.mark.parametrize("flag", ["--q", "--r"])
+def test_series_reads_no_q_or_r(capsys, flag):
+    code, out, err = run_cli(capsys, "series", "A1", "--p", "1/2", flag, "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: unrecognized arguments: {flag} 1\n"
+
+
 def test_series_singular_parameter(capsys):
     code, _, err = run_cli(capsys, "series", "A", "--p", "1", "--y", "1/2")
     assert code == 2 and "singular" in err
@@ -239,6 +302,17 @@ def test_series_missing_parameter(capsys):
 def test_series_bad_rational(capsys):
     code, _, err = run_cli(capsys, "series", "A1", "--p", "1.5")
     assert code == 2 and "rational" in err
+
+
+@pytest.mark.parametrize("text", ["٣", "+1/2", "1/٢"])
+def test_rational_syntax_is_the_integer_syntax(capsys, text):
+    assert run_cli(capsys, "series", "A1", "--p", text) == (
+        2, "", f"error: not a rational (use num or num/den): {text!r}\n")
+
+
+def test_rational_allows_minus_and_plain_integers():
+    assert cli.parse_rational("-1/2") == Fraction(-1, 2)
+    assert cli.parse_rational(" 3 ") == 3
 
 
 def test_verify_small_suite_passes(capsys):
@@ -310,6 +384,17 @@ def test_sweep_mismatch_names_its_conditions(capsys, monkeypatch):
         "bijection-injectivity": "n=2: (cycle_images=2, permutation_images=1)"
                                  " != (cycle_images=2, permutation_images=2)",
     }
+
+
+def test_gf_suite_builds_no_threeterm_or_brute_table(capsys, monkeypatch):
+    def unused(n):
+        raise AssertionError("only the recurrences suite reads this table")
+
+    for module, name in ((recur, "a_table_threeterm"), (recur, "b_table_threeterm"),
+                         (invseq, "brute_dist_area_sper"), (invseq, "brute_dist_lda")):
+        monkeypatch.setattr(module, name, unused)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "gf", "--nmax", "3", "--order", "3")
+    assert code == 0 and json.loads(out)
 
 
 def test_verify_guards(capsys):

@@ -49,6 +49,19 @@ def test_permutation_entries_must_be_integers(oneline):
         Permutation(oneline)
 
 
+def test_word_types_differ():
+    assert InversionSequence((1,)) != Permutation((1,))
+    assert Permutation((1,)) != InversionSequence((1,))
+    assert repr(InversionSequence((1, 2))) == "InversionSequence((1, 2))"
+    assert repr(Permutation((2, 1))) == "Permutation((2, 1))"
+
+
+@pytest.mark.parametrize("word", [InversionSequence((1, 2)), Permutation((2, 1))])
+def test_words_are_immutable(word):
+    with pytest.raises(AttributeError, match=f"^{type(word).__name__} is immutable$"):
+        word.extra = 1
+
+
 def test_integer_subclasses_are_integers():
     assert InversionSequence([True, 2]).entries == (1, 2)
     assert type(InversionSequence([True]).entries[0]) is int
