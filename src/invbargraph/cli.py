@@ -44,6 +44,12 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors end in one `error:` line (exit 2)."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -3 and -.5 as negative numbers, so `--y -1/3` would
+        # take -1/3 for an option; a negative fraction is a value as well.
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     def error(self, message: str):
         raise UsageError(message)
 
@@ -157,6 +163,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
+SERIES_FLAGS = ("p", "y")
 SERIES = {  # name: (closed form, the flags of its parameters, in order)
     "A": (gf.expand_area_last_ogf, ("p", "y")),
     "A1": (gf.expand_area_ogf, ("p",)),
@@ -179,6 +186,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
         return parse_rational(value)
 
     closed, flags = SERIES[args.which]
+    for flag in SERIES_FLAGS:
+        if flag not in flags and getattr(args, flag) is not None:
+            raise UsageError(f"series {args.which} does not read --{flag}")
     series = closed(*map(need, flags), order)
     if args.format == "json":
         text = json.dumps(list(map(str, series.coeffs))) + "\n"
@@ -262,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", parents=[common],
                        help="exact coefficients of a closed-form generating function")
     p.add_argument("which", choices=SERIES)
-    p.add_argument("--p", default=None)
-    p.add_argument("--y", default=None)
+    for flag in SERIES_FLAGS:
+        p.add_argument(f"--{flag}", default=None)
     p.add_argument("--order", type=_int, default=verify.DEFAULT_ORDER)
     p.set_defaults(handler=_cmd_series)
 

@@ -1,8 +1,11 @@
 """Truncated power series with exact rational coefficients.
 
 A RationalSeries holds the coefficients of x^0..x^N for a fixed truncation
-order N; all arithmetic is exact modulo x^(N+1).  On top of the ring
-operations (plus inverse, logarithm and composition) this module builds the
+order N; all arithmetic is exact modulo x^(N+1).  It stores them as integer
+numerators over one common denominator in lowest terms, so each operation is
+integer arithmetic reduced by one gcd at the end; the coefficients it hands
+out are still exact `Fraction`s.  On top of the ring operations (plus
+inverse, logarithm and composition) this module builds the
 closed-form generating functions for the bargraph statistics and checks them
 coefficient-by-coefficient against the recurrence tables, always at fixed
 rational parameter points.
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from invbargraph import recur
@@ -39,20 +43,42 @@ class SingularParameterError(ValueError):
 
 
 class RationalSeries:
-    """Coefficients of x^0..x^order, exact modulo x^(order+1)."""
+    """Coefficients of x^0..x^order, exact modulo x^(order+1).
 
-    __slots__ = ("_coeffs",)
+    Stored as integer numerators over one common denominator, in lowest
+    terms: the denominator is positive and shares no factor with all the
+    numerators, so equal series have equal numerators and denominators.
+    """
+
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Rat], order: int | None = None):
         cs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._assign([c.numerator * (den // c.denominator) for c in cs], den, order)
+
+    @classmethod
+    def _of(cls, nums: list[int], den: int, order: int | None = None) -> "RationalSeries":
+        """The series sum_k nums[k] x^k / den (den != 0), like the constructor."""
+        series = object.__new__(cls)
+        series._assign(nums, den, order)
+        return series
+
+    def _assign(self, nums: list[int], den: int, order: int | None) -> None:
+        """Store nums / den, cut or padded to order + 1 entries, in lowest terms."""
         if order is not None:
-            if len(cs) > order + 1:
-                cs = cs[: order + 1]
-            else:
-                cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
-        if not cs:
+            del nums[order + 1:]
+            nums.extend([0] * (order + 1 - len(nums)))
+        if not nums:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        g = gcd(den, *nums)
+        if den < 0:  # inv's denominator a_0^(order+1) can be negative
+            g = -g
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def zero(cls, order: int) -> "RationalSeries":
@@ -68,23 +94,24 @@ class RationalSeries:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(a, self._den) for a in self._nums)
 
     def coeff(self, k: int) -> Fraction:
-        return self._coeffs[k]
+        return Fraction(self._nums[k], self._den)
 
     def truncate(self, order: int) -> "RationalSeries":
-        return RationalSeries(self._coeffs, order)
+        return RationalSeries._of(list(self._nums), self._den, order)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalSeries) and self._coeffs == other._coeffs
+        return (isinstance(other, RationalSeries)
+                and self._nums == other._nums and self._den == other._den)
 
     def __repr__(self) -> str:
-        return f"RationalSeries({list(map(str, self._coeffs))})"
+        return f"RationalSeries({list(map(str, self.coeffs))})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RationalSeries is immutable")
@@ -94,101 +121,99 @@ class RationalSeries:
     def _common(self, other: "RationalSeries") -> int:
         return min(self.order, other.order)
 
+    def _cofactors(self, other: "RationalSeries") -> tuple[int, int, int]:
+        """(u, v, den) with self = sum a_k x^k u / den and other = sum b_k x^k v / den."""
+        g = gcd(self._den, other._den)
+        u, v = other._den // g, self._den // g
+        return u, v, self._den * u
+
     def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        n = self._common(other)
-        return RationalSeries(
-            [a + b for a, b in zip(self._coeffs, other._coeffs)], n
-        )
+        u, v, den = self._cofactors(other)
+        return RationalSeries._of([a * u + b * v for a, b in zip(self._nums, other._nums)], den)
 
     def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        n = self._common(other)
-        return RationalSeries(
-            [a - b for a, b in zip(self._coeffs, other._coeffs)], n
-        )
+        u, v, den = self._cofactors(other)
+        return RationalSeries._of([a * u - b * v for a, b in zip(self._nums, other._nums)], den)
 
     def __neg__(self) -> "RationalSeries":
-        return RationalSeries([-a for a in self._coeffs], self.order)
+        return RationalSeries._of([-a for a in self._nums], self._den)
 
     def __mul__(self, other: "RationalSeries | Rat") -> "RationalSeries":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        n = self._common(other)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self._coeffs[: n + 1]):
-            if a:
-                for j in range(n + 1 - i):
-                    b = other._coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return RationalSeries(out, n)
+        a, b = self._nums, other._nums
+        out = [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(self._common(other) + 1)]
+        return RationalSeries._of(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c: Rat) -> "RationalSeries":
         c = Fraction(c)
-        return RationalSeries([a * c for a in self._coeffs], self.order)
+        return RationalSeries._of([a * c.numerator for a in self._nums],
+                                  self._den * c.denominator)
 
     def inv(self) -> "RationalSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a0 = self._coeffs[0]
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With a = sum a_k x^k / d, the integers B_m = b_m a_0^(m+1) of
+        1/sum a_k x^k = sum b_m x^m obey B_0 = 1 and
+        B_m = -sum_{k=1..m} a_k a_0^(k-1) B_(m-k), so no step divides.
+        """
+        a = self._nums
+        a0 = a[0]
         if not a0:
             raise NonUnitConstantTermError("cannot invert a series with constant term 0")
         n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / a0
+        powers = [1]
+        for _ in range(n + 1):
+            powers.append(powers[-1] * a0)
+        c = [a[k] * powers[k - 1] for k in range(1, n + 1)]
+        big = [1]
         for m in range(1, n + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                if self._coeffs[k]:
-                    s += self._coeffs[k] * out[m - k]
-            out[m] = -s / a0
-        return RationalSeries(out, n)
+            big.append(-sum(map(mul, c[:m], reversed(big))))
+        return RationalSeries._of([self._den * big[m] * powers[n - m] for m in range(n + 1)],
+                                  powers[n + 1])
 
     def log(self) -> "RationalSeries":
         """Logarithm; requires constant term 1.  log(a) = integral of a'/a."""
-        if self._coeffs[0] != 1:
+        a, n = self._nums, self.order
+        if a[0] != self._den:
             raise NonUnitConstantTermError("log needs constant term 1")
-        n = self.order
-        deriv = RationalSeries(
-            [(k + 1) * self._coeffs[k + 1] for k in range(n)] + [0], n
-        )
+        deriv = RationalSeries._of([(k + 1) * a[k + 1] for k in range(n)] + [0], self._den)
         ratio = deriv * self.inv()
-        out = [Fraction(0)] * (n + 1)
-        for k in range(1, n + 1):
-            out[k] = ratio.coeff(k - 1) / k
-        return RationalSeries(out, n)
+        common = lcm(*range(1, n + 1))
+        return RationalSeries._of(
+            [0] + [ratio._nums[k - 1] * (common // k) for k in range(1, n + 1)],
+            ratio._den * common)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
-        """self(inner(x)); requires inner(0) = 0.  Horner evaluation."""
-        if inner._coeffs[0]:
+        """self(inner(x)); requires inner(0) = 0.  Horner evaluation of the numerators."""
+        if inner._nums[0]:
             raise NonzeroConstantInnerError("inner series must vanish at 0")
         n = self._common(inner)
         inner = inner.truncate(n)
-        result = RationalSeries([self._coeffs[n]], n)
+        result = RationalSeries([self._nums[n]], n)
         for k in range(n - 1, -1, -1):
             result = result * inner
-            result = result + RationalSeries([self._coeffs[k]], n)
-        return result
+            result = result + RationalSeries([self._nums[k]], n)
+        return result.scale(Fraction(1, self._den))
 
 
 def geometric(c: Rat, order: int) -> RationalSeries:
-    """1/(1 - c x) expanded directly."""
+    """1/(1 - c x) expanded directly: c^k = a^k b^(order-k) / b^order for c = a/b."""
     c = Fraction(c)
-    out, acc = [], Fraction(1)
-    for _ in range(order + 1):
-        out.append(acc)
-        acc *= c
-    return RationalSeries(out, order)
+    a, b = c.numerator, c.denominator
+    return RationalSeries._of([a ** k * b ** (order - k) for k in range(order + 1)], b ** order)
 
 
 def log_one_minus(c: Rat, order: int) -> RationalSeries:
-    """ln(1 - c x) expanded directly."""
+    """ln(1 - c x) expanded directly: -c^k/k over the denominator b^order lcm(1..order)."""
     c = Fraction(c)
-    out, acc = [Fraction(0)], Fraction(1)
-    for k in range(1, order + 1):
-        acc *= c
-        out.append(-acc / k)
-    return RationalSeries(out, order)
+    a, b = c.numerator, c.denominator
+    common = lcm(*range(1, order + 1))
+    return RationalSeries._of(
+        [0] + [-(a ** k) * b ** (order - k) * (common // k) for k in range(1, order + 1)],
+        b ** order * common)
 
 
 def log_ratio(y: Rat, order: int) -> RationalSeries:
@@ -242,14 +267,14 @@ def _area_sum_series(p: Fraction, order: int, z: Fraction = Fraction(1)) -> Rati
     expand_area_last_ogf.  The product of the inverted denominators is
     carried from j to j.
     """
-    total = [Fraction(0)] * (order + 1)
+    total = RationalSeries.zero(order)
     den_inv = RationalSeries.one(order)
     for j in range(order + 1):
         den_inv = den_inv * RationalSeries([1 - p, -z * p ** (j + 1)], order).inv()
         lead = (-z) ** j * p ** (j + (j + 2) * (j + 1) // 2)
-        for k, c in enumerate(den_inv.coeffs[: order + 1 - j]):
-            total[j + k] += lead * c
-    return RationalSeries(total, order)
+        shifted = RationalSeries._of([0] * j + list(den_inv._nums), den_inv._den, order)
+        total = total + shifted.scale(lead)
+    return total
 
 
 def expand_area_ogf(p: Rat, order: int) -> RationalSeries:

@@ -282,6 +282,84 @@ def test_series_output(capsys, name):
     assert run_cli(capsys, *argv, "--format", "json") == (0, json.dumps(coeffs) + "\n", "")
 
 
+# name: (a negative-fraction point, each value a separate argument; a point where
+# the series vanishes; coefficients of x^0..x^12 at the first point)
+SERIES_CASES_12 = {
+    "A": (("--p", "-5/3", "--y", "-1/4"), ("--p", "0", "--y", "0"), [
+        "0", "5/12", "-425/432", "-28625/23328", "34116875/7558272",
+        "35430071875/1836660096", "-901603410484375/5355700839936",
+        "-50518107736463828125/23425835473880064",
+        "30467862998379418863671875/614787626176508399616",
+        "10976077618505772995598373046875/6050432423016107414820864",
+        "-162438576470501918066032190353310546875/1429087936586712506951028793344",
+        "-5913253030175102424452258791449852841943359375/506317281405052720937707795309019136",
+        "2173437619179301478582596793596574645391731921142578125/1076311049388730492271425473787281754619904",
+    ]),
+    "A1": (("--p", "-2/5"), ("--p", "0"), [
+        "0", "-2/5", "12/125", "-456/15625", "79344/9765625", "-71568288/30517578125",
+        "318192608448/476837158203125", "-7114150339680384/37252902984619140625",
+        "793469643985911949056/14551915228366851806640625",
+        "-442900472819344303547976192/28421709430404007434844970703125",
+        "1235641828512069201648249106394112/277555756156289135105907917022705078125",
+        "-17239029786365906201273111146377112897536/13552527156068805425093160010874271392822265625",
+        "1202479112963138246833826496087919790813020483584/3308722450212110699485634768279851414263248443603515625",
+    ]),
+    "area-gf": (("--y", "-1/3"), ("--y", "0"), [
+        "0", "-1/3", "-1/6", "-47/162", "-26/81", "-158/405", "-1955/4374", "-15593/30618",
+        "-1247/2187", "-111955/177147", "-409643/590490", "-981697/1299078",
+        "-1303688/1594323",
+    ]),
+    "tote1": (("--y", "-1/3"), ("--y", "0"), [
+        "0", "0", "-1/6", "-13/162", "-71/972", "-973/14580", "-1621/26244",
+        "-17683/306180", "-19927/367416", "-362743/7085880", "-36085849/744017400",
+        "-226439179/4910514840", "-55526957/1262703816",
+    ]),
+    "tote2": (("--y", "-1/3"), ("--y", "0"), [
+        "0", "0", "0", "-1/18", "-55/972", "-899/14580", "-8557/131220", "-7019/102060",
+        "-26405/367416", "-529177/7085880", "-57431771/744017400", "-390168029/4910514840",
+        "-102908647/1262703816",
+    ]),
+    "tote3": (("--y", "-1/3"), ("--y", "0"), [
+        "0", "0", "1/18", "-1/27", "-1/18", "-88/1215", "-197/2430", "-1345/15309",
+        "-8507/91854", "-5690/59049", "-175913/1771470", "-990923/9743085",
+        "-1212347/11691702",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", cli.SERIES)
+def test_series_output_at_order_12(capsys, name):
+    flags, zero_flags, coeffs = SERIES_CASES_12[name]
+    for point, values in ((flags, coeffs), (zero_flags, ["0"] * 13)):
+        argv = ("series", name, *point, "--order", "12")
+        text = "".join(f"x^{k}\t{c}\n" for k, c in enumerate(values))
+        csv = "".join(f"{k},{c}\n" for k, c in enumerate(values))
+        assert run_cli(capsys, *argv) == (0, text, "")
+        assert run_cli(capsys, *argv, "--format", "csv") == (0, csv, "")
+        assert run_cli(capsys, *argv, "--format", "json") == (0, json.dumps(values) + "\n", "")
+
+
+@pytest.mark.parametrize("name,flag", [(name, flag) for name, (_, flags) in cli.SERIES.items()
+                                       for flag in cli.SERIES_FLAGS if flag not in flags])
+def test_series_rejects_a_flag_it_does_not_read(capsys, name, flag):
+    flags = [x for f in cli.SERIES[name][1] for x in (f"--{f}", "1/3")]
+    assert run_cli(capsys, "series", name, *flags, f"--{flag}", "2") == (
+        2, "", f"error: series {name} does not read --{flag}\n")
+
+
+def test_negative_fraction_as_a_separate_argument(capsys):
+    separate = run_cli(capsys, "verify", "--suite", "gf", "--order", "3",
+                       "--p", "-1/2", "--q", "-2/3", "--r", "-5/7")
+    assert separate[0] == 0
+    assert separate == run_cli(capsys, "verify", "--suite", "gf", "--order", "3",
+                               "--p=-1/2", "--q=-2/3", "--r=-5/7")
+    assert run_cli(capsys, "series", "A1", "--p", "-1/0") == run_cli(
+        capsys, "series", "A1", "--p=-1/0") == (
+        2, "", "error: not a rational (use num or num/den): '-1/0'\n")
+    assert run_cli(capsys, "series", "A1", "--p", "--order", "3") == (
+        2, "", "error: argument --p: expected one argument\n")
+
+
 @pytest.mark.parametrize("flag", ["--q", "--r"])
 def test_series_reads_no_q_or_r(capsys, flag):
     code, out, err = run_cli(capsys, "series", "A1", "--p", "1/2", flag, "1")

@@ -109,6 +109,113 @@ def test_log_of_product(rest_a, rest_b):
     assert (a * b).log() == a.log() + b.log()
 
 
+# -- the integer representation against a plain Fraction reference ----------------------
+
+
+def ref_fit(cs, order):
+    cs = [F(c) for c in cs][: order + 1]
+    return cs + [F(0)] * (order + 1 - len(cs))
+
+
+def ref_mul(a, b):
+    n = min(len(a), len(b)) - 1
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_inv(a):
+    out = [1 / a[0]]
+    for m in range(1, len(a)):
+        out.append(-sum((a[k] * out[m - k] for k in range(1, m + 1)), F(0)) / a[0])
+    return out
+
+
+def ref_log(a):
+    n = len(a) - 1
+    ratio = ref_mul([(k + 1) * a[k + 1] for k in range(n)] + [F(0)], ref_inv(a))
+    return [F(0)] + [ratio[k - 1] / k for k in range(1, n + 1)]
+
+
+def ref_compose(a, inner):
+    n = min(len(a), len(inner)) - 1
+    inner = inner[: n + 1]
+    result = ref_fit([a[n]], n)
+    for k in range(n - 1, -1, -1):
+        result = ref_mul(result, inner)
+        result[0] += a[k]
+    return result
+
+
+def coefficient_lists(min_order=0):
+    return st.integers(min_order, 8).flatmap(
+        lambda n: st.lists(rationals, min_size=n + 1, max_size=n + 1))
+
+
+def matches(got, want):
+    assert got.coeffs == tuple(want)
+    assert [got.coeff(k) for k in range(len(want))] == want
+    assert repr(got) == f"RationalSeries({list(map(str, want))})"
+    assert got.order == len(want) - 1
+
+
+@given(coefficient_lists(), coefficient_lists(), rationals)
+def test_ring_operations_match_the_fraction_reference(a, b, c):
+    sa, sb = RationalSeries(a), RationalSeries(b)
+    n = min(len(a), len(b))
+    matches(sa, a)
+    matches(sa + sb, [x + y for x, y in zip(a, b)])
+    matches(sa - sb, [x - y for x, y in zip(a, b)])
+    matches(-sa, [-x for x in a])
+    matches(sa * sb, ref_mul(a, b))
+    matches(sa * c, [x * c for x in a])
+    matches(c * sa, [x * c for x in a])
+    matches(sa * int(c.numerator), [x * c.numerator for x in a])
+    matches(sa.scale(c), [x * c for x in a])
+    for order in (0, n, 9):
+        matches(sa.truncate(order), ref_fit(a, order))
+        matches(RationalSeries(a, order), ref_fit(a, order))
+
+
+@given(coefficient_lists())
+def test_inv_matches_the_fraction_reference(a):
+    if a[0] == 0:
+        with pytest.raises(NonUnitConstantTermError):
+            RationalSeries(a).inv()
+    else:
+        matches(RationalSeries(a).inv(), ref_inv(a))
+
+
+@given(coefficient_lists())
+def test_log_matches_the_fraction_reference(a):
+    a[0] = F(1)
+    matches(RationalSeries(a).log(), ref_log(a))
+
+
+@given(coefficient_lists(), coefficient_lists(min_order=1))
+def test_compose_matches_the_fraction_reference(a, inner):
+    inner[0] = F(0)
+    matches(RationalSeries(a).compose(RationalSeries(inner)), ref_compose(a, inner))
+
+
+@given(coefficient_lists())
+def test_equal_series_are_stored_alike(a):
+    s = RationalSeries(a)
+    assert s.scale(2).scale(F(1, 2)) == s
+    assert s.scale(F(-3, 7))._den > 0
+    assert RationalSeries([x * 6 for x in a]).scale(F(1, 6)) == s
+
+
+def test_canonical_form():
+    assert RationalSeries([F(2, 4)], 0) == RationalSeries([F(1, 2)], 0)
+    s = RationalSeries([F(1, 2), F(-1, 3)], 3)
+    assert s.scale(-1)._den == 6 and s.scale(-1) == -s
+    assert s.scale(0) == RationalSeries.zero(3)
+    assert s != RationalSeries([F(1, 2), F(-1, 3)], 4)
+
+
 # -- closed-form area OGFs ------------------------------------------------------------
 
 
