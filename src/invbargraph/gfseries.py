@@ -19,6 +19,7 @@ same point, must equal the point table's rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import factorial, gcd, lcm
 from operator import mul
@@ -500,24 +501,31 @@ _TOTAL_GF_BUILDERS = {
 
 
 def check_total_gfs(
-    y: Rat, order: int, a_table: DistTable, b_table: DistTable
+    ys: Iterable[Rat], order: int, a_table: DistTable, b_table: DistTable
 ) -> list[CheckResult]:
-    """All four total-GF closed forms vs per-last-letter totals from the tables."""
-    y = Fraction(y)
+    """All four total-GF closed forms vs per-last-letter totals from the tables, at each y.
+
+    Results run y first, then area, levels, descents, ascents.  The totals
+    do not depend on y, so each is read from its table once for all ys.
+    """
     tables = {"a": a_table, "b": b_table}
 
-    def cases(builder, which, marker):
+    @cache
+    def by_last(which: str, marker: str, n: int) -> dict[int, int]:
+        return recur.table_stat_total_by_last(tables[which], n, marker)
+
+    def cases(y, builder, which, marker):
         series = builder(y, order)
         for n in range(1, order + 1):
-            by_last = recur.table_stat_total_by_last(tables[which], n, marker)
             expected = sum(
-                (Fraction(total) * y ** j for j, total in by_last.items()),
+                (Fraction(total) * y ** j for j, total in by_last(which, marker, n).items()),
                 Fraction(0),
             )
             yield f"n={n}", series.coeff(n) * factorial(n), expected
 
     return [
-        check(f"total-{stat}-gf", f"1<=n<={order}", f"y={y}", cases(*spec))
+        check(f"total-{stat}-gf", f"1<=n<={order}", f"y={y}", cases(y, *spec))
+        for y in map(Fraction, ys)
         for stat, spec in _TOTAL_GF_BUILDERS.items()
     ]
 

@@ -2,6 +2,7 @@
 
 Builds the distribution tables once, then runs the selected suites against
 them; the gf suite also builds point tables at each parameter point it draws.
+The two sweep suites share one enumeration of each length, built on first use.
 Random rational parameter points are drawn from a seeded generator so runs
 are reproducible; `corrupt=True` perturbs cell (3,1) of each lemma table
 (symbolic and point) first, as a negative control that must make the run fail.
@@ -11,11 +12,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, prod
+from typing import Callable
 
 from invbargraph import bijections as bj
 from invbargraph import gfseries as gf
 from invbargraph import invseq, recur
+from invbargraph.invseq import InversionSequence
 from invbargraph.mpoly import MPoly, P, Q, R
 from invbargraph.recur import DistTable
 from invbargraph.reporting import CheckResult, check
@@ -24,7 +28,11 @@ SUITES = ("recurrences", "totals", "signbalance", "bijections", "gf")
 DEFAULT_SEED = 12345
 DEFAULT_NMAX = 7
 DEFAULT_ORDER = 8
-EXHAUSTIVE_CAP = 7  # largest n for exhaustive per-sequence sweeps
+# Largest n for the exhaustive per-sequence sweeps.  Both sweep suites together
+# take 0.54 s of CPU at 7 and 3.9 s at 8 (in process, --nmax 9, C kernel,
+# Python 3.11 on a 2-core Xeon); 8 alone would take longer than all of
+# `verify --nmax 9 --order 12` does at 7.
+EXHAUSTIVE_CAP = 7
 
 
 def _corrupted(table: DistTable, term: MPoly | Fraction | int) -> DistTable:
@@ -33,7 +41,10 @@ def _corrupted(table: DistTable, term: MPoly | Fraction | int) -> DistTable:
 
 
 class _Tables:
-    """The lemma tables every suite reads, built once (the recurrences suite builds the rest)."""
+    """The lemma tables every suite reads, built once, and the sweeps' enumeration.
+
+    The recurrences suite builds the other tables.
+    """
 
     def __init__(self, nmax: int, order: int, corrupt: bool):
         depth = max(nmax, order)
@@ -55,6 +66,33 @@ class _Tables:
         """
         table = recur.point_table(engine, self.order, **values)
         return _corrupted(table, prod(values.values())) if self.corrupt else table
+
+    @cached_property
+    def sweeps(self) -> dict[int, _Sweep]:
+        """The exhaustive enumeration for n <= min(nmax, EXHAUSTIVE_CAP), built on first use.
+
+        Both sweep suites read it, and no other suite.
+        """
+        return {n: _Sweep(list(invseq.enumerate_sequences(n)))
+                for n in range(1, min(self.nmax, EXHAUSTIVE_CAP) + 1)}
+
+
+class _Sweep:
+    """All sequences of one length, their statistics, and each one's position."""
+
+    def __init__(self, seqs: list[InversionSequence]):
+        self.seqs = seqs
+        self.stats = [invseq.stats(rho) for rho in seqs]
+        self.position = {rho: k for k, rho in enumerate(seqs)}
+
+    def images(self, f: Callable) -> tuple[list, list[int | None]]:
+        """f of each sequence, and the image's position (None if it is not a sequence here).
+
+        An involution is applied once: its second application and the image's
+        statistics are read at that position.
+        """
+        images = list(map(f, self.seqs))
+        return images, list(map(self.position.get, images))
 
 
 def _compare_tables(
@@ -120,41 +158,34 @@ class _Named(dict):
         return "(" + ", ".join(f"{name}={value}" for name, value in self.items()) + ")"
 
 
-def _sweep(lo: int, cap: int, *maps) -> list[tuple[int, list[tuple]]]:
-    """(n, [(rho, stats(rho), *(f(rho) for f in maps))]) for lo <= n <= cap.
-
-    One enumeration per suite, shared by that suite's formulas.
-    """
-    return [
-        (n, [(rho, invseq.stats(rho), *(f(rho) for f in maps))
-             for rho in invseq.enumerate_sequences(n)])
-        for n in range(lo, cap + 1)
-    ]
+def _outside(want: _Named) -> _Named:
+    """A case whose image is not a sequence of its length: no involution, no image statistics."""
+    return _Named(dict.fromkeys(want), involution=False)
 
 
 def _suite_signbalance(t: _Tables) -> list[CheckResult]:
     results = recur.check_sign_balance(t.nmax, t.a_lemma, t.b_lemma)
     cap = min(t.nmax, EXHAUSTIVE_CAP)
     n_range = f"2<=n<={cap}"
-    sweep = _sweep(2, cap)
+    sweeps = [t.sweeps[n] for n in range(2, cap + 1)]
 
     def area_flip_cases():
         want = _Named(involution=True, area_change=1)
-        for _, records in sweep:
-            for rho, st in records:
-                flip = bj.area_flip(rho)
-                got = _Named(involution=bj.area_flip(flip) == rho,
-                             area_change=abs(invseq.stats(flip).area - st.area))
+        for sweep in sweeps:
+            _, at = sweep.images(bj.area_flip)
+            for k, (rho, st, j) in enumerate(zip(sweep.seqs, sweep.stats, at)):
+                got = _outside(want) if j is None else _Named(
+                    involution=at[j] == k, area_change=abs(sweep.stats[j].area - st.area))
                 yield rho, got, want
 
     def sper_cases():
         want_outside = _Named(weakly_increasing=True, ends_in_n_or_n_minus_1=True,
                               sper_is_n_plus_last=True)
         want_inside = _Named(moves=True, involution=True, sper_change=1)
-        for n, records in sweep:
+        for n, sweep in enumerate(sweeps, start=2):
+            mates, at = sweep.images(bj.sper_involution)
             undefined = 0
-            for rho, st in records:
-                mate = bj.sper_involution(rho)
+            for k, (rho, st, mate, j) in enumerate(zip(sweep.seqs, sweep.stats, mates, at)):
                 if mate is None:  # outside the domain
                     undefined += 1
                     e = rho.entries
@@ -162,24 +193,27 @@ def _suite_signbalance(t: _Tables) -> list[CheckResult]:
                                  ends_in_n_or_n_minus_1=e[-1] in (n - 1, n),
                                  sper_is_n_plus_last=st.sper == n + e[-1])
                     yield rho, got, want_outside
+                elif j is None:
+                    yield rho, _outside(want_inside), want_inside
                 else:
-                    got = _Named(moves=mate != rho, involution=bj.sper_involution(mate) == rho,
-                                 sper_change=abs(invseq.stats(mate).sper - st.sper))
+                    got = _Named(moves=j != k, involution=at[j] == k,
+                                 sper_change=abs(sweep.stats[j].sper - st.sper))
                     yield rho, got, want_inside
             yield f"n={n} undefined count", undefined, 2 * 2 ** (n - 2)
 
     def levels_cases():
         want = _Named(moves=True, involution=True, levels_parity_change=1, same_last=True)
-        for n, records in sweep:
+        for n, sweep in enumerate(sweeps, start=2):
+            mates, at = sweep.images(bj.levels_involution)
             undefined = {1: 0, 2: 0}
-            for rho, st in records:
-                mate = bj.levels_involution(rho)
+            for k, (rho, st, mate, j) in enumerate(zip(sweep.seqs, sweep.stats, mates, at)):
                 if mate is None:
                     undefined[rho.entries[-1]] += 1
+                elif j is None:
+                    yield rho, _outside(want), want
                 else:
-                    got = _Named(moves=mate != rho,
-                                 involution=bj.levels_involution(mate) == rho,
-                                 levels_parity_change=(invseq.stats(mate).levels - st.levels) % 2,
+                    got = _Named(moves=j != k, involution=at[j] == k,
+                                 levels_parity_change=(sweep.stats[j].levels - st.levels) % 2,
                                  same_last=mate.entries[-1] == rho.entries[-1])
                     yield rho, got, want
             yield (f"n={n} undefined count by last letter", undefined,
@@ -196,32 +230,35 @@ def _suite_bijections(t: _Tables) -> list[CheckResult]:
     results = recur.check_stirling_eulerian(t.nmax, t.b_lemma)
     cap = min(t.nmax, EXHAUSTIVE_CAP)
     n_range = f"n<={cap}"
-    sweep = _sweep(1, cap, bj.f_levels_to_cycles, bj.g_ascents)
+    sweeps = [t.sweeps[n] for n in range(1, cap + 1)]
+    # the two bijections are not involutions: their images are permutations
+    cycle_forms = [list(map(bj.f_levels_to_cycles, sweep.seqs)) for sweep in sweeps]
+    perms = [list(map(bj.g_ascents, sweep.seqs)) for sweep in sweeps]
 
     def complement_cases():
-        for _, records in sweep:
-            for rho, st, _, _ in records:
-                comp = bj.complement(rho)
-                got = _Named(involution=bj.complement(comp) == rho,
-                             ascents=invseq.stats(comp).ascents)
-                yield rho, got, _Named(involution=True, ascents=st.levels + st.descents)
+        for sweep in sweeps:
+            _, at = sweep.images(bj.complement)
+            for k, (rho, st, j) in enumerate(zip(sweep.seqs, sweep.stats, at)):
+                want = _Named(involution=True, ascents=st.levels + st.descents)
+                got = _outside(want) if j is None else _Named(
+                    involution=at[j] == k, ascents=sweep.stats[j].ascents)
+                yield rho, got, want
 
     def roundtrip_cases():
-        for _, records in sweep:
-            for rho, st, cf, _ in records:
+        for sweep, cfs in zip(sweeps, cycle_forms):
+            for rho, st, cf in zip(sweep.seqs, sweep.stats, cfs):
                 got = _Named(cycles=cf.cycle_count(), roundtrip=bj.f_inverse(cf) == rho)
                 yield rho, got, _Named(cycles=st.levels + 1, roundtrip=True)
 
     def ascents_cases():
-        for _, records in sweep:
-            for rho, st, _, pi in records:
+        for sweep, pis in zip(sweeps, perms):
+            for rho, st, pi in zip(sweep.seqs, sweep.stats, pis):
                 got = _Named(ascents=bj.ascent_count(pi), roundtrip=bj.g_inverse(pi) == rho)
                 yield rho, got, _Named(ascents=st.ascents, roundtrip=True)
 
     def injectivity_cases():
-        for n, records in sweep:
-            got = _Named(cycle_images=len({cf for _, _, cf, _ in records}),
-                         permutation_images=len({pi for _, _, _, pi in records}))
+        for n, (cfs, pis) in enumerate(zip(cycle_forms, perms), start=1):
+            got = _Named(cycle_images=len(set(cfs)), permutation_images=len(set(pis)))
             yield f"n={n}", got, _Named(cycle_images=factorial(n),
                                         permutation_images=factorial(n))
 
@@ -281,8 +318,8 @@ def _suite_gf(
         table = t.point_lemma("b_lemma", p=p, q=q, r=r)
         results.extend(gf.check_lda_kernel(p, q, r, order, table, b_sums))
 
-    for y in (Fraction(1, 2), Fraction(2), Fraction(-1, 3)):
-        results.extend(gf.check_total_gfs(y, order, t.a_lemma, t.b_lemma))
+    ys = (Fraction(1, 2), Fraction(2), Fraction(-1, 3))
+    results.extend(gf.check_total_gfs(ys, order, t.a_lemma, t.b_lemma))
     return results
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from invbargraph import cli, invseq, recur, verify
-from invbargraph.invseq import Permutation
+from invbargraph.invseq import InversionSequence, Permutation
 from invbargraph.recur import (
     DistTable,
     a_table_lemma,
@@ -462,6 +463,98 @@ def test_sweep_mismatch_names_its_conditions(capsys, monkeypatch):
         "bijection-injectivity": "n=2: (cycle_images=2, permutation_images=1)"
                                  " != (cycle_images=2, permutation_images=2)",
     }
+
+
+SWEEP_IDS = ("area-flip-pairing", "sper-involution-pairing", "levels-involution-pairing",
+             "levels-to-cycles-roundtrip", "ascents-map-roundtrip", "complement-transport",
+             "bijection-injectivity")
+
+
+def _append_one(rho):
+    return InversionSequence((*rho, 1))
+
+
+_area_flip = verify.bj.area_flip
+
+
+def _raise_last(rho):
+    """Changes the area by one, as area_flip does, but applied twice it moves on."""
+    *head, last = rho.entries
+    return InversionSequence((*head, last + 1)) if last < len(rho) else _area_flip(rho)
+
+
+# A broken version of each map the sweeps apply after the enumeration, and the
+# sweep id that must catch it.  Appending a letter leaves the enumeration.
+@pytest.mark.parametrize("name,broken,formula", [
+    pytest.param("area_flip", lambda rho: rho, "area-flip-pairing", id="area_flip-fixes"),
+    pytest.param("area_flip", _append_one, "area-flip-pairing", id="area_flip-appends"),
+    pytest.param("area_flip", _raise_last, "area-flip-pairing", id="area_flip-not-involutive"),
+    pytest.param("sper_involution", lambda rho: rho, "sper-involution-pairing",
+                 id="sper_involution-fixes"),
+    pytest.param("sper_involution", _append_one, "sper-involution-pairing",
+                 id="sper_involution-appends"),
+    pytest.param("levels_involution", lambda rho: rho, "levels-involution-pairing",
+                 id="levels_involution-fixes"),
+    pytest.param("complement", lambda rho: rho, "complement-transport", id="complement-fixes"),
+    pytest.param("complement", _append_one, "complement-transport", id="complement-appends"),
+    pytest.param("f_inverse", lambda cf: InversionSequence([1] * cf.n),
+                 "levels-to-cycles-roundtrip", id="f_inverse-all-ones"),
+    pytest.param("g_inverse", lambda pi: InversionSequence([1] * len(pi)),
+                 "ascents-map-roundtrip", id="g_inverse-all-ones"),
+])
+def test_sweep_negative_controls(capsys, monkeypatch, name, broken, formula):
+    monkeypatch.setattr(verify.bj, name, broken)
+    code, out, err = run_cli(capsys, "verify", "--nmax", "4", "--order", "1")
+    report = json.loads(out)
+    status = {r["formula-id"]: r["status"] for r in report}
+    mismatch = {r["formula-id"]: r["first-mismatch"] for r in report}
+    assert (code, err) == (1, "")
+    assert {f for f in SWEEP_IDS if status[f] == "fail"} == {formula}
+    assert re.fullmatch(r"[\d,]+: \(\w+=.*\) != \(\w+=.*\)", mismatch[formula])
+
+
+def test_image_outside_the_enumeration_fails_by_name(capsys, monkeypatch):
+    monkeypatch.setattr(verify.bj, "area_flip", _append_one)
+    code, out, err = run_cli(capsys, "verify", "--suite", "signbalance", "--nmax", "3")
+    failed = {r["formula-id"]: r["first-mismatch"] for r in json.loads(out) if r["status"] == "fail"}
+    assert (code, err) == (1, "")
+    assert failed == {"area-flip-pairing": "1,1: (involution=False, area_change=None)"
+                                           " != (involution=True, area_change=1)"}
+
+
+def test_gf_suite_builds_no_enumeration(capsys, monkeypatch):
+    def unused(n):
+        raise AssertionError("only the sweep suites enumerate")
+
+    monkeypatch.setattr(invseq, "enumerate_sequences", unused)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "gf", "--nmax", "3", "--order", "3")
+    assert code == 0 and json.loads(out)
+
+
+def test_sweep_suites_share_one_enumeration(capsys, monkeypatch):
+    lengths = []
+    enumerate_sequences = invseq.enumerate_sequences
+
+    def counted(n):
+        lengths.append(n)
+        return enumerate_sequences(n)
+
+    monkeypatch.setattr(invseq, "enumerate_sequences", counted)
+    code, _, _ = run_cli(capsys, "verify", "--nmax", "4", "--order", "1")
+    assert code == 0 and lengths == [1, 2, 3, 4]
+
+
+# sha256 of passing `verify --out` reports before the sweeps shared their
+# enumeration; a speedup must reproduce them byte for byte.
+@pytest.mark.parametrize("argv,digest", [
+    ((), "996cf08383ab9a02f2b401bcd49bd0815881db124cb8b8a92953b72f1951a184"),
+    (("--nmax", "9", "--order", "12", "--seed", "1"),
+     "8a01a0d6eb836b2499ea969aa8ea0b56d2113102b3e69d346e18be4d8eb70971"),
+])
+def test_verify_report_bytes_pinned(tmp_path, capsys, argv, digest):
+    target = tmp_path / "report.json"
+    assert run_cli(capsys, "verify", *argv, "--out", str(target))[0] == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 def test_gf_suite_builds_no_threeterm_or_brute_table(capsys, monkeypatch):

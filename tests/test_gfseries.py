@@ -368,15 +368,37 @@ def test_area_gf_singular_at_one():
 
 @pytest.mark.parametrize("y", [F(1, 2), F(2), F(-1, 3)])
 def test_total_gfs_match_tables(a_lemma_8, b_lemma_9, y):
-    results = check_total_gfs(y, 7, a_lemma_8, b_lemma_9)
+    results = check_total_gfs([y], 7, a_lemma_8, b_lemma_9)
     assert [r.status for r in results] == ["pass"] * 4
+
+
+def test_total_gfs_report_y_first(a_lemma_8, b_lemma_9):
+    results = check_total_gfs([F(1, 2), F(2)], 7, a_lemma_8, b_lemma_9)
+    assert [(r.formula, r.params) for r in results] == [
+        (f"total-{stat}-gf", f"y={y}")
+        for y in ("1/2", "2") for stat in ("area", "levels", "descents", "ascents")
+    ]
+    assert all(r.status == "pass" for r in results)
+
+
+def test_total_gfs_read_each_total_once(a_lemma_8, b_lemma_9, monkeypatch):
+    calls = []
+    by_last = recur.table_stat_total_by_last
+
+    def counted(table, n, marker):
+        calls.append((n, marker))
+        return by_last(table, n, marker)
+
+    monkeypatch.setattr(recur, "table_stat_total_by_last", counted)
+    check_total_gfs([F(1, 2), F(2), F(-1, 3)], 7, a_lemma_8, b_lemma_9)
+    assert len(calls) == 4 * 7  # four statistics, n = 1..7, independent of y
 
 
 def test_total_gfs_detect_corruption(a_lemma_8, b_lemma_9):
     bad = b_lemma_9.with_cell(4, 1, b_lemma_9[4, 1] * 2)
-    results = check_total_gfs(F(1, 2), 7, a_lemma_8, bad)
-    # only the lda-based totals read the corrupted table
-    assert [r.status for r in results] == ["pass", "fail", "fail", "fail"]
+    results = check_total_gfs([F(1, 2), F(2)], 7, a_lemma_8, bad)
+    # only the lda-based totals read the corrupted table, at every y
+    assert [r.status for r in results] == ["pass", "fail", "fail", "fail"] * 2
 
 
 # -- unit-point rows ----------------------------------------------------------------------
