@@ -24,7 +24,14 @@ from invbargraph.invseq import InversionSequence, Permutation
 # and memory by about n, so n = 12 would need about 50 GB.
 ENUMERATE_MAX = 10
 BRUTE_MAX = 10
-TABLE_MAX = 12
+# Recurrence tables (`dist`), one cap per kind from a 2 s budget: the largest n
+# whose slowest engine and format (json) stays under 2 s wall time, process
+# start included.  Ranges over repeated fresh runs, C kernel, Python 3.11 on a
+# shared 2-core Xeon: area/sper takes 1.2-1.6 s at 16, 1.4-2.3 s at 17 and
+# 3.1 s at 18; lda takes 1.5-1.9 s at 35, 2.1 s at 36 and 3.3 s at 40.  The
+# text forms, not the recurrences, take most of it.
+AREA_SPER_TABLE_MAX = 16
+LDA_TABLE_MAX = 35
 VERIFY_NMAX_MAX = 9
 VERIFY_ORDER_MAX = 12
 # Largest n whose five totals all print under Python's default 4300-digit
@@ -113,8 +120,9 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         raise UsageError("n must be positive")
     if args.engine == "brute" and n > BRUTE_MAX:
         raise UsageError(f"brute enumeration is limited to n <= {BRUTE_MAX}")
-    if n > TABLE_MAX:
-        raise UsageError(f"tables are limited to n <= {TABLE_MAX}")
+    cap = AREA_SPER_TABLE_MAX if args.kind == "area-sper" else LDA_TABLE_MAX
+    if n > cap:
+        raise UsageError(f"{args.kind} tables are limited to n <= {cap}")
     builders = {
         ("area-sper", "brute"): invseq.brute_dist_area_sper,
         ("area-sper", "lemma"): recur.a_table_lemma,

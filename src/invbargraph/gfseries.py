@@ -26,8 +26,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from invbargraph import recur
-from invbargraph.mpoly import MPoly
-from invbargraph.recur import DistTable, Rat, row_poly
+from invbargraph.mpoly import MPoly, lincomb
+from invbargraph.recur import DistTable, Rat
 from invbargraph.reporting import CheckResult, check
 
 
@@ -537,10 +537,10 @@ def check_last_letter_uniformity(nmax: int, table: DistTable) -> CheckResult:
 
     def cases():
         for n in range(1, nmax + 1):
-            flat = row_poly(table, n).substitute("p", 1).substitute("q", 1)
-            expected = MPoly.zero()
-            for i in range(1, n + 1):
-                expected = expected + MPoly.monomial(factorial(n - 1), y=i)
+            # the row polynomial at p = q = 1: cell (n, i) becomes its coefficient sum
+            flat = lincomb((cell.coeff_sum(), MPoly.monomial(1, y=i))
+                           for i, cell in enumerate(table.row(n), start=1))
+            expected = lincomb((factorial(n - 1), MPoly.monomial(1, y=i)) for i in range(1, n + 1))
             yield f"n={n}", flat, expected
 
     return check("uniform-last-letter-rows", f"1<=n<={nmax}", "p=1,q=1", cases())

@@ -21,6 +21,14 @@ the guard bit of its field (directly, or through the borrow of a negative
 field), so one mask check over the result keys detects every overflow.
 Exponents outside the range raise OverflowError and never wrap.
 
+Every sum of products is built by one multiply-accumulate kernel,
+lincomb(pairs) = sum of m * x over (multiplier, polynomial) pairs.  It
+seeds one output dict with the largest product (one shifted copy of a term
+map) and merges every other product's terms into it in place, so a chain
+such as a*x - b*y + c*z copies and hashes each term once instead of once per
+intermediate result.  `+`, `-`, `*` and `substitute` are calls of it, and the
+table recurrences build each cell with one call.
+
 Coefficients are Python ints and zero terms are never stored, so equality
 is plain term-map equality.  Values are immutable after construction and
 safe to share between threads.  items() yields (exponent tuple, coeff)
@@ -55,6 +63,11 @@ _GUARD = sum(1 << (s + W - 1) for s in _SHIFTS)
 _VAR_SHIFT = {v: s for v, s in zip(VARS, _SHIFTS)}
 
 _FACTOR_RE = re.compile(r"([ypqrt])(?:\^(-?\d+))?")
+# Key offset of each variable factor `from_text` has parsed and range-checked,
+# such as "p^12" -> 12 << shift(p).  Capped, because the text may spell one
+# exponent in any number of ways ("p^007").
+_FACTOR_OFFSETS: dict[str, int] = {}
+_FACTOR_OFFSETS_MAX = 1 << 16
 _DIGITS_RE = re.compile(r"\d+")
 _TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
 
@@ -165,18 +178,7 @@ class MPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "MPoly | int") -> "MPoly":
-        a, b = self._terms, _coerce(other)._terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        get = out.get
-        for k, c in b.items():
-            s = get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _raw(out)
+        return lincomb(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -184,40 +186,13 @@ class MPoly:
         return _raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "MPoly | int") -> "MPoly":
-        return _raw(_minus(self._terms, _coerce(other)._terms))
+        return lincomb(((1, self), (-1, other)))
 
     def __rsub__(self, other: int) -> "MPoly":
-        return _raw(_minus(_coerce(other)._terms, self._terms))
+        return lincomb(((1, other), (-1, self)))
 
     def __mul__(self, other: "MPoly | int") -> "MPoly":
-        if isinstance(other, int):
-            if not other:
-                return MPoly.zero()
-            return _raw({k: c * other for k, c in self._terms.items()})
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        if not a:
-            return MPoly.zero()
-        # The first term of the smaller factor shifts every key of the larger
-        # one, which cannot collide; later terms merge into that.
-        outer = iter(a.items())
-        ka, ca = next(outer)
-        shift = ka - _ZERO_KEY
-        out = {kb + shift: ca * cb for kb, cb in b.items()}
-        get = out.get
-        for ka, ca in outer:
-            shift = ka - _ZERO_KEY
-            for kb, cb in b.items():
-                k = kb + shift
-                s = get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        if reduce(operator.or_, out, 0) & _GUARD:
-            raise _overflow("in a product")
-        return _raw(out)
+        return lincomb(((self, other),))
 
     __rmul__ = __mul__
 
@@ -269,6 +244,10 @@ class MPoly:
         (k, c), = self._terms.items()
         return _raw({_pack([e * n for e in _unpack(k)]): c if n % 2 else 1})
 
+    def coeff_sum(self) -> int:
+        """Sum of the coefficients: the value with every variable set to 1."""
+        return sum(self._terms.values())
+
     def weighted_exponent_sum(self, name: str) -> int:
         """Sum of coeff * exponent-of-`name` over all terms.
 
@@ -309,15 +288,15 @@ class MPoly:
         """
         groups = self.by_degree(name)
         repl = _coerce(repl)
-        invertible = repl.as_unit_monomial() is not None
-        if not invertible and any(e < 0 for e in groups):
+        if repl.as_unit_monomial() is not None:
+            power = repl._unit_monomial_pow  # one key per power, no products
+        elif any(e < 0 for e in groups):
             raise NegativePowerSubstitutionError(
                 f"cannot substitute a non-monomial into a negative power of {name}"
             )
-        total = MPoly.zero()
-        for e, sub in groups.items():
-            total = total + sub * repl ** e
-        return total
+        else:
+            power = repl.__pow__
+        return lincomb((sub, power(e)) for e, sub in groups.items())
 
     def eval_rational(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
         """Exact value at a rational point, summed over a common denominator.
@@ -403,20 +382,26 @@ class MPoly:
             key = _ZERO_KEY
             for factor in body.split("*"):
                 factor = factor.strip()
-                m = _FACTOR_RE.fullmatch(factor)
-                if m:
-                    e = int(m.group(2) or 1)
-                    # A field kept in range by every step stays detectable:
-                    # one in-range exponent cannot carry past the guard bit.
-                    if not EXP_MIN <= e <= EXP_MAX:
-                        raise _overflow(factor)
-                    key += e << _VAR_SHIFT[m.group(1)]
-                    if key & _GUARD:
-                        raise _overflow(body)
-                elif _DIGITS_RE.fullmatch(factor):
-                    coeff *= int(factor)
-                else:
-                    raise ValueError(f"bad factor {factor!r} in polynomial text {text!r}")
+                offset = _FACTOR_OFFSETS.get(factor)
+                if offset is None:
+                    m = _FACTOR_RE.fullmatch(factor)
+                    if m:
+                        e = int(m.group(2) or 1)
+                        if not EXP_MIN <= e <= EXP_MAX:
+                            raise _overflow(factor)
+                        offset = e << _VAR_SHIFT[m.group(1)]
+                        if len(_FACTOR_OFFSETS) < _FACTOR_OFFSETS_MAX:
+                            _FACTOR_OFFSETS[factor] = offset
+                    elif _DIGITS_RE.fullmatch(factor):
+                        coeff *= int(factor)
+                        continue
+                    else:
+                        raise ValueError(f"bad factor {factor!r} in polynomial text {text!r}")
+                # A field kept in range by every step stays detectable:
+                # one in-range exponent cannot carry past the guard bit.
+                key += offset
+                if key & _GUARD:
+                    raise _overflow(body)
             total = terms.get(key, 0) + coeff
             if total:
                 terms[key] = total
@@ -454,17 +439,75 @@ def _coerce(x: "MPoly | int") -> MPoly:
     return x if isinstance(x, MPoly) else MPoly.const(x)
 
 
-def _minus(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The key map of a - b, zero coefficients dropped."""
-    out = dict(a)
+def _terms_of(x: "MPoly | int") -> dict[int, int]:
+    if isinstance(x, MPoly):
+        return x._terms
+    return {_ZERO_KEY: int(x)} if x else {}
+
+
+def lincomb(pairs: Iterable[tuple["MPoly | int", "MPoly | int"]]) -> MPoly:
+    """The sum of m * x over the (m, x) pairs, built in one term map.
+
+    Each pair is split into rows, one per term of its smaller factor: that
+    term's coefficient c and key shift applied to every term of the larger
+    factor.  The row over the most terms seeds the output with one
+    comprehension (its keys are one shift of a term map's, so they cannot
+    collide); every other row merges into that dict in place, with no
+    multiply when c is 1 and no key addition when the shift is 0.  Zero sums
+    are deleted as they appear, and one guard-bit scan at the end catches any
+    exponent that left the range (none can when no row shifts).  No pairs,
+    or only zero products, give zero.
+    """
+    rows: list[tuple[int, int, dict[int, int]]] = []
+    most = seed = shifted = 0
+    for m, x in pairs:
+        a, b = _terms_of(m), _terms_of(x)
+        if len(a) > len(b):
+            a, b = b, a
+        if a and len(b) > most:
+            most, seed = len(b), len(rows)
+        for ka, ca in a.items():
+            shift = ka - _ZERO_KEY
+            shifted |= shift
+            rows.append((shift, ca, b))
+    if not rows:
+        return MPoly.zero()
+    rows[0], rows[seed] = rows[seed], rows[0]
+    shift, c, b = rows[0]
+    if c != 1:
+        out = {kb + shift: c * cb for kb, cb in b.items()}
+    elif shift:
+        out = {kb + shift: cb for kb, cb in b.items()}
+    else:
+        out = dict(b)
     get = out.get
-    for k, c in b.items():
-        s = get(k, 0) - c
-        if s:
-            out[k] = s
+    for shift, c, b in rows[1:]:
+        if not shift and c == 1:
+            for k, cb in b.items():
+                s = get(k, 0) + cb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        elif c == 1:
+            for kb, cb in b.items():
+                k = kb + shift
+                s = get(k, 0) + cb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
         else:
-            del out[k]
-    return out
+            for kb, cb in b.items():
+                k = kb + shift
+                s = get(k, 0) + c * cb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    if shifted and reduce(operator.or_, out, 0) & _GUARD:
+        raise _overflow("in a product")
+    return _raw(out)
 
 
 def _raw(terms: dict[int, int]) -> MPoly:

@@ -18,14 +18,13 @@ instead of evaluating symbolic tables.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from itertools import accumulate
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator
 
-from invbargraph.mpoly import MPoly, P, Q, R, T, Y
+from invbargraph.mpoly import MPoly, P, Q, R, T, Y, lincomb
 from invbargraph.reporting import CheckResult, check
 
 Rat = Fraction | int
@@ -66,7 +65,10 @@ class DistTable:
 
     def row_sum(self, m: int) -> MPoly:
         """Sum of the cells of row m (the row polynomial at y = 1)."""
-        return reduce(operator.add, self._rows[m - 1])
+        row = self._rows[m - 1]
+        if isinstance(row[0], MPoly):
+            return lincomb((1, cell) for cell in row)
+        return sum(row)
 
     def cells(self) -> Iterator[tuple[int, int, MPoly]]:
         for m, row in enumerate(self._rows, start=1):
@@ -128,21 +130,21 @@ class DistTable:
 
 def row_poly(table: DistTable, m: int) -> MPoly:
     """Row polynomial of row m: sum_i cell(m, i) * y^i."""
-    return reduce(
-        operator.add,
-        (cell * MPoly.monomial(1, y=i) for i, cell in enumerate(table.row(m), start=1)),
-    )
+    return lincomb((MPoly.monomial(1, y=i), cell) for i, cell in enumerate(table.row(m), start=1))
 
 
 # -- the recurrence engines ------------------------------------------------------
 #
-# Each engine is written once over `mono(coeff, **exponents)`, the value of the
-# monomial coeff * p^a q^b r^c in the ring the table lives in.  With
-# MPoly.monomial the cells are the symbolic distribution polynomials; with
-# `_at_point(values)` they are those polynomials evaluated at a point, computed
-# by the same recurrence (evaluate-then-recur).
+# Each engine is written once over a ring (mono, lin): `mono(coeff, **exponents)`
+# is the value of the monomial coeff * p^a q^b r^c in the ring the table lives
+# in, and `lin(pairs)` is the sum of m * x over (m, x) pairs.  With
+# `_SYMBOLIC` the cells are the symbolic distribution polynomials and every
+# cell is built in one term map; with `_at_point(values)` they are those
+# polynomials evaluated at a point, computed by the same recurrence
+# (evaluate-then-recur).
 
-Mono = Callable[..., Any]
+Ring = tuple[Callable[..., Any], Callable[[Iterable[tuple[Any, Any]]], Any]]
+_SYMBOLIC: Ring = (MPoly.monomial, lincomb)
 
 
 def _check_size(n: int) -> None:
@@ -150,8 +152,9 @@ def _check_size(n: int) -> None:
         raise ValueError(f"n must be positive, got {n}")
 
 
-def _a_lemma(n: int, mono: Mono) -> DistTable:
+def _a_lemma(n: int, ring: Ring) -> DistTable:
     _check_size(n)
+    mono = ring[0]
     q = mono(1, q=1)
     rows = [(mono(1, p=1, q=2),)]
     for m in range(2, n + 1):
@@ -170,24 +173,26 @@ def _a_lemma(n: int, mono: Mono) -> DistTable:
     return DistTable(rows)
 
 
-def _a_threeterm(n: int, mono: Mono) -> DistTable:
+def _a_threeterm(n: int, ring: Ring) -> DistTable:
     _check_size(n)
+    mono, lin = ring
     p, pq = mono(1, p=1), mono(1, p=1, q=1)
-    up, back = pq + p, mono(1, p=2, q=1)  # p(q+1) and p^2 q
+    up, back = pq + p, mono(-1, p=2, q=1)  # p(q+1) and -p^2 q
     rows = [(mono(1, p=1, q=2),)]
     for m in range(2, n + 1):
         prev = rows[-1]
-        row = [pq * reduce(operator.add, prev)]
-        row.append(p * row[0] + (mono(1, p=2, q=2) - back) * prev[0])
+        row = [lin((pq, cell) for cell in prev)]
+        row.append(lin(((p, row[0]), (mono(1, p=2, q=2) + back, prev[0]))))
         for i in range(3, m + 1):
             fresh = mono(1, p=i, q=2) - mono(1, p=i, q=1)  # p^i q (q-1)
-            row.append(up * row[i - 2] - back * row[i - 3] + fresh * prev[i - 2])
+            row.append(lin(((up, row[i - 2]), (back, row[i - 3]), (fresh, prev[i - 2]))))
         rows.append(tuple(row))
     return DistTable(rows)
 
 
-def _b_lemma(n: int, mono: Mono) -> DistTable:
+def _b_lemma(n: int, ring: Ring) -> DistTable:
     _check_size(n)
+    mono, lin = ring
     p, q, r = mono(1, p=1), mono(1, q=1), mono(1, r=1)
     rows = [(mono(1),)]
     for m in range(2, n + 1):
@@ -199,28 +204,29 @@ def _b_lemma(n: int, mono: Mono) -> DistTable:
         above = list(prev[1:])
         for k in range(m - 4, -1, -1):
             above[k] = above[k + 1] + prev[k + 1]
-        row = [p * prev[0] + q * above[0]]
+        row = [lin(((p, prev[0]), (q, above[0])))]
         below = prev[0]  # sum_{j < i} b(m-1,j), grown with i
         for i in range(2, m - 1):
-            row.append(p * prev[i - 1] + q * above[i - 1] + r * below)
+            row.append(lin(((p, prev[i - 1]), (q, above[i - 1]), (r, below))))
             below = below + prev[i - 1]
-        row.append(p * prev[m - 2] + r * below)
-        row.append(r * (below + prev[m - 2]))
+        row.append(lin(((p, prev[m - 2]), (r, below))))
+        row.append(lin(((r, below), (r, prev[m - 2]))))
         rows.append(tuple(row))
     return DistTable(rows)
 
 
-def _b_threeterm(n: int, mono: Mono) -> DistTable:
+def _b_threeterm(n: int, ring: Ring) -> DistTable:
     _check_size(n)
-    q, r = mono(1, q=1), mono(1, r=1)
+    mono, lin = ring
+    one, q, r = mono(1), mono(1, q=1), mono(1, r=1)
     p_q, r_p = mono(1, p=1) - q, r - mono(1, p=1)
-    rows = [(mono(1),)]
+    rows = [(one,)]
     for m in range(2, n + 1):
         prev = rows[-1]
-        prev_sum = reduce(operator.add, prev)
-        row = [p_q * prev[0] + q * prev_sum]
+        prev_sum = lin((one, cell) for cell in prev)
+        row = [lin(((p_q, prev[0]), (q, prev_sum)))]
         for i in range(2, m):
-            row.append(row[i - 2] + p_q * prev[i - 1] + r_p * prev[i - 2])
+            row.append(lin(((one, row[i - 2]), (p_q, prev[i - 1]), (r_p, prev[i - 2]))))
         row.append(r * prev_sum)
         rows.append(tuple(row))
     return DistTable(rows)
@@ -233,7 +239,7 @@ def a_table_lemma(n: int) -> DistTable:
     from a(1,1) = p q^2.  Appending a column of height i adds i cells and one
     half-perimeter unit, plus i-j more when the previous column is lower.
     """
-    return _a_lemma(n, MPoly.monomial)
+    return _a_lemma(n, _SYMBOLIC)
 
 
 def a_table_threeterm(n: int) -> DistTable:
@@ -243,7 +249,7 @@ def a_table_threeterm(n: int) -> DistTable:
     for 3 <= i <= n, with a(n,1) = pq * rowsum(n-1) and
     a(n,2) = p a(n,1) + p^2 q(q-1) a(n-1,1).
     """
-    return _a_threeterm(n, MPoly.monomial)
+    return _a_threeterm(n, _SYMBOLIC)
 
 
 def b_table_lemma(n: int) -> DistTable:
@@ -252,7 +258,7 @@ def b_table_lemma(n: int) -> DistTable:
     b(n,i) = p b(n-1,i) + q sum_{j>i} b(n-1,j) + r sum_{j<i} b(n-1,j) for
     i < n, and b(n,n) = r * rowsum(n-1), from b(1,1) = 1.
     """
-    return _b_lemma(n, MPoly.monomial)
+    return _b_lemma(n, _SYMBOLIC)
 
 
 def b_table_threeterm(n: int) -> DistTable:
@@ -261,7 +267,7 @@ def b_table_threeterm(n: int) -> DistTable:
     b(n,i) = b(n,i-1) + (p-q) b(n-1,i) + (r-p) b(n-1,i-1) for 2 <= i <= n-1,
     with b(n,1) = (p-q) b(n-1,1) + q * rowsum(n-1) and b(n,n) = r * rowsum(n-1).
     """
-    return _b_threeterm(n, MPoly.monomial)
+    return _b_threeterm(n, _SYMBOLIC)
 
 
 # engine name: (engine, its markers)
@@ -274,13 +280,17 @@ _ENGINES = {
 ENGINES = tuple(_ENGINES)
 
 
-def _at_point(values: dict[str, Rat]) -> Mono:
+def _at_point(values: dict[str, Rat]) -> Ring:
     def mono(coeff: int, **exps: int) -> Rat:
         for name, e in exps.items():
             coeff *= values[name] ** e
         return coeff
 
-    return mono
+    return mono, _point_lin
+
+
+def _point_lin(pairs: Iterable[tuple[Rat, Rat]]) -> Rat:
+    return sum(m * x for m, x in pairs)
 
 
 def point_table(engine: str, n: int, **values: Rat) -> DistTable:
@@ -339,17 +349,13 @@ def divide_exact_one_minus_y(num: MPoly) -> MPoly:
     by_deg = num.by_degree("y")
     if not by_deg:
         return MPoly.zero()
-    top = max(by_deg)
-    quotient = MPoly.zero()
-    partial = MPoly.zero()
     zero = MPoly.zero()
-    for k in range(top + 1):
-        partial = partial + by_deg.get(k, zero)
-        if k < top:
-            quotient = quotient + partial * MPoly.monomial(1, y=k)
-    if partial:  # partial now equals num(y=1); it must vanish for exactness
-        raise NonDivisibleError(f"remainder {partial.to_text()}")
-    return quotient
+    # partials[k] = sum_{j <= k} num_j is the coefficient of y^k in the quotient
+    partials = list(accumulate(by_deg.get(k, zero) for k in range(max(by_deg) + 1)))
+    remainder = partials.pop()  # num(y=1); it must vanish for exactness
+    if remainder:
+        raise NonDivisibleError(f"remainder {remainder.to_text()}")
+    return lincomb((MPoly.monomial(1, y=k), partial) for k, partial in enumerate(partials))
 
 
 def bn_poly_recurrence(nmax: int) -> list[MPoly]:
@@ -360,13 +366,12 @@ def bn_poly_recurrence(nmax: int) -> list[MPoly]:
     """
     if nmax < 1:
         raise ValueError(f"nmax must be positive, got {nmax}")
+    step = P * (1 - Y) + Y * R - Q
     out = [Y]
     for n in range(2, nmax + 1):
         prev = out[-1]
         prev_at_one = prev.substitute("y", 1)
-        numerator = (P * (1 - Y) + Y * R - Q) * prev + Y * (
-            Q - MPoly.monomial(1, y=n) * R
-        ) * prev_at_one
+        numerator = lincomb(((step, prev), (Y * (Q - MPoly.monomial(1, y=n) * R), prev_at_one)))
         out.append(divide_exact_one_minus_y(numerator))
     return out
 
@@ -480,10 +485,7 @@ def eulerian(n: int, k: int) -> int:
 
 def _t_poly(coeffs: Iterable[int]) -> MPoly:
     """sum_k coeffs[k] t^k."""
-    out = MPoly.zero()
-    for k, c in enumerate(coeffs):
-        out = out + MPoly.monomial(c, t=k)
-    return out
+    return lincomb((c, MPoly.monomial(1, t=k)) for k, c in enumerate(coeffs))
 
 
 def check_stirling_eulerian(nmax: int, table: DistTable) -> list[CheckResult]:

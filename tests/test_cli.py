@@ -106,6 +106,15 @@ def test_dist_brute_guard(capsys):
     assert code == 2 and "brute" in err
 
 
+@pytest.mark.parametrize("kind,cap", [("area-sper", cli.AREA_SPER_TABLE_MAX),
+                                      ("lda", cli.LDA_TABLE_MAX)])
+def test_dist_table_caps(capsys, kind, cap):
+    code, out, err = run_cli(capsys, "dist", kind, "-n", str(cap))
+    assert (code, err) == (0, "") and len(out.splitlines()) == cap * (cap + 1) // 2
+    assert run_cli(capsys, "dist", kind, "-n", str(cap + 1), "--engine", "threeterm") == (
+        2, "", f"error: {kind} tables are limited to n <= {cap}\n")
+
+
 def test_totals(capsys):
     code, out, _ = run_cli(capsys, "totals", "-n", "3")
     assert code == 0

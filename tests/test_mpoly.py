@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -17,7 +19,9 @@ from invbargraph.mpoly import (
     R,
     T,
     Y,
+    lincomb,
 )
+from invbargraph.recur import _at_point, a_table_lemma, b_table_lemma, point_table
 
 PQ2 = MPoly.monomial(1, p=1, q=2)
 
@@ -387,3 +391,75 @@ def test_text_and_json_match_reference(a):
     assert poly.to_text() == ref_text(a)
     assert MPoly.from_text(ref_text(a)) == poly
     assert poly.to_json_obj() == [{"coeff": str(a[e]), "exp": list(e)} for e in sorted(a)]
+
+
+# -- the multiply-accumulate kernel ------------------------------------------------
+
+multipliers = st.one_of(ref_polys, st.integers(min_value=-3, max_value=3))
+
+
+def as_ref_any(x):
+    return as_ref(MPoly(x)) if isinstance(x, dict) else ({ZERO_EXP: x} if x else {})
+
+
+def as_mpoly(x):
+    return MPoly(x) if isinstance(x, dict) else x
+
+
+@given(st.lists(st.tuples(multipliers, ref_polys), max_size=4))
+def test_lincomb_is_the_sum_of_products(pairs):
+    want = reduce(ref_add, (ref_mul(as_ref_any(m), x) for m, x in pairs), {})
+    mpairs = [(as_mpoly(m), MPoly(x)) for m, x in pairs]
+    assert as_ref(lincomb(mpairs)) == want
+    assert as_ref(lincomb((x, m) for m, x in mpairs)) == want
+    # the same sum through the operators, which are calls of the kernel
+    assert lincomb(mpairs) == reduce(operator.add, (m * x for m, x in mpairs), 0)
+    # every product cancelled by its negative leaves the zero polynomial
+    assert lincomb(mpairs + [(m, -x) for m, x in mpairs]) == MPoly.zero()
+
+
+def test_lincomb_edge_cases():
+    assert lincomb([]) == MPoly.zero()
+    assert lincomb(iter(())) == 0
+    # zero products are skipped, also when their other factor is the largest
+    assert lincomb([(0, P), (Q, MPoly.zero()), (P, Q)]) == P * Q
+    assert lincomb([(P, Q), (0, (P + Q + 1) ** 2), ((P + Q + 1) ** 2, 0)]) == P * Q
+    assert lincomb([(3, P), (P, 2)]) == MPoly.monomial(5, p=1)  # constant multipliers
+    assert lincomb([(P ** -1, P), (-1, MPoly.one())]) == MPoly.zero()  # Laurent cancellation
+    # the seed is the largest product, wherever it sits among the pairs
+    big = (P + Q + Y + 1) ** 3
+    assert lincomb([(Q, P), (Y, big), (-1, Y * big)]) == P * Q
+
+
+@pytest.mark.parametrize("var", VARS)
+def test_lincomb_overflow_in_any_pair(var):
+    top = MPoly.monomial(1, **{var: EXP_MAX})
+    x = MPoly.var(var)
+    assert lincomb([(top, x ** -1), (x, 1)]).degree(var) == EXP_MAX - 1
+    for pairs in ([(top, x)], [(P, Q), (top, x)], [(P, Q + R), (x, top + P)],
+                  [(1, top), (x ** -1, MPoly.monomial(1, **{var: EXP_MIN}))]):
+        with pytest.raises(OverflowError):
+            lincomb(pairs)
+
+
+point_values = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@given(st.lists(st.tuples(ref_polys, ref_polys), max_size=4),
+       st.tuples(*[point_values] * NVARS))
+def test_point_ring_lin_agrees_with_lincomb_at_a_point(pairs, values):
+    point = dict(zip(VARS, values))
+    lin = _at_point(point)[1]
+    mpairs = [(MPoly(m), MPoly(x)) for m, x in pairs]
+    assert lin((m.eval_rational(point), x.eval_rational(point)) for m, x in mpairs) == \
+        lincomb(mpairs).eval_rational(point)
+
+
+def test_point_rows_agree_with_the_symbolic_rows():
+    a_point = {"p": Fraction(-2, 3), "q": Fraction(5, 2)}
+    b_point = {"p": Fraction(1, 3), "q": -2, "r": Fraction(3, 4)}
+    for engine, symbolic, point in (("a_threeterm", a_table_lemma(7), a_point),
+                                    ("b_threeterm", b_table_lemma(7), b_point)):
+        table = point_table(engine, 7, **point)
+        for n in range(1, 8):
+            assert table.row_sum(n) == symbolic.row_sum(n).eval_rational(point)

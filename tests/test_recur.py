@@ -347,3 +347,21 @@ def test_table_json_round_trip(a_lemma_8):
 ])
 def test_table_serialization_bytes_pinned(serialize, digest):
     assert hashlib.sha256(serialize().encode()).hexdigest() == digest
+
+
+# sha256 of every engine's table and of the direct B_n rows, as written before
+# the cells were built by the multiply-accumulate kernel (mpoly.lincomb).
+@pytest.mark.parametrize("serialize,digest", [
+    (lambda: a_table_lemma(12).to_csv(),
+     "8aeb11268289c6d9e0a5a2767ca74a887b63a456e9eb66b2540a6cac4bd8be3d"),
+    (lambda: a_table_threeterm(12).to_csv(),
+     "8aeb11268289c6d9e0a5a2767ca74a887b63a456e9eb66b2540a6cac4bd8be3d"),
+    (lambda: b_table_lemma(12).to_csv(),
+     "9a33bcb36805cd535d898f28c1d91176ce097e8b6b36dce58ac922826ba10bef"),
+    (lambda: b_table_threeterm(12).to_csv(),
+     "9a33bcb36805cd535d898f28c1d91176ce097e8b6b36dce58ac922826ba10bef"),
+    (lambda: "\n".join(poly.to_text() for poly in bn_poly_recurrence(12)),
+     "10243a3bd855edaea1e9f204b6756cdc8464d6cb96293a63bc0b3ae64959e374"),
+], ids=["a_lemma", "a_threeterm", "b_lemma", "b_threeterm", "bn_rows"])
+def test_engine_outputs_pinned(serialize, digest):
+    assert hashlib.sha256(serialize().encode()).hexdigest() == digest
