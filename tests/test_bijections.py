@@ -1,7 +1,10 @@
+import re
 from collections import Counter
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invbargraph.bijections import (
     CycleForm,
@@ -151,6 +154,22 @@ def test_f_bijection_exhaustive(n):
         assert cycle_dist.get(k, 0) == stirling_first(n, k)
 
 
+def test_cycle_form_validation_messages():
+    # the element checks run in this order, each with its own message
+    cases = [
+        ([], "empty cycle form"),
+        ([(1,), ()], "empty cycle"),
+        ([(2, 0)], "bad or repeated element 0"),
+        ([(2,), (3, 1), (4, 5, 2)], "bad or repeated element 2"),
+        ([(1,), (3,)], "cycles do not cover 1..2"),
+    ]
+    for cycles, message in cases:
+        with pytest.raises(MalformedCyclesError, match=f"^{re.escape(message)}$"):
+            CycleForm(cycles)
+    with pytest.raises(TypeError):  # integers are checked before the empty cycle
+        CycleForm([(), (1, "a")])
+
+
 def test_cycle_form_validation():
     with pytest.raises(MalformedCyclesError):
         CycleForm([(1, 2), (2, 3)])
@@ -178,6 +197,30 @@ def test_cycle_form_standardization_idempotent():
 def test_cycle_form_permutation_round_trip():
     pi = Permutation((5, 2, 4, 6, 1, 3))
     assert CycleForm.from_permutation(pi).to_permutation() == pi
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))), st.data())
+def test_cycle_form_is_its_permutation(oneline, data):
+    """Any rotation of the cycles, listed in any order, builds the same cycle form."""
+    pi = Permutation(oneline)
+    cf = CycleForm.from_permutation(pi)
+    cycles = cf.cycles
+    # standard form: each cycle starts at its smallest element, cycles sorted by it
+    assert all(c[0] == min(c) for c in cycles)
+    assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+    assert all(pi.oneline[c[k] - 1] == c[(k + 1) % len(c)] for c in cycles for k in range(len(c)))
+    assert sorted(v for c in cycles for v in c) == list(range(1, len(pi) + 1))
+    assert cf.cycle_count() == len(cycles) == cycle_count(pi)
+    assert cf.n == len(pi)
+    shuffled = [c[k:] + c[:k] for c in data.draw(st.permutations(cycles))
+                for k in [data.draw(st.integers(0, len(c) - 1))]]
+    rebuilt = CycleForm(shuffled)
+    assert rebuilt == cf and hash(rebuilt) == hash(cf)
+    assert rebuilt.cycles == cycles and rebuilt.to_text() == cf.to_text()
+    assert CycleForm(cycles) == cf
+    assert cf.to_permutation() == pi
+    assert CycleForm.from_text(cf.to_text()) == cf
+    assert cf != pi
 
 
 # -- ascent-preserving bijection --------------------------------------------------------

@@ -566,6 +566,19 @@ def test_verify_report_bytes_pinned(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
+# sha256 of `verify --corrupt --out` reports before a cycle form held its
+# one-line form; the failing reports must not change either.
+@pytest.mark.parametrize("argv,digest", [
+    ((), "5b40a177b5aff197dfc5d1ad54c9cbc968e4f6f624565b5cd66805405cf8425d"),
+    (("--nmax", "9", "--order", "12", "--seed", "1"),
+     "d719df07359dd3a0e4d7159b155c7bd6d28bea94c9102486364b25a166d33e5e"),
+])
+def test_verify_corrupt_report_bytes_pinned(tmp_path, capsys, argv, digest):
+    target = tmp_path / "report.json"
+    assert run_cli(capsys, "verify", *argv, "--corrupt", "--out", str(target))[0] == 1
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
 def test_gf_suite_builds_no_threeterm_or_brute_table(capsys, monkeypatch):
     def unused(n):
         raise AssertionError("only the recurrences suite reads this table")
