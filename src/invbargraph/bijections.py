@@ -10,7 +10,7 @@ ascent count is preserved (`g_ascents`).
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from invbargraph.invseq import InversionSequence, Permutation, parse_ints
 
@@ -23,62 +23,62 @@ class MalformedCyclesError(ValueError):
     """Cycles do not form a partition of 1..n into disjoint nonempty cycles."""
 
 
-class CycleForm:
-    """A permutation as disjoint cycles in standard form.
+class CycleForm(Permutation):
+    """A permutation read as disjoint cycles: letter i is the element after i in its cycle.
 
-    Standard form: each cycle is rotated so its smallest element comes first,
-    and cycles are sorted by their smallest elements.
+    The one-line form is all it stores, so equal permutations give equal cycle
+    forms, and a cycle form never equals a `Permutation` with the same letters.
+    `cycles` derives the standard form: each cycle starts at its smallest
+    element, and cycles are sorted by their smallest elements.
     """
 
-    __slots__ = ("_cycles",)
+    __slots__ = ()
 
     def __init__(self, cycles: Iterable[Iterable[int]]):
         raw = [tuple(map(index, cycle)) for cycle in cycles]
         if not raw:
             raise MalformedCyclesError("empty cycle form")
-        seen: set[int] = set()
+        succ: dict[int, int] = {}
         for cycle in raw:
             if not cycle:
                 raise MalformedCyclesError("empty cycle")
-            for v in cycle:
-                if v < 1 or v in seen:
+            for v, after in zip(cycle, cycle[1:] + cycle[:1]):
+                if v < 1 or v in succ:
                     raise MalformedCyclesError(f"bad or repeated element {v}")
-                seen.add(v)
-        n = len(seen)
-        if seen != set(range(1, n + 1)):
+                succ[v] = after
+        n = len(succ)
+        if max(succ) != n:  # n distinct positive elements cover 1..n
             raise MalformedCyclesError(f"cycles do not cover 1..{n}")
-        normalized = []
-        for cycle in raw:
-            k = cycle.index(min(cycle))
-            normalized.append(cycle[k:] + cycle[:k])
-        normalized.sort(key=lambda c: c[0])
-        object.__setattr__(self, "_cycles", tuple(normalized))
+        object.__setattr__(self, "_letters", tuple(succ[i] for i in range(1, n + 1)))
 
     @property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        return self._cycles
+        succ = self._letters
+        seen: set[int] = set()
+        cycles = []
+        for start in range(1, len(succ) + 1):
+            if start not in seen:
+                cycle = [start]
+                v = succ[start - 1]
+                while v != start:
+                    cycle.append(v)
+                    v = succ[v - 1]
+                seen.update(cycle)
+                cycles.append(tuple(cycle))
+        return tuple(cycles)
 
     @property
     def n(self) -> int:
-        return sum(len(c) for c in self._cycles)
+        return len(self._letters)
 
     def cycle_count(self) -> int:
-        return len(self._cycles)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CycleForm) and self._cycles == other._cycles
-
-    def __hash__(self) -> int:
-        return hash(self._cycles)
+        return len(self.cycles)
 
     def __repr__(self) -> str:
         return f"CycleForm({self.to_text()!r})"
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CycleForm is immutable")
-
     def to_text(self) -> str:
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in self._cycles)
+        return "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles)
 
     @classmethod
     def from_text(cls, text: str) -> "CycleForm":
@@ -89,27 +89,14 @@ class CycleForm:
         return cls([parse_ints(part, text) for part in parts] if parts != [""] else [])
 
     def to_permutation(self) -> Permutation:
-        succ: dict[int, int] = {}
-        for cycle in self._cycles:
-            for k, v in enumerate(cycle):
-                succ[v] = cycle[(k + 1) % len(cycle)]
-        return Permutation(succ[i] for i in range(1, self.n + 1))
+        return Permutation(self.oneline)
 
     @classmethod
     def from_permutation(cls, pi: Permutation) -> "CycleForm":
-        remaining = set(range(1, len(pi) + 1))
-        cycles = []
-        while remaining:
-            start = min(remaining)
-            cycle = [start]
-            remaining.discard(start)
-            v = pi.oneline[start - 1]
-            while v != start:
-                cycle.append(v)
-                remaining.discard(v)
-                v = pi.oneline[v - 1]
-            cycles.append(cycle)
-        return cls(cycles)
+        """The cycles of `pi`, whose letters are already checked."""
+        cf = object.__new__(cls)
+        object.__setattr__(cf, "_letters", pi.oneline)
+        return cf
 
 
 # -- involutions ----------------------------------------------------------------
@@ -138,8 +125,8 @@ def sper_involution(rho: InversionSequence) -> InversionSequence | None:
 
     With k minimal such that rho_k is outside {k-1, k} (necessarily k >= 3),
     replaces rho_{k-1} by 2k - 3 - rho_{k-1}, toggling it between k-2 and
-    k-1.  Returns None when no such k exists; those sequences are exactly the
-    weakly increasing ones ending in n-1 or n.
+    k-1.  Returns None when no such k exists: exactly the 2^(n-1) sequences
+    with every rho_i in {i-1, i}.
     """
     k = next(
         (i for i, v in enumerate(rho, start=1) if v not in (i - 1, i)),
@@ -177,20 +164,16 @@ def f_levels_to_cycles(rho: InversionSequence) -> CycleForm:
     {1..j} minus {l}, and j is inserted directly after the element i in its
     cycle.
     """
-    cycles: list[list[int]] = [[1]]
     entries = rho.entries
-    for j in range(2, len(entries) + 1):
-        prev = entries[j - 2]
-        v = entries[j - 1]
+    succ = [1]  # succ[i - 1] is the element after i in its cycle
+    for j, (prev, v) in enumerate(zip(entries, entries[1:]), start=2):
         if v == prev:
-            cycles.append([j])
-            continue
-        rank = v if v < prev else v - 1  # rank of v in {1..j} minus {prev}
-        for cycle in cycles:
-            if rank in cycle:
-                cycle.insert(cycle.index(rank) + 1, j)
-                break
-    return CycleForm(cycles)
+            succ.append(j)
+        else:
+            i = v if v < prev else v - 1  # rank of v in {1..j} minus {prev}
+            succ.append(succ[i - 1])
+            succ[i - 1] = j
+    return CycleForm.from_permutation(Permutation(succ))
 
 
 def f_inverse(pi: CycleForm) -> InversionSequence:
@@ -201,10 +184,9 @@ def f_inverse(pi: CycleForm) -> InversionSequence:
     restricted fixed point marks a level).
     """
     n = pi.n
-    pred: dict[int, int] = {}
-    for cycle in pi.cycles:
-        for k, v in enumerate(cycle):
-            pred[v] = cycle[k - 1]
+    pred = [0] * (n + 1)
+    for i, after in enumerate(pi.oneline, start=1):
+        pred[after] = i
     entries = [1]
     for j in range(2, n + 1):
         x = pred[j]
@@ -258,17 +240,3 @@ def ascent_count(pi: Permutation) -> int:
     word = pi.oneline
     return sum(1 for i in range(len(word) - 1) if word[i] < word[i + 1])
 
-
-def iter_undefined_sper(n: int) -> Iterator[InversionSequence]:
-    """The weakly increasing sequences outside the sper involution's domain.
-
-    Every entry i >= 2 is i-1 or i; there are 2^(n-2) ending in n-1 and
-    2^(n-2) ending in n (for n >= 2).
-    """
-    from itertools import product
-
-    if n == 1:
-        yield InversionSequence((1,))
-        return
-    for choices in product((0, 1), repeat=n - 1):
-        yield InversionSequence([1] + [i - 1 + c for i, c in zip(range(2, n + 1), choices)])

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from invbargraph import bijections as bj
 from invbargraph import gfseries as gf
-from invbargraph import invseq, recur, verify
+from invbargraph import invseq, kernel, recur, verify
 from invbargraph.invseq import InversionSequence, Permutation
 
 # `enumerate` builds its whole output in memory.  Measured in process with the
@@ -23,15 +23,23 @@ from invbargraph.invseq import InversionSequence, Permutation
 # n = 10 takes 26 s and 392 MB and writes 72 MB.  Each step up multiplies time
 # and memory by about n, so n = 12 would need about 50 GB.
 ENUMERATE_MAX = 10
-BRUTE_MAX = 10
 # Recurrence tables (`dist`), one cap per kind from a 2 s budget: the largest n
 # whose slowest engine and format (json) stays under 2 s wall time, process
 # start included.  Ranges over repeated fresh runs, C kernel, Python 3.11 on a
 # shared 2-core Xeon: area/sper takes 1.2-1.6 s at 16, 1.4-2.3 s at 17 and
 # 3.1 s at 18; lda takes 1.5-1.9 s at 35, 2.1 s at 36 and 3.3 s at 40.  The
-# text forms, not the recurrences, take most of it.
+# text forms, not the recurrences, take most of it.  `--engine brute` stops
+# at the kernel's own limit, `kernel.MAX_N` = 12, which is inside the same
+# budget: 1.0-1.8 s for area/sper and 0.8-1.3 s for lda at 12 (8 runs each,
+# csv and json).  The pure-Python kernel takes minutes there.
 AREA_SPER_TABLE_MAX = 16
 LDA_TABLE_MAX = 35
+# `verify` sizes; the benchmark's verify-deep workload runs at these two caps.
+# Against the same 2 s budget (all suites, fresh runs, as above): 0.5-0.6 s at
+# the defaults (nmax 7, order 8) and 0.9-1.1 s at the caps.  Above them, with
+# the guards lifted: nmax 10 or 11 (order 12) 1.0-1.6 s and nmax 12 5.0-5.8 s,
+# where brute enumeration dominates; order 13, 14 and 16 (nmax 9) 0.9-1.0,
+# 1.1-1.2 and 1.5-1.9 s, where the symbolic tables to depth `order` dominate.
 VERIFY_NMAX_MAX = 9
 VERIFY_ORDER_MAX = 12
 # Largest n whose five totals all print under Python's default 4300-digit
@@ -86,7 +94,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _record_text(record: dict, fmt: str) -> str:
-    """One record as a csv header and row, or as a JSON object in the other formats."""
+    """One record as a JSON object, or as a csv header and row."""
     if fmt == "csv":
         return ",".join(record) + "\n" + ",".join(map(str, record.values())) + "\n"
     return json.dumps(record) + "\n"
@@ -118,8 +126,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise UsageError("n must be positive")
-    if args.engine == "brute" and n > BRUTE_MAX:
-        raise UsageError(f"brute enumeration is limited to n <= {BRUTE_MAX}")
+    if args.engine == "brute" and n > kernel.MAX_N:
+        raise UsageError(f"brute enumeration is limited to n <= {kernel.MAX_N}")
     cap = AREA_SPER_TABLE_MAX if args.kind == "area-sper" else LDA_TABLE_MAX
     if n > cap:
         raise UsageError(f"{args.kind} tables are limited to n <= {cap}")
@@ -235,10 +243,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _formats(p: argparse.ArgumentParser, *formats: str) -> None:
+    """The output formats a command writes; the first is the default."""
+    p.add_argument("--format", choices=formats, default=formats[0],
+                   help=f"output format (default: {formats[0]})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("text", "csv", "json"), default="text",
-                        help="output format (default: text)")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write output to a file instead of stdout")
 
@@ -251,11 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", parents=[common],
                        help="list all inversion sequences of length n")
     p.add_argument("-n", type=_int, required=True)
+    _formats(p, "text", "json")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("stats", parents=[common],
                        help="bargraph statistics of one sequence")
     p.add_argument("sequence", help="comma-separated entries, e.g. 1,2,1,3,5,3")
+    _formats(p, "json", "csv")
     p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("dist", parents=[common],
@@ -264,17 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_int, required=True)
     p.add_argument("--engine", choices=("brute", "lemma", "threeterm"),
                    default="lemma")
+    _formats(p, "csv", "json")
     p.set_defaults(handler=_cmd_dist)
 
     p = sub.add_parser("totals", parents=[common],
                        help="closed-form statistic totals over all length-n sequences")
     p.add_argument("-n", type=_int, required=True)
+    _formats(p, "json", "csv")
     p.set_defaults(handler=_cmd_totals)
 
     p = sub.add_parser("map", parents=[common],
                        help="apply one of the bijections or involutions")
     p.add_argument("map", choices=MAPS)
     p.add_argument("input", help="sequence, permutation, or cycle form")
+    _formats(p, "text", "json")
     p.set_defaults(handler=_cmd_map)
 
     p = sub.add_parser("series", parents=[common],
@@ -283,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in SERIES_FLAGS:
         p.add_argument(f"--{flag}", default=None)
     p.add_argument("--order", type=_int, default=verify.DEFAULT_ORDER)
+    _formats(p, "text", "csv", "json")
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("verify", parents=[common],

@@ -5,10 +5,10 @@ order N; all arithmetic is exact modulo x^(N+1).  It stores them as integer
 numerators over one common denominator in lowest terms, so each operation is
 integer arithmetic reduced by one gcd at the end; the coefficients it hands
 out are still exact `Fraction`s.  On top of the ring operations (plus
-inverse, logarithm and composition) this module builds the
-closed-form generating functions for the bargraph statistics and checks them
-coefficient-by-coefficient against the recurrence tables, always at fixed
-rational parameter points.
+inverse and composition; logarithms are built directly by `log_one_minus`)
+this module builds the closed-form generating functions for the bargraph
+statistics and checks them coefficient-by-coefficient against the
+recurrence tables, always at fixed rational parameter points.
 
 The area and lda series checks read point tables (`recur.point_table`: the
 recurrence run on the numbers of the point).  Each of them also links that
@@ -32,7 +32,7 @@ from invbargraph.reporting import CheckResult, check
 
 
 class NonUnitConstantTermError(ValueError):
-    """Inverse needs a nonzero constant term; log needs constant term 1."""
+    """Inverse needs a nonzero constant term."""
 
 
 class NonzeroConstantInnerError(ValueError):
@@ -136,9 +136,6 @@ class RationalSeries:
         u, v, den = self._cofactors(other)
         return RationalSeries._of([a * u - b * v for a, b in zip(self._nums, other._nums)], den)
 
-    def __neg__(self) -> "RationalSeries":
-        return RationalSeries._of([-a for a in self._nums], self._den)
-
     def __mul__(self, other: "RationalSeries | Rat") -> "RationalSeries":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -174,18 +171,6 @@ class RationalSeries:
             big.append(-sum(map(mul, c[:m], reversed(big))))
         return RationalSeries._of([self._den * big[m] * powers[n - m] for m in range(n + 1)],
                                   powers[n + 1])
-
-    def log(self) -> "RationalSeries":
-        """Logarithm; requires constant term 1.  log(a) = integral of a'/a."""
-        a, n = self._nums, self.order
-        if a[0] != self._den:
-            raise NonUnitConstantTermError("log needs constant term 1")
-        deriv = RationalSeries._of([(k + 1) * a[k + 1] for k in range(n)] + [0], self._den)
-        ratio = deriv * self.inv()
-        common = lcm(*range(1, n + 1))
-        return RationalSeries._of(
-            [0] + [ratio._nums[k - 1] * (common // k) for k in range(1, n + 1)],
-            ratio._den * common)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """self(inner(x)); requires inner(0) = 0.  Horner evaluation of the numerators."""

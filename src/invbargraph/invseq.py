@@ -205,7 +205,7 @@ def brute_dist_area_sper(n: int) -> DistTable:
     """Joint area/sper distribution table by direct enumeration.
 
     Cell (m, i) is sum of p^area q^sper over all length-m sequences ending
-    in i.  Practical bound n <= 11.
+    in i.
     """
     return _brute_table(n, kernel.area_sper_counts, (0, 0))
 

@@ -50,9 +50,10 @@ _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 ExpVec = tuple[int, int, int, int, int]
 
 # Bits per exponent field.  Exponents span [-16384, 16383].  A full
-# `verify --nmax 9 --order 12` and `dist` at the CLI's n = 12 stay within
-# [-11, 80], and an area/sper table at n = 24, which already takes seconds,
-# has area exponents up to n(n+1)/2 = 300: fifty times inside the range.
+# `verify --nmax 9 --order 12` stays within [-11, 80] and `dist` at the CLI's
+# caps (area/sper n = 16, lda n = 35) within [0, 136], and an area/sper table
+# at n = 24, which already takes seconds, has area exponents up to
+# n(n+1)/2 = 300: fifty times inside the range.
 W = 16
 _OFFSET = 1 << (W - 2)
 _FIELD = (1 << W) - 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from invbargraph import cli, invseq, recur, verify
+from invbargraph import cli, invseq, kernel, recur, verify
 from invbargraph.invseq import InversionSequence, Permutation
 from invbargraph.recur import (
     DistTable,
@@ -102,8 +102,9 @@ def test_dist_json_round_trips(capsys):
 
 
 def test_dist_brute_guard(capsys):
-    code, _, err = run_cli(capsys, "dist", "lda", "-n", "11", "--engine", "brute")
-    assert code == 2 and "brute" in err
+    n = str(kernel.MAX_N + 1)
+    assert run_cli(capsys, "dist", "lda", "-n", n, "--engine", "brute") == (
+        2, "", f"error: brute enumeration is limited to n <= {kernel.MAX_N}\n")
 
 
 @pytest.mark.parametrize("kind,cap", [("area-sper", cli.AREA_SPER_TABLE_MAX),
@@ -233,10 +234,36 @@ def test_malformed_integer_input(capsys, argv):
     (("totals", "-n", "1_0"), "error: argument -n: not an integer: '1_0'\n"),
     (("totals",), "error: the following arguments are required: -n\n"),
     (("totals", "-n", "3", "--format", "xml"),
-     "error: argument --format: invalid choice: 'xml' (choose from 'text', 'csv', 'json')\n"),
+     "error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv')\n"),
 ])
 def test_usage_errors_are_one_error_line(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", message)
+
+
+# The formats each command writes, its default first; verify writes only JSON.
+COMMAND_FORMATS = [
+    (("enumerate", "-n", "2"), ("text", "json")),
+    (("stats", "1,2"), ("json", "csv")),
+    (("dist", "lda", "-n", "2"), ("csv", "json")),
+    (("totals", "-n", "2"), ("json", "csv")),
+    (("map", "f", "1,2"), ("text", "json")),
+    (("series", "A1", "--p", "1/2", "--order", "2"), ("text", "csv", "json")),
+    (("verify", "--suite", "totals", "--nmax", "3", "--order", "1"), ()),
+]
+
+
+@pytest.mark.parametrize("argv,formats", COMMAND_FORMATS,
+                         ids=[argv[0] for argv, _ in COMMAND_FORMATS])
+def test_each_command_takes_only_the_formats_it_writes(capsys, argv, formats):
+    default = run_cli(capsys, *argv)
+    outputs = [run_cli(capsys, *argv, "--format", fmt) for fmt in formats]
+    assert default[0] == 0 and outputs[:1] in ([], [default])
+    assert len(set(outputs)) == len(formats)  # no two formats print the same
+    for fmt in {"text", "csv", "json"} - set(formats):
+        choices = ", ".join(map(repr, formats))
+        message = (f"error: argument --format: invalid choice: '{fmt}' (choose from {choices})\n"
+                   if formats else f"error: unrecognized arguments: --format {fmt}\n")
+        assert run_cli(capsys, *argv, "--format", fmt) == (2, "", message)
 
 
 def test_integer_options_allow_whitespace_and_minus(capsys):
@@ -520,6 +547,28 @@ def test_sweep_negative_controls(capsys, monkeypatch, name, broken, formula):
     assert (code, err) == (1, "")
     assert {f for f in SWEEP_IDS if status[f] == "fail"} == {formula}
     assert re.fullmatch(r"[\d,]+: \(\w+=.*\) != \(\w+=.*\)", mismatch[formula])
+
+
+def test_adjacency_count_negative_control(capsys, monkeypatch):
+    # The closed forms for levels, descents and ascents sum to (n-1)*n!, so a
+    # brute ascent total one too high breaks both the adjacency count and the
+    # match with its closed form.  (The C kernel stores no ascents: it derives
+    # them as n-1-levels-descents, so on it the adjacency count checks that the
+    # multiplicities sum to n!.)
+    brute_stat_totals = verify.invseq.brute_stat_totals
+
+    def one_ascent_too_many(n):
+        totals = brute_stat_totals(n)
+        return {**totals, "ascents": totals["ascents"] + 1}
+
+    monkeypatch.setattr(verify.invseq, "brute_stat_totals", one_ascent_too_many)
+    code, out, err = run_cli(capsys, "verify", "--suite", "totals", "--nmax", "3")
+    failed = {r["formula-id"]: r["first-mismatch"] for r in json.loads(out) if r["status"] == "fail"}
+    assert (code, err) == (1, "")
+    assert failed == {
+        "totals-closed-vs-brute-vs-table": "n=1 ascents (brute, table): (1, 0) != (0, 0)",
+        "adjacency-count-consistency": "n=1 levels+descents+ascents: 1 != 0",
+    }
 
 
 def test_image_outside_the_enumeration_fails_by_name(capsys, monkeypatch):

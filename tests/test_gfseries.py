@@ -59,16 +59,6 @@ def test_inv_requires_unit():
         series(0, 1).inv()
 
 
-def test_log_of_geometric():
-    got = geometric(1, 8).log()
-    assert got.coeffs == tuple(F(0) if k == 0 else F(1, k) for k in range(9))
-
-
-def test_log_requires_constant_one():
-    with pytest.raises(NonUnitConstantTermError):
-        series(2, 1).log()
-
-
 def test_log_ratio_linear_coefficient():
     y = F(1, 2)
     assert log_ratio(y, 8).coeff(1) == 1 - y
@@ -102,13 +92,6 @@ def test_inv_is_right_inverse(coeffs):
     assert s * s.inv() == RationalSeries.one(6)
 
 
-@given(st.lists(rationals, max_size=6), st.lists(rationals, max_size=6))
-def test_log_of_product(rest_a, rest_b):
-    a = RationalSeries([1] + rest_a, 6)
-    b = RationalSeries([1] + rest_b, 6)
-    assert (a * b).log() == a.log() + b.log()
-
-
 # -- the integer representation against a plain Fraction reference ----------------------
 
 
@@ -131,12 +114,6 @@ def ref_inv(a):
     for m in range(1, len(a)):
         out.append(-sum((a[k] * out[m - k] for k in range(1, m + 1)), F(0)) / a[0])
     return out
-
-
-def ref_log(a):
-    n = len(a) - 1
-    ratio = ref_mul([(k + 1) * a[k + 1] for k in range(n)] + [F(0)], ref_inv(a))
-    return [F(0)] + [ratio[k - 1] / k for k in range(1, n + 1)]
 
 
 def ref_compose(a, inner):
@@ -168,7 +145,6 @@ def test_ring_operations_match_the_fraction_reference(a, b, c):
     matches(sa, a)
     matches(sa + sb, [x + y for x, y in zip(a, b)])
     matches(sa - sb, [x - y for x, y in zip(a, b)])
-    matches(-sa, [-x for x in a])
     matches(sa * sb, ref_mul(a, b))
     matches(sa * c, [x * c for x in a])
     matches(c * sa, [x * c for x in a])
@@ -188,10 +164,9 @@ def test_inv_matches_the_fraction_reference(a):
         matches(RationalSeries(a).inv(), ref_inv(a))
 
 
-@given(coefficient_lists())
-def test_log_matches_the_fraction_reference(a):
-    a[0] = F(1)
-    matches(RationalSeries(a).log(), ref_log(a))
+@given(rationals, st.integers(0, 8))
+def test_log_one_minus_matches_the_fraction_reference(c, order):
+    matches(log_one_minus(c, order), [F(0)] + [-c ** k / k for k in range(1, order + 1)])
 
 
 @given(coefficient_lists(), coefficient_lists(min_order=1))
@@ -211,7 +186,7 @@ def test_equal_series_are_stored_alike(a):
 def test_canonical_form():
     assert RationalSeries([F(2, 4)], 0) == RationalSeries([F(1, 2)], 0)
     s = RationalSeries([F(1, 2), F(-1, 3)], 3)
-    assert s.scale(-1)._den == 6 and s.scale(-1) == -s
+    assert s.scale(-1)._den == 6 and s.scale(-1) == RationalSeries([F(-1, 2), F(1, 3)], 3)
     assert s.scale(0) == RationalSeries.zero(3)
     assert s != RationalSeries([F(1, 2), F(-1, 3)], 4)
 
