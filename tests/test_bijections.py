@@ -152,31 +152,20 @@ def test_f_bijection_exhaustive(n):
         assert cycle_dist.get(k, 0) == stirling_first(n, k)
 
 
-def test_cycle_form_validation_messages():
-    # the element checks run in this order, each with its own message
+def test_cycle_form_validation():
+    # the checks run in this order, each with its own message
     cases = [
         ([], "empty cycle form"),
         ([(1,), ()], "empty cycle"),
-        ([(2, 0)], "bad or repeated element 0"),
-        ([(2,), (3, 1), (4, 5, 2)], "bad or repeated element 2"),
-        ([(1,), (3,)], "cycles do not cover 1..2"),
+        ([(0, 1)], "bad or repeated element 0"),
+        ([(1, 2), (2, 3)], "bad or repeated element 2"),
+        ([(1, 3)], "cycles do not cover 1..2"),
     ]
     for cycles, message in cases:
         with pytest.raises(MalformedCyclesError, match=f"^{re.escape(message)}$"):
             CycleForm(cycles)
     with pytest.raises(TypeError):  # integers are checked before the empty cycle
         CycleForm([(), (1, "a")])
-
-
-def test_cycle_form_validation():
-    with pytest.raises(MalformedCyclesError):
-        CycleForm([(1, 2), (2, 3)])
-    with pytest.raises(MalformedCyclesError):
-        CycleForm([(1, 3)])
-    with pytest.raises(MalformedCyclesError):
-        CycleForm([(0, 1)])
-    with pytest.raises(MalformedCyclesError):
-        CycleForm([])
 
 
 @pytest.mark.parametrize("cycles", [[(1, 2.0)], [(1.5,)], [("1",)]])
@@ -210,8 +199,10 @@ def test_cycle_form_is_its_permutation(oneline, data):
     assert sorted(v for c in cycles for v in c) == list(range(1, len(pi) + 1))
     assert cf.cycle_count() == len(cycles) == cycle_count(pi)
     assert cf.n == len(pi)
-    shuffled = [c[k:] + c[:k] for c in data.draw(st.permutations(cycles))
-                for k in [data.draw(st.integers(0, len(c) - 1))]]
+    shuffled = []
+    for c in data.draw(st.permutations(cycles)):
+        k = data.draw(st.integers(0, len(c) - 1))
+        shuffled.append(c[k:] + c[:k])
     rebuilt = CycleForm(shuffled)
     assert rebuilt == cf and hash(rebuilt) == hash(cf)
     assert rebuilt.cycles == cycles and rebuilt.to_text() == cf.to_text()
