@@ -9,7 +9,7 @@ ascent count is preserved (`g_ascents`).
 
 from __future__ import annotations
 
-from operator import index
+from operator import index, lt
 from typing import Iterable
 
 from invbargraph.invseq import InversionSequence, Permutation, parse_ints
@@ -111,13 +111,18 @@ def complement(rho: InversionSequence) -> InversionSequence:
     return InversionSequence(i + 1 - v for i, v in enumerate(rho, start=1))
 
 
+def _with_entry(rho: InversionSequence, i: int, v: int) -> InversionSequence:
+    """rho with its entry at 0-based index i replaced by v."""
+    entries = list(rho)
+    entries[i] = v
+    return InversionSequence(entries)
+
+
 def area_flip(rho: InversionSequence) -> InversionSequence:
     """Toggle rho_2 between 1 and 2; changes the area by exactly one."""
     if len(rho) < 2:
         raise TooShortError("need length at least 2 to flip the second entry")
-    entries = list(rho)
-    entries[1] = 3 - entries[1]
-    return InversionSequence(entries)
+    return _with_entry(rho, 1, 3 - rho[1])
 
 
 def sper_involution(rho: InversionSequence) -> InversionSequence | None:
@@ -128,15 +133,11 @@ def sper_involution(rho: InversionSequence) -> InversionSequence | None:
     k-1.  Returns None when no such k exists: exactly the 2^(n-1) sequences
     with every rho_i in {i-1, i}.
     """
-    k = next(
-        (i for i, v in enumerate(rho, start=1) if v not in (i - 1, i)),
-        None,
-    )
+    # rho_i <= i, so rho_i is outside {i-1, i} exactly when it is below i-1
+    k = next((i for i, v in enumerate(rho, start=1) if v < i - 1), None)
     if k is None:
         return None
-    entries = list(rho)
-    entries[k - 2] = 2 * k - 3 - entries[k - 2]
-    return InversionSequence(entries)
+    return _with_entry(rho, k - 2, 2 * k - 3 - rho[k - 2])
 
 
 def levels_involution(rho: InversionSequence) -> InversionSequence | None:
@@ -148,9 +149,7 @@ def levels_involution(rho: InversionSequence) -> InversionSequence | None:
     j = next((i for i, v in enumerate(rho, start=1) if v > 2), None)
     if j is None:
         return None
-    entries = list(rho)
-    entries[j - 2] = 3 - entries[j - 2]
-    return InversionSequence(entries)
+    return _with_entry(rho, j - 2, 3 - rho[j - 2])
 
 
 # -- levels-to-cycles bijection ---------------------------------------------------
@@ -206,24 +205,22 @@ def f_inverse(pi: CycleForm) -> InversionSequence:
 def g_ascents(rho: InversionSequence) -> Permutation:
     """Ascent-preserving map onto permutations.
 
-    For j = 2..n with l = rho_j: bump every letter of the current word lying
-    in [l, j-1] up by one, then append l.
+    Letter j is the rho_j-th smallest letter that letters j+1..n have not
+    taken, so it has rank rho_j among letters 1..j (the inversion-table
+    construction, Knuth, TAOCP Vol. 3, 5.1.1).
     """
-    word = [1]
-    for j, v in enumerate(list(rho)[1:], start=2):
-        word = [w + 1 if v <= w <= j - 1 else w for w in word]
-        word.append(v)
-    return Permutation(word)
+    free = list(range(1, len(rho) + 1))
+    word = [free.pop(v - 1) for v in reversed(rho.entries)]  # letters n..1
+    return Permutation(reversed(word))
 
 
 def g_inverse(pi: Permutation) -> InversionSequence:
-    """Inverse of g_ascents: strip last letters, closing the gaps above them."""
-    word = list(pi.oneline)
-    entries: list[int] = []
-    while word:
-        v = word.pop()
-        entries.append(v)
-        word = [w - 1 if w > v else w for w in word]
+    """Inverse of g_ascents: rho_j is the rank of letter j among the letters not yet read."""
+    free = list(range(1, len(pi) + 1))
+    entries = []
+    for v in reversed(pi.oneline):
+        entries.append(1 + free.index(v))
+        free.remove(v)
     return InversionSequence(reversed(entries))
 
 
@@ -238,5 +235,5 @@ def cycle_count(pi: Permutation) -> int:
 def ascent_count(pi: Permutation) -> int:
     """Number of indices i with pi_i < pi_{i+1}."""
     word = pi.oneline
-    return sum(1 for i in range(len(word) - 1) if word[i] < word[i + 1])
+    return sum(map(lt, word, word[1:]))
 

@@ -28,12 +28,17 @@ ENUMERATE_MAX = 10
 # start included.  Ranges over repeated fresh runs, C kernel, Python 3.11 on a
 # shared 2-core Xeon: area/sper takes 1.2-1.6 s at 16, 1.4-2.3 s at 17 and
 # 3.1 s at 18; lda takes 1.5-1.9 s at 35, 2.1 s at 36 and 3.3 s at 40.  The
-# text forms, not the recurrences, take most of it.  `--engine brute` stops
-# at the kernel's own limit, `kernel.MAX_N` = 12, which is inside the same
-# budget: 1.0-1.8 s for area/sper and 0.8-1.3 s for lda at 12 (8 runs each,
-# csv and json).  The pure-Python kernel takes minutes there.
+# text forms, not the recurrences, take most of it.
 AREA_SPER_TABLE_MAX = 16
 LDA_TABLE_MAX = 35
+# `--engine brute`, one cap per kernel backend (`kernel.BACKEND`) from the same
+# budget.  The C kernel stops at its own limit, `kernel.MAX_N` = 12: 1.0-1.8 s
+# for area/sper and 0.8-1.3 s for lda at 12 (8 runs each, csv and json).  The
+# pure-Python kernel (7 fresh runs each of csv and json per kind) takes
+# 0.3-0.9 s at 9, but at 10 1.6-2.9 s for area/sper and 1.4-2.2 s for lda;
+# lda at 11 takes 17.8 s in process.
+BRUTE_MAX_C = kernel.MAX_N
+BRUTE_MAX_PYTHON = 9
 # `verify` sizes; the benchmark's verify-deep workload runs at these two caps.
 # Against the same 2 s budget (all suites, fresh runs, as above): 0.5-0.6 s at
 # the defaults (nmax 7, order 8) and 0.9-1.1 s at the caps.  Above them, with
@@ -42,14 +47,18 @@ LDA_TABLE_MAX = 35
 # 1.1-1.2 and 1.5-1.9 s, where the symbolic tables to depth `order` dominate.
 VERIFY_NMAX_MAX = 9
 VERIFY_ORDER_MAX = 12
-# Largest n whose five totals all print under Python's default 4300-digit
-# int->str limit (total_area and total_sper have 4299 digits at 1556 and
-# more than 4300 at 1557).  A totals call costs about 0.02 s at that size,
-# so the digit limit, not time, is what binds.
+# Largest n whose five totals all print under `invseq.DIGITS_MAX`, Python's
+# default 4300-digit int->str limit (total_area and total_sper have 4299
+# digits at 1556 and more than 4300 at 1557).  A totals call costs about
+# 0.02 s at that size, so the digit limit, not time, is what binds.  The same
+# limit bounds every integer the CLI reads (`invseq.INTEGER`); a `series`
+# coefficient past it is reported as too long to print.
 TOTALS_MAX = 1556
 
-# num or num/den: the integer syntax of `invseq.INTEGER`, then a positive denominator.
-_RATIONAL_RE = re.compile(rf"\s*{invseq.INTEGER}(/[1-9][0-9]*)?\s*", re.ASCII)
+# num or num/den: the integer syntax of `invseq.INTEGER`, then a positive
+# denominator of at most `invseq.DIGITS_MAX` digits.
+_RATIONAL_RE = re.compile(
+    rf"\s*{invseq.INTEGER}(/[1-9][0-9]{{0,{invseq.DIGITS_MAX - 1}}})?\s*", re.ASCII)
 
 
 class UsageError(Exception):
@@ -80,6 +89,16 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
         raise UsageError(f"not a rational (use num or num/den): {text!r}")
     return Fraction(text)
+
+
+def _number_text(x: int | Fraction) -> str:
+    """x in decimal, or a usage error when it has more than `invseq.DIGITS_MAX` digits."""
+    try:
+        return str(x)
+    except ValueError:  # Python's own message names a setting this program never changes
+        raise UsageError(
+            f"result too long to print: a number has more than {invseq.DIGITS_MAX} digits"
+        ) from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -126,8 +145,9 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise UsageError("n must be positive")
-    if args.engine == "brute" and n > kernel.MAX_N:
-        raise UsageError(f"brute enumeration is limited to n <= {kernel.MAX_N}")
+    brute_max = BRUTE_MAX_C if kernel.BACKEND == "c" else BRUTE_MAX_PYTHON
+    if args.engine == "brute" and n > brute_max:
+        raise UsageError(f"brute enumeration is limited to n <= {brute_max}")
     cap = AREA_SPER_TABLE_MAX if args.kind == "area-sper" else LDA_TABLE_MAX
     if n > cap:
         raise UsageError(f"{args.kind} tables are limited to n <= {cap}")
@@ -205,13 +225,13 @@ def _cmd_series(args: argparse.Namespace) -> int:
     for flag in SERIES_FLAGS:
         if flag not in flags and getattr(args, flag) is not None:
             raise UsageError(f"series {args.which} does not read --{flag}")
-    series = closed(*map(need, flags), order)
+    coeffs = [_number_text(c) for c in closed(*map(need, flags), order).coeffs]
     if args.format == "json":
-        text = json.dumps(list(map(str, series.coeffs))) + "\n"
+        text = json.dumps(coeffs) + "\n"
     elif args.format == "csv":
-        text = "".join(f"{k},{c}\n" for k, c in enumerate(series.coeffs))
+        text = "".join(f"{k},{c}\n" for k, c in enumerate(coeffs))
     else:
-        text = "".join(f"x^{k}\t{c}\n" for k, c in enumerate(series.coeffs))
+        text = "".join(f"x^{k}\t{c}\n" for k, c in enumerate(coeffs))
     _emit(text, args.out)
     return 0
 

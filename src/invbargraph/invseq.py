@@ -38,8 +38,9 @@ class OutOfRangeError(ValueError):
         self.value = value
 
 
-# A decimal integer as users type it: no sign but '-', no '_', ASCII digits only.
-INTEGER = r"-?[0-9]+"
+DIGITS_MAX = 4300  # Python's default limit on the digits of an int read or written as text
+# A decimal integer as users type it: no sign but '-', no '_', 1..DIGITS_MAX ASCII digits.
+INTEGER = rf"-?[0-9]{{1,{DIGITS_MAX}}}"
 INT_RE = re.compile(rf"\s*{INTEGER}\s*", re.ASCII)
 
 
@@ -149,13 +150,12 @@ def validate(raw: Iterable[int]) -> InversionSequence:
 
 def from_permutation(pi: Permutation) -> InversionSequence:
     """Shifted inversion table: entry i is 1 + #{j in [i-1] right of letter i}."""
-    word = pi.oneline
-    pos = {v: k for k, v in enumerate(word)}
+    word = list(pi.oneline)
     entries = []
-    for i in range(1, len(word) + 1):
-        smaller_right = sum(1 for j in range(1, i) if pos[j] > pos[i])
-        entries.append(1 + smaller_right)
-    return InversionSequence(entries)
+    for i in range(len(word), 0, -1):  # the word holds 1..i: undo `to_permutation`
+        entries.append(i - word.index(i))
+        word.remove(i)
+    return InversionSequence(reversed(entries))
 
 
 def to_permutation(rho: InversionSequence) -> Permutation:

@@ -30,7 +30,9 @@ intermediate result.  `+`, `-`, `*` and `substitute` are calls of it, and the
 table recurrences build each cell with one call.
 
 Coefficients are Python ints and zero terms are never stored, so equality
-is plain term-map equality.  Values are immutable after construction and
+is plain term-map equality.  Every coefficient, exponent and scalar operand
+passes `operator.index`: a float or a Fraction raises TypeError instead of
+being truncated.  Values are immutable after construction and
 safe to share between threads.  items() yields (exponent tuple, coeff)
 pairs; no code outside this module reads or builds packed keys.
 """
@@ -84,7 +86,7 @@ class MissingAssignmentError(KeyError):
 def _as_expvec(exps: Mapping[str, int]) -> ExpVec:
     vec = [0] * NVARS
     for name, e in exps.items():
-        vec[_VAR_INDEX[name]] = int(e)
+        vec[_VAR_INDEX[name]] = operator.index(e)
     return tuple(vec)
 
 
@@ -93,8 +95,8 @@ def _overflow(what: object) -> OverflowError:
 
 
 def _pack(exp: Iterable[int]) -> int:
-    """Packed key of an exponent vector; ValueError or OverflowError if invalid."""
-    exp = tuple(exp)
+    """Packed key of an exponent vector; TypeError, ValueError or OverflowError if invalid."""
+    exp = tuple(map(operator.index, exp))
     if len(exp) != NVARS:
         raise ValueError(f"exponent vector must have length {NVARS}: {exp!r}")
     if min(exp) < EXP_MIN or max(exp) > EXP_MAX:
@@ -118,6 +120,7 @@ class MPoly:
         clean: dict[int, int] = {}
         if terms:
             for exp, c in terms.items():
+                c = operator.index(c)
                 if c:
                     key = _pack(exp)
                     clean[key] = clean.get(key, 0) + c
@@ -137,8 +140,7 @@ class MPoly:
 
     @classmethod
     def const(cls, c: int) -> "MPoly":
-        c = int(c)
-        return _raw({_ZERO_KEY: c} if c else {})
+        return _raw(_terms_of(c))
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
@@ -147,7 +149,7 @@ class MPoly:
     @classmethod
     def monomial(cls, coeff: int, **exps: int) -> "MPoly":
         """Build coeff * y^a p^b q^c r^d t^e from keyword exponents."""
-        return cls({_as_expvec(exps): int(coeff)})
+        return cls({_as_expvec(exps): coeff})
 
     # -- basic protocol ----------------------------------------------------
 
@@ -420,7 +422,7 @@ class MPoly:
     def from_json_obj(cls, obj: Iterable[Mapping[str, object]]) -> "MPoly":
         terms: dict[ExpVec, int] = {}
         for entry in obj:
-            exp = tuple(int(e) for e in entry["exp"])  # type: ignore[union-attr]
+            exp = tuple(map(operator.index, entry["exp"]))  # type: ignore[arg-type]
             terms[exp] = terms.get(exp, 0) + int(str(entry["coeff"]))
         return cls(terms)
 
@@ -443,7 +445,8 @@ def _coerce(x: "MPoly | int") -> MPoly:
 def _terms_of(x: "MPoly | int") -> dict[int, int]:
     if isinstance(x, MPoly):
         return x._terms
-    return {_ZERO_KEY: int(x)} if x else {}
+    x = operator.index(x)  # a float or Fraction raises TypeError, never truncates
+    return {_ZERO_KEY: x} if x else {}
 
 
 def lincomb(pairs: Iterable[tuple["MPoly | int", "MPoly | int"]]) -> MPoly:

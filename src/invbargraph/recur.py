@@ -300,11 +300,14 @@ def point_table(engine: str, n: int, **values: Rat) -> DistTable:
     built by running the recurrence on the numbers (int cells at an integer
     point, Fraction cells otherwise), which is far cheaper than evaluating
     the symbolic table.  The area/sper engines take p and q, the lda engines
-    p, q and r.
+    p, q and r, each an int or a Fraction so that the cells stay exact.
     """
     build, markers = _ENGINES[engine]
     if sorted(values) != sorted(markers):
         raise ValueError(f"{engine} needs values for {', '.join(markers)}, got {sorted(values)}")
+    for name, v in values.items():
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{name} must be an int or a Fraction, got {type(v).__name__}")
     return build(n, _at_point(values))
 
 

@@ -28,7 +28,10 @@ class CheckResult:
 
 def _show(value: Any) -> str:
     to_text = getattr(value, "to_text", None)
-    return to_text() if to_text is not None else str(value)
+    try:
+        return to_text() if to_text is not None else str(value)
+    except ValueError:  # an integer past Python's int->str digit limit
+        return "(a number too long to print)"
 
 
 def check(

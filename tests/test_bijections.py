@@ -26,6 +26,12 @@ from invbargraph.recur import eulerian, stirling_first
 
 IS = InversionSequence
 
+# Inversion sequences and permutations of length 1..40.
+sequences = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(*(st.integers(1, i) for i in range(1, n + 1)))
+)
+permutations = st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1)))
+
 
 # -- complement ---------------------------------------------------------------
 
@@ -228,13 +234,31 @@ def test_g_extreme_cases():
     assert g_inverse(Permutation((5, 4, 3, 2, 1))) == IS((1, 1, 1, 1, 1))
 
 
+@given(sequences)
+def test_g_letter_j_has_rank_rho_j_among_the_first_j(entries):
+    rho = IS(entries)
+    word = g_ascents(rho).oneline
+    for j, v in enumerate(entries, start=1):
+        assert 1 + sum(w < word[j - 1] for w in word[:j]) == v
+    assert g_inverse(g_ascents(rho)) == rho
+
+
+@given(permutations)
+def test_g_inverse_is_undone_by_g(oneline):
+    pi = Permutation(oneline)
+    assert g_ascents(g_inverse(pi)) == pi
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_g_bijection_exhaustive(n):
     images = set()
     ascent_dist = Counter()
     for rho in enumerate_sequences(n):
         image = g_ascents(rho)
+        word = image.oneline
+        # the ascent count read off the word agrees with the bargraph ascents
         assert ascent_count(image) == stats(rho).ascents
+        assert ascent_count(image) == sum(word[i] < word[i + 1] for i in range(n - 1))
         assert g_inverse(image) == rho
         images.add(image)
         ascent_dist[ascent_count(image)] += 1

@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invbargraph import cli, invseq, kernel, recur, verify
 from invbargraph.invseq import InversionSequence, Permutation
@@ -102,9 +107,20 @@ def test_dist_json_round_trips(capsys):
 
 
 def test_dist_brute_guard(capsys):
-    n = str(kernel.MAX_N + 1)
-    assert run_cli(capsys, "dist", "lda", "-n", n, "--engine", "brute") == (
-        2, "", f"error: brute enumeration is limited to n <= {kernel.MAX_N}\n")
+    cap = kernel.MAX_N if kernel.BACKEND == "c" else cli.BRUTE_MAX_PYTHON
+    assert run_cli(capsys, "dist", "lda", "-n", str(cap + 1), "--engine", "brute") == (
+        2, "", f"error: brute enumeration is limited to n <= {cap}\n")
+
+
+def test_dist_brute_guard_on_the_pure_kernel():
+    """The pure-Python kernel, slower by about 10x, has its own cap."""
+    n = str(cli.BRUTE_MAX_PYTHON + 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "invbargraph", "dist", "lda", "-n", n, "--engine", "brute"],
+        capture_output=True, text=True, env={**os.environ, "INVBARGRAPH_PURE": "1"}, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: brute enumeration is limited to n <= {cli.BRUTE_MAX_PYTHON}\n")
 
 
 @pytest.mark.parametrize("kind,cap", [("area-sper", cli.AREA_SPER_TABLE_MAX),
@@ -698,3 +714,94 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["area"] == "27"
+
+
+LONG = "1" * 5000  # past the 4300-digit limit of Python's int <-> str conversion
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("stats", f"1,{LONG}"), f"error: not a comma-separated list of integers: '1,{LONG}'\n"),
+    (("verify", "--p", "1" * 4401, "--q", "1", "--r", "1"),
+     f"error: not a rational (use num or num/den): '{'1' * 4401}'\n"),
+    (("series", "A1", "--p", "1" + "0" * 100, "--order", "12"),
+     "error: result too long to print: a number has more than 4300 digits\n"),
+    (("series", "tote2", "--y", "1" + "0" * 400, "--order", "12"),
+     "error: result too long to print: a number has more than 4300 digits\n"),
+], ids=["stats", "verify", "series-A1", "series-tote2"])
+def test_digit_limit_is_reported_in_the_programs_words(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
+def test_digit_bound_is_the_integer_syntax(capsys):
+    assert invseq.DIGITS_MAX == 4300
+    assert invseq.INT_RE.fullmatch("-" + "9" * 4300)
+    assert not invseq.INT_RE.fullmatch("9" * 4301)
+    big = "1" + "0" * 4299
+    assert cli.parse_rational(f"{big}/{big}") == 1
+    for text in (f"1/1{big}", f"1{big}"):
+        assert run_cli(capsys, "series", "A1", "--p", text, "--order", "1") == (
+            2, "", f"error: not a rational (use num or num/den): '{text}'\n")
+
+
+def test_a_mismatch_too_long_to_print_is_reported(capsys):
+    """A failing check at a huge point still writes its report."""
+    code, out, err = run_cli(capsys, "verify", "--suite", "gf", "--nmax", "3", "--order", "4",
+                             "--p", "1" + "0" * 4000, "--q", "2", "--r", "3", "--corrupt")
+    assert (code, err) == (1, "")
+    assert "x^3: (a number too long to print) != (a number too long to print)" in out
+
+
+# The CLI fuzz: a subcommand, its positionals and up to four flags with
+# values, each token either one the slot takes or junk.  Numbers stay at most
+# 3 or far over every cap, so no example does real work (`enumerate -n 3`,
+# `dist lda -n 3`), and 99 and 5000 digits meet the guards.
+FUZZ_INPUTS = ("1,2,1", "1,1,3", "3,2,1", "(1,2)(3)")
+FUZZ_RATIONALS = ("1/2", "-3/4", "2", "1", "0")
+FUZZ_GRAMMAR = {  # command: (the choices of each positional, the flags)
+    "enumerate": ((), ("-n", "--format")),
+    "stats": ((FUZZ_INPUTS,), ("--format",)),
+    "dist": ((("area-sper", "lda"),), ("-n", "--engine", "--format")),
+    "totals": ((), ("-n", "--format")),
+    "map": ((tuple(cli.MAPS), FUZZ_INPUTS), ("--format",)),
+    "series": ((tuple(cli.SERIES),), ("--order", "--p", "--y", "--format")),
+    "verify": ((), ("--suite", "--nmax", "--order", "--seed", "--p", "--q", "--r",
+                    "--corrupt")),
+}
+FUZZ_VALUES = {  # the values each flag takes; --corrupt takes none
+    "-n": ("1", "2", "3"), "--order": ("1", "2", "3"), "--nmax": ("3",), "--seed": ("0", "-1"),
+    "--format": ("text", "json", "csv"), "--engine": ("brute", "lemma", "threeterm"),
+    "--suite": ("all", *verify.SUITES), "--p": FUZZ_RATIONALS, "--q": FUZZ_RATIONALS,
+    "--r": FUZZ_RATIONALS, "--y": FUZZ_RATIONALS,
+}
+FUZZ_JUNK = ("-1", "0", "99", LONG, "1/0", "2/" + LONG, LONG + "/3", ",", "1,", "(1,2", "()",
+             "(", ")", "", " ", "x", "-x", "--", "--nmax", "verify")
+
+
+@st.composite
+def fuzz_argv(draw):
+    def token(choices):  # mostly one the slot takes, one time in five junk
+        junk = not choices or draw(st.integers(0, 4)) == 0
+        return draw(st.sampled_from(FUZZ_JUNK if junk else choices))
+
+    command = token(tuple(FUZZ_GRAMMAR))
+    positionals, flags = FUZZ_GRAMMAR.get(command, ((), ()))
+    argv = [command, *map(token, positionals)]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = token(flags)
+        argv += [flag] if flag == "--corrupt" else [flag, token(FUZZ_VALUES.get(flag, ()))]
+    if command == "verify":  # smallest sizes first; a later --nmax or --order is 0..3 or 99+
+        argv[1:1] = ["--nmax", "3", "--order", "2"]
+    return argv
+
+
+@settings(max_examples=800)
+@given(fuzz_argv())
+def test_cli_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+    for text in (out.getvalue(), err.getvalue()):
+        assert "Traceback" not in text and "set_int_max_str_digits" not in text

@@ -1,6 +1,8 @@
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from invbargraph.invseq import (
     EmptySequenceError,
@@ -86,6 +88,26 @@ def test_to_permutation_worked_example():
 
 def test_to_permutation_flat():
     assert to_permutation(InversionSequence((1, 1, 1, 1))) == Permutation((1, 2, 3, 4))
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_from_permutation_counts_smaller_letters_to_the_right(oneline):
+    pi = Permutation(oneline)
+    rho = from_permutation(pi)
+    for i in range(1, len(oneline) + 1):
+        right = oneline[oneline.index(i) + 1:]
+        assert rho[i - 1] == 1 + sum(v < i for v in right)
+    assert to_permutation(rho) == pi
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(*(st.integers(1, i) for i in range(1, n + 1)))
+    )
+)
+def test_to_permutation_round_trip(entries):
+    rho = InversionSequence(entries)
+    assert from_permutation(to_permutation(rho)) == rho
 
 
 @pytest.mark.parametrize("n", range(1, 8))

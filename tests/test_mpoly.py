@@ -463,3 +463,29 @@ def test_point_rows_agree_with_the_symbolic_rows():
         table = point_table(engine, 7, **point)
         for n in range(1, 8):
             assert table.row_sum(n) == symbolic.row_sum(n).eval_rational(point)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: P + Fraction(3, 2),
+    lambda: Fraction(3, 2) + P,
+    lambda: P - 0.5,
+    lambda: 0.5 - P,
+    lambda: P * Fraction(1, 2),
+    lambda: P * 0.0,
+    lambda: (P * Q + 1).substitute("p", Fraction(1, 2)),
+    lambda: lincomb([(Fraction(1, 2), P)]),
+    lambda: MPoly.const(2.5),
+    lambda: MPoly.monomial(1, p=1.5),
+    lambda: MPoly.monomial(1.5, p=1),
+    lambda: MPoly({(0, 1, 0, 0, 0): 1.5}),
+    lambda: MPoly({(0, 1.0, 0, 0, 0): 1}),
+    lambda: MPoly.from_json_obj([{"coeff": "2", "exp": [0, 1.5, 0, 0, 0]}]),
+    lambda: point_table("a_lemma", 3, p=0.5, q=1),
+    lambda: point_table("b_lemma", 3, p=1, q=Fraction(1, 2), r="1"),
+], ids=["add", "radd", "sub", "rsub", "mul", "mul-zero", "substitute", "lincomb", "const",
+        "monomial-exp", "monomial-coeff", "init-coeff", "init-exp", "from-json-exp",
+        "point-table-float", "point-table-str"])
+def test_non_integer_scalars_raise(build):
+    """Arithmetic stays exact: a non-integer scalar is refused, never truncated."""
+    with pytest.raises(TypeError):
+        build()
