@@ -31,13 +31,10 @@ ENUMERATE_MAX = 10
 # text forms, not the recurrences, take most of it.
 AREA_SPER_TABLE_MAX = 16
 LDA_TABLE_MAX = 35
-# `--engine brute`, one cap per kernel backend (`kernel.BACKEND`) from the same
-# budget.  The C kernel stops at its own limit, `kernel.MAX_N` = 12: 1.0-1.8 s
-# for area/sper and 0.8-1.3 s for lda at 12 (8 runs each, csv and json).  The
-# pure-Python kernel (7 fresh runs each of csv and json per kind) takes
-# 0.3-0.9 s at 9, but at 10 1.6-2.9 s for area/sper and 1.4-2.2 s for lda;
-# lda at 11 takes 17.8 s in process.
-BRUTE_MAX_C = kernel.MAX_N
+# `--engine brute` on the pure-Python kernel, from the same budget: 7 fresh
+# runs each of csv and json per kind took 0.3-0.9 s at 9, but at 10 1.6-2.9 s
+# for area/sper and 1.4-2.2 s for lda; lda at 11 takes 17.8 s in process.  On
+# the C kernel the cap is the kernel's own limit, `kernel.MAX_N`.
 BRUTE_MAX_PYTHON = 9
 # `verify` sizes; the benchmark's verify-deep workload runs at these two caps.
 # Against the same 2 s budget (all suites, fresh runs, as above): 0.5-0.6 s at
@@ -52,13 +49,25 @@ VERIFY_ORDER_MAX = 12
 # digits at 1556 and more than 4300 at 1557).  A totals call costs about
 # 0.02 s at that size, so the digit limit, not time, is what binds.  The same
 # limit bounds every integer the CLI reads (`invseq.INTEGER`); a `series`
-# coefficient past it is reported as too long to print.
+# coefficient past it would be reported as too long to print, though none is
+# at the caps below.
 TOTALS_MAX = 1556
+# Digits of each numerator and denominator of a rational parameter (`series`
+# and `verify`), from the same 2 s budget: exact arithmetic at the point grows
+# with its digits.  Fresh runs at the caps (`verify --nmax 9 --order 12`,
+# `series --order 12`), random numerators and denominators of both signs with
+# all D digits (13 runs each at 30, C kernel): at 30 `verify` takes 1.1-1.7 s
+# (0.8 s at one-digit points), `verify` at (10^29, 10^-29, 10^29) 0.8-1.0 s,
+# `series A` 0.5-0.7 s and `series A1` 0.2-0.4 s; at 40 `verify` takes
+# 1.2-1.8 s, and at 50 1.7-2.0 s, where `series A` passes the 4300-digit print
+# limit.  At 4000 digits `verify` took 33 s and `series A1` more than 300 s.
+RATIONAL_DIGITS_MAX = 30
 
-# num or num/den: the integer syntax of `invseq.INTEGER`, then a positive
-# denominator of at most `invseq.DIGITS_MAX` digits.
+# num or num/den: the integer syntax of `invseq.INTEGER` with at most
+# RATIONAL_DIGITS_MAX digits, then a positive denominator of as many.
 _RATIONAL_RE = re.compile(
-    rf"\s*{invseq.INTEGER}(/[1-9][0-9]{{0,{invseq.DIGITS_MAX - 1}}})?\s*", re.ASCII)
+    rf"\s*-?[0-9]{{1,{RATIONAL_DIGITS_MAX}}}(/[1-9][0-9]{{0,{RATIONAL_DIGITS_MAX - 1}}})?\s*",
+    re.ASCII)
 
 
 class UsageError(Exception):
@@ -87,7 +96,8 @@ def _int(text: str) -> int:
 
 def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
-        raise UsageError(f"not a rational (use num or num/den): {text!r}")
+        raise UsageError(f"not a rational (use num or num/den, at most "
+                         f"{RATIONAL_DIGITS_MAX} digits each): {text!r}")
     return Fraction(text)
 
 
@@ -145,7 +155,9 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         raise UsageError("n must be positive")
-    brute_max = BRUTE_MAX_C if kernel.BACKEND == "c" else BRUTE_MAX_PYTHON
+    # C kernel at kernel.MAX_N = 12: 1.0-1.8 s for area/sper and 0.8-1.3 s for
+    # lda (8 runs each, csv and json), inside the 2 s budget
+    brute_max = kernel.MAX_N if kernel.BACKEND == "c" else BRUTE_MAX_PYTHON
     if args.engine == "brute" and n > brute_max:
         raise UsageError(f"brute enumeration is limited to n <= {brute_max}")
     cap = AREA_SPER_TABLE_MAX if args.kind == "area-sper" else LDA_TABLE_MAX

@@ -5,9 +5,10 @@ On import, loads the plain-C walkers of ``_kernel.c`` with ``ctypes`` from
 source and the compiler command), compiling them there first with ``cc`` if
 that file is missing.  If anything on that path fails (no compiler, a
 directory that cannot be written, a load error), the pure-Python
-``_kernel_py`` is used instead, and one line on stderr gives the reason.  ``BACKEND`` says which one is active:
-``"c"`` or ``"python"``.  Set ``INVBARGRAPH_PURE=1`` to force the pure
-kernel, e.g. for benchmarking or debugging.
+``_kernel_py`` is used instead, and one line on stderr gives the reason.
+``BACKEND`` says which one is active: ``"c"`` or ``"python"``.  Only the
+machine decides, and no setting forces either kernel; the pure walkers can
+still be called directly from ``_kernel_py``.
 
 Both backends return the same dicts; see ``_kernel_py`` for the conventions.
 """
@@ -101,7 +102,7 @@ def _lda_counts_c(n: int) -> dict[tuple[int, int, int, int], int]:
             for last, lev, des, c in _walk(_lib.lda_counts, n, n, n)}
 
 
-_lib = None if os.environ.get("INVBARGRAPH_PURE") == "1" else _load()
+_lib = _load()
 
 MAX_N = _kernel_py.MAX_N
 

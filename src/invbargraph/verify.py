@@ -302,8 +302,10 @@ def _suite_gf(
         results.append(gf.check_area_ogf_recursion(p, order, table, a_sums))
         results.append(gf.check_area_ogf_closed(p, None, order, table, a_sums))
 
+    # at y = 0 every row polynomial vanishes (each cell carries y^i, i >= 1),
+    # so the check would compare 0 with 0
     py_points = [(Fraction(1, 2), Fraction(1, 3))]
-    for p, y in _draw(rng, py_points, 6, lambda p, y: p != 1 and p * y != 1):
+    for p, y in _draw(rng, py_points, 6, lambda p, y: p != 1 and p * y != 1 and y != 0):
         table = t.point_lemma("a_lemma", p=p, q=1)
         results.append(gf.check_area_ogf_closed(p, y, order, table, a_rows))
 

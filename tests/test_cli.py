@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -26,6 +25,7 @@ from invbargraph.recur import (
 )
 
 SCI_NOTATION = re.compile(r"\d[eE][+-]?\d")
+NOT_A_RATIONAL = "error: not a rational (use num or num/den, at most 30 digits each): "
 
 
 def run_cli(capsys, *argv):
@@ -112,15 +112,22 @@ def test_dist_brute_guard(capsys):
         2, "", f"error: brute enumeration is limited to n <= {cap}\n")
 
 
-def test_dist_brute_guard_on_the_pure_kernel():
-    """The pure-Python kernel, slower by about 10x, has its own cap."""
+def test_dist_brute_guard_on_the_pure_kernel(tmp_path, fresh_copy):
+    """Without a compiler the pure-Python kernel runs, and it has its own cap.
+
+    Its two walks take 71-77x as long as the C ones at n = 9 and 176-199x at
+    n = 10 (in process, two runs).
+    """
     n = str(cli.BRUTE_MAX_PYTHON + 1)
     proc = subprocess.run(
         [sys.executable, "-m", "invbargraph", "dist", "lda", "-n", n, "--engine", "brute"],
-        capture_output=True, text=True, env={**os.environ, "INVBARGRAPH_PURE": "1"}, timeout=60,
+        env=fresh_copy(with_cc=False), cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", f"error: brute enumeration is limited to n <= {cli.BRUTE_MAX_PYTHON}\n")
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()) == (2, "", [
+        "invbargraph: C kernel unavailable ([Errno 2] No such file or directory: 'cc'); "
+        "using the pure-Python kernel",
+        f"error: brute enumeration is limited to n <= {cli.BRUTE_MAX_PYTHON}",
+    ])
 
 
 @pytest.mark.parametrize("kind,cap", [("area-sper", cli.AREA_SPER_TABLE_MAX),
@@ -408,7 +415,7 @@ def test_negative_fraction_as_a_separate_argument(capsys):
                                "--p=-1/2", "--q=-2/3", "--r=-5/7")
     assert run_cli(capsys, "series", "A1", "--p", "-1/0") == run_cli(
         capsys, "series", "A1", "--p=-1/0") == (
-        2, "", "error: not a rational (use num or num/den): '-1/0'\n")
+        2, "", f"{NOT_A_RATIONAL}'-1/0'\n")
     assert run_cli(capsys, "series", "A1", "--p", "--order", "3") == (
         2, "", "error: argument --p: expected one argument\n")
 
@@ -438,7 +445,7 @@ def test_series_bad_rational(capsys):
 @pytest.mark.parametrize("text", ["٣", "+1/2", "1/٢"])
 def test_rational_syntax_is_the_integer_syntax(capsys, text):
     assert run_cli(capsys, "series", "A1", "--p", text) == (
-        2, "", f"error: not a rational (use num or num/den): {text!r}\n")
+        2, "", f"{NOT_A_RATIONAL}{text!r}\n")
 
 
 def test_rational_allows_minus_and_plain_integers():
@@ -466,8 +473,7 @@ def test_verify_corrupt_control_fails(capsys):
 # The (formula-id, parameter-point) entries that `--corrupt` cannot reach at
 # --nmax 4 --order 4 and the default seed: the adjacency count and the
 # exhaustive sweeps read no table; the added p*q and p*q*r vanish at p = 0;
-# every row polynomial vanishes at y = 0; and at p = q = r = 1 the kernel
-# substitution x -> x rho(x) is the identity.
+# and at p = q = r = 1 the kernel substitution x -> x rho(x) is the identity.
 CORRUPT_STAYS_PASS = {
     "recurrences": set(),
     "totals": {("adjacency-count-consistency", "")},
@@ -476,7 +482,6 @@ CORRUPT_STAYS_PASS = {
     "bijections": {("levels-to-cycles-roundtrip", ""), ("ascents-map-roundtrip", ""),
                    ("complement-transport", ""), ("bijection-injectivity", "")},
     "gf": {("area-ogf-recursion", "p=0"), ("area-ogf-closed", "p=0"),
-           ("area-ogf-closed", "p=-1,y=0"),
            ("lda-kernel-substitution", "p=1,q=1,r=1"), ("lda-kernel-unrolled", "p=1,q=1,r=1"),
            ("lda-kernel-substitution", "p=0,q=1,r=1"), ("lda-kernel-unrolled", "p=0,q=1,r=1")},
 }
@@ -502,6 +507,32 @@ def test_verify_corrupt_fails_every_suite(capsys, suite):
     pinned = set().union(*(CORRUPT_STAYS_PASS[s] for s in verify.SUITES if suite in ("all", s)))
     assert {(r["formula-id"], r["parameter-point"])
             for r in report if r["status"] == "pass"} == pinned
+
+
+def _at_py_points(results):
+    """The `area-ogf-closed` entries at a (p, y) point."""
+    return [r for r in results if r.formula == "area-ogf-closed" and ",y=" in r.params]
+
+
+def test_no_drawn_area_point_has_y_zero():
+    """At y = 0 every row polynomial vanishes, so the check would compare 0 with 0."""
+    for seed in range(100):
+        results, _ = verify.run_verify(("gf",), nmax=3, order=1, seed=seed)
+        ys = [r.params.partition(",y=")[2] for r in _at_py_points(results)]
+        assert len(ys) == 6 and "0" not in ys, seed
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 1, 2])
+def test_an_area_point_table_cell_fails_every_y_point(monkeypatch, seed):
+    point_table = recur.point_table
+
+    def one_too_many(engine, n, **values):
+        table = point_table(engine, n, **values)
+        return table.with_cell(3, 1, table[3, 1] + 1) if engine == "a_lemma" else table
+
+    monkeypatch.setattr(recur, "point_table", one_too_many)
+    results, _ = verify.run_verify(("gf",), nmax=3, order=4, seed=seed)
+    assert [r.status for r in _at_py_points(results)] == ["fail"] * 6
 
 
 def test_sweep_mismatch_names_its_conditions(capsys, monkeypatch):
@@ -618,26 +649,26 @@ def test_sweep_suites_share_one_enumeration(capsys, monkeypatch):
     assert code == 0 and lengths == [1, 2, 3, 4]
 
 
-# sha256 of passing `verify --out` reports before the sweeps shared their
-# enumeration; a speedup must reproduce them byte for byte.
+# sha256 of passing `verify --out` reports since the (p, y) draw skips y = 0;
+# a speedup must reproduce them byte for byte.
 @pytest.mark.parametrize("argv,digest", [
-    ((), "996cf08383ab9a02f2b401bcd49bd0815881db124cb8b8a92953b72f1951a184"),
+    ((), "746852c7ecae442c350af3d574241832e79cbde11ac6551f86ea447a21643d90"),
     (("--nmax", "9", "--order", "12", "--seed", "1"),
-     "8a01a0d6eb836b2499ea969aa8ea0b56d2113102b3e69d346e18be4d8eb70971"),
-])
+     "248e2c0e7a9f3977a0f11d8cd1867c953763fb34fcf24b40ed84a7aed8eef9d9"),
+], ids=["defaults", "caps-seed-1"])
 def test_verify_report_bytes_pinned(tmp_path, capsys, argv, digest):
     target = tmp_path / "report.json"
     assert run_cli(capsys, "verify", *argv, "--out", str(target))[0] == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
-# sha256 of `verify --corrupt --out` reports before a cycle form held its
-# one-line form; the failing reports must not change either.
+# sha256 of `verify --corrupt --out` reports, from the same draw; the failing
+# reports must not change either.
 @pytest.mark.parametrize("argv,digest", [
-    ((), "5b40a177b5aff197dfc5d1ad54c9cbc968e4f6f624565b5cd66805405cf8425d"),
+    ((), "56a19f41341b842eb6ca19923b6bdb7e7c3a160363c64f801aad5555d38dbd38"),
     (("--nmax", "9", "--order", "12", "--seed", "1"),
-     "d719df07359dd3a0e4d7159b155c7bd6d28bea94c9102486364b25a166d33e5e"),
-])
+     "3f6c2d7e79a7d21fa793970624a554b6fb9a631b2880ef4fe53d02e8e1513cce"),
+], ids=["defaults", "caps-seed-1"])
 def test_verify_corrupt_report_bytes_pinned(tmp_path, capsys, argv, digest):
     target = tmp_path / "report.json"
     assert run_cli(capsys, "verify", *argv, "--corrupt", "--out", str(target))[0] == 1
@@ -717,44 +748,62 @@ def test_module_entry_point():
 
 
 LONG = "1" * 5000  # past the 4300-digit limit of Python's int <-> str conversion
+PAST_RATIONAL = "1" * 31  # one digit past the bound on a rational parameter
 
 
 @pytest.mark.parametrize("argv,message", [
     (("stats", f"1,{LONG}"), f"error: not a comma-separated list of integers: '1,{LONG}'\n"),
-    (("verify", "--p", "1" * 4401, "--q", "1", "--r", "1"),
-     f"error: not a rational (use num or num/den): '{'1' * 4401}'\n"),
+    (("verify", "--p", "1" * 4401, "--q", "1", "--r", "1"), f"{NOT_A_RATIONAL}'{'1' * 4401}'\n"),
+    # (10^4000, 10^-4000, 10^4000) took 33 s before rational parameters had a bound
+    (("verify", "--p", "1" + "0" * 4000, "--q", "1/1" + "0" * 4000, "--r", "1" + "0" * 4000),
+     f"{NOT_A_RATIONAL}'1{'0' * 4000}'\n"),
     (("series", "A1", "--p", "1" + "0" * 100, "--order", "12"),
-     "error: result too long to print: a number has more than 4300 digits\n"),
+     f"{NOT_A_RATIONAL}'1{'0' * 100}'\n"),
     (("series", "tote2", "--y", "1" + "0" * 400, "--order", "12"),
-     "error: result too long to print: a number has more than 4300 digits\n"),
-], ids=["stats", "verify", "series-A1", "series-tote2"])
+     f"{NOT_A_RATIONAL}'1{'0' * 400}'\n"),
+], ids=["stats", "verify", "verify-point", "series-A1", "series-tote2"])
 def test_digit_limit_is_reported_in_the_programs_words(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", message)
 
 
-def test_digit_bound_is_the_integer_syntax(capsys):
+def test_a_result_too_long_to_print_is_a_usage_error():
+    """No `series` coefficient at the caps passes the print limit; the guard is still there."""
+    assert cli._number_text(Fraction(-1, 10 ** 4299)) == "-1/1" + "0" * 4299
+    with pytest.raises(cli.UsageError,
+                       match="^result too long to print: a number has more than 4300 digits$"):
+        cli._number_text(Fraction(1, 10 ** 4300))
+
+
+def test_digit_bound_is_the_integer_syntax():
     assert invseq.DIGITS_MAX == 4300
     assert invseq.INT_RE.fullmatch("-" + "9" * 4300)
     assert not invseq.INT_RE.fullmatch("9" * 4301)
-    big = "1" + "0" * 4299
-    assert cli.parse_rational(f"{big}/{big}") == 1
-    for text in (f"1/1{big}", f"1{big}"):
+
+
+def test_rational_digit_bound(capsys):
+    big = "1" + "0" * (cli.RATIONAL_DIGITS_MAX - 1)
+    assert cli.parse_rational(f"-{big}/{big}") == -1
+    for text in (PAST_RATIONAL, f"-1{big}", f"1/1{big}", f"1{big}/3"):
         assert run_cli(capsys, "series", "A1", "--p", text, "--order", "1") == (
-            2, "", f"error: not a rational (use num or num/den): '{text}'\n")
+            2, "", f"{NOT_A_RATIONAL}'{text}'\n")
 
 
-def test_a_mismatch_too_long_to_print_is_reported(capsys):
-    """A failing check at a huge point still writes its report."""
-    code, out, err = run_cli(capsys, "verify", "--suite", "gf", "--nmax", "3", "--order", "4",
-                             "--p", "1" + "0" * 4000, "--q", "2", "--r", "3", "--corrupt")
-    assert (code, err) == (1, "")
-    assert "x^3: (a number too long to print) != (a number too long to print)" in out
+def test_a_mismatch_too_long_to_print_is_reported():
+    """A failing check at a huge point still writes its report.
+
+    The CLI refuses such a point; the library has no such guard.
+    """
+    results, ok = verify.run_verify(("gf",), nmax=3, order=4, corrupt=True,
+                                    point=(Fraction(10 ** 4000), Fraction(2), Fraction(3)))
+    report = json.dumps([r.to_json_obj() for r in results])
+    assert not ok
+    assert "x^3: (a number too long to print) != (a number too long to print)" in report
 
 
 # The CLI fuzz: a subcommand, its positionals and up to four flags with
 # values, each token either one the slot takes or junk.  Numbers stay at most
 # 3 or far over every cap, so no example does real work (`enumerate -n 3`,
-# `dist lda -n 3`), and 99 and 5000 digits meet the guards.
+# `dist lda -n 3`), and 99, 31 and 5000 digits meet the guards.
 FUZZ_INPUTS = ("1,2,1", "1,1,3", "3,2,1", "(1,2)(3)")
 FUZZ_RATIONALS = ("1/2", "-3/4", "2", "1", "0")
 FUZZ_GRAMMAR = {  # command: (the choices of each positional, the flags)
@@ -773,8 +822,8 @@ FUZZ_VALUES = {  # the values each flag takes; --corrupt takes none
     "--suite": ("all", *verify.SUITES), "--p": FUZZ_RATIONALS, "--q": FUZZ_RATIONALS,
     "--r": FUZZ_RATIONALS, "--y": FUZZ_RATIONALS,
 }
-FUZZ_JUNK = ("-1", "0", "99", LONG, "1/0", "2/" + LONG, LONG + "/3", ",", "1,", "(1,2", "()",
-             "(", ")", "", " ", "x", "-x", "--", "--nmax", "verify")
+FUZZ_JUNK = ("-1", "0", "99", LONG, PAST_RATIONAL, "1/0", "2/" + LONG, LONG + "/3", ",", "1,",
+             "(1,2", "()", "(", ")", "", " ", "x", "-x", "--", "--nmax", "verify")
 
 
 @st.composite

@@ -9,15 +9,9 @@ import pytest
 
 from invbargraph import _kernel_py, kernel
 
-PACKAGE = Path(kernel.__file__).resolve().parent
-
-# Without a compiler, or with the pure kernel forced, the C backend cannot
-# load; anywhere else it must, so a broken build fails here instead of
-# silently running the pure kernel.
-needs_c = pytest.mark.skipif(
-    shutil.which("cc") is None or os.environ.get("INVBARGRAPH_PURE") == "1",
-    reason="no C compiler, or INVBARGRAPH_PURE=1",
-)
+# Without a compiler the C backend cannot load; anywhere else it must, so a
+# broken build fails here instead of silently running the pure kernel.
+needs_c = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
 def test_selected_backend_exposed():
@@ -91,32 +85,28 @@ print(kernel.BACKEND)
     pytest.param(True, marks=needs_c),
     False,
 ])
-def test_first_import_of_a_fresh_copy(tmp_path, with_cc):
+def test_first_import_of_a_fresh_copy(tmp_path, fresh_copy, with_cc):
     """A copy with no built kernel compiles it on import, or falls back without a compiler.
 
-    The fallback says why in one stderr line, unless the pure kernel was asked for.
+    The fallback says why in one stderr line.
     """
-    shutil.copytree(PACKAGE, tmp_path / "invbargraph",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    empty = tmp_path / "bin"
-    empty.mkdir()
-    env = {k: v for k, v in os.environ.items() if k != "INVBARGRAPH_PURE"}
-    env["PYTHONPATH"] = str(tmp_path)
-    if not with_cc:
-        env["PATH"] = str(empty)
-    proc = subprocess.run([sys.executable, "-c", _PROBE], env=env, cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", _PROBE], env=fresh_copy(with_cc), cwd=tmp_path,
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("c\n" if with_cc else "python\n")
     built = list((tmp_path / "invbargraph" / "__pycache__").glob("_kernel-*"))
     assert [p.suffix for p in built] == ([".so"] if with_cc else [])
-    if with_cc:
-        assert proc.stderr == ""
-        return
-    assert proc.stderr == (
-        "invbargraph: C kernel unavailable ([Errno 2] No such file or directory: 'cc'); "
-        "using the pure-Python kernel\n")
-    env["INVBARGRAPH_PURE"] = "1"
-    proc = subprocess.run([sys.executable, "-c", _PROBE], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120, check=False)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "python\n", "")
+    fallback = ("invbargraph: C kernel unavailable ([Errno 2] No such file or directory: 'cc'); "
+                "using the pure-Python kernel\n")
+    assert proc.stderr == ("" if with_cc else fallback)
+
+
+@needs_c
+def test_no_environment_variable_picks_the_kernel():
+    """With a compiler the backend is C, whatever package-named switches are set."""
+    env = {**os.environ, **{f"INVBARGRAPH_{name}": "1" for name in ("PURE", "PYTHON", "NO_C")},
+           "PYTHONPATH": str(Path(kernel.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import invbargraph; print(invbargraph.KERNEL_BACKEND)"],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "c\n", "")
