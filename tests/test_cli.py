@@ -106,6 +106,20 @@ def test_dist_json_round_trips(capsys):
     assert DistTable.from_json(out) == a_table_lemma(4)
 
 
+# sha256 of `dist` output as written by per-term formatting (json.dumps of one
+# dict per term); a faster text form must reproduce it byte for byte.
+@pytest.mark.parametrize("kind,n,fmt,digest", [
+    ("area-sper", 12, "csv", "8aeb11268289c6d9e0a5a2767ca74a887b63a456e9eb66b2540a6cac4bd8be3d"),
+    ("area-sper", 12, "json", "190ac0fb0e051f6b75b6851e491b68450c4ff2ad97f75978ac2ed12813fbb8b9"),
+    ("lda", 14, "csv", "12fdde98a69d6145d9e13d1ac37908470090449dcdfa3d6d728e54d7add30b4d"),
+    ("lda", 14, "json", "1892c8afb9bdc4804908263723eeb2aaea1c40cbe7e4ace97ef81057f9b8f2e6"),
+])
+def test_dist_output_bytes_pinned(capsys, kind, n, fmt, digest):
+    code, out, err = run_cli(capsys, "dist", kind, "-n", str(n), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_dist_brute_guard(capsys):
     cap = kernel.MAX_N if kernel.BACKEND == "c" else cli.BRUTE_MAX_PYTHON
     assert run_cli(capsys, "dist", "lda", "-n", str(cap + 1), "--engine", "brute") == (
