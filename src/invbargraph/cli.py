@@ -24,13 +24,15 @@ from invbargraph.invseq import InversionSequence, Permutation
 # and memory by about n, so n = 12 would need about 50 GB.
 ENUMERATE_MAX = 10
 # Recurrence tables (`dist`), one cap per kind from a 2 s budget: the largest n
-# whose slowest engine and format (json) stays under 2 s wall time, process
-# start included.  Ranges over repeated fresh runs, C kernel, Python 3.11 on a
-# shared 2-core Xeon: area/sper takes 1.2-1.6 s at 16, 1.4-2.3 s at 17 and
-# 3.1 s at 18; lda takes 1.5-1.9 s at 35, 2.1 s at 36 and 3.3 s at 40.  The
-# text forms, not the recurrences, take most of it.
-AREA_SPER_TABLE_MAX = 16
-LDA_TABLE_MAX = 35
+# whose slowest engine and format stays under 2 s wall time, process start
+# included.  Ranges over fresh runs of both engines and both formats (10 runs
+# each at the caps, 5 or 10 above), C kernel, Python 3.11 on a shared 2-core
+# Xeon: area/sper takes 0.9-1.4 s at 19, 1.3-2.2 s at 20 and 2.2-2.5 s at 21
+# (threeterm); lda takes 1.2-1.9 s at 46, 1.2-2.0 s at 47 and 1.8-2.3 s at 48.
+# The threeterm engine is the slowest, and csv and json now take about as long:
+# with cached monomial text the recurrences, not the text forms, bind.
+AREA_SPER_TABLE_MAX = 19
+LDA_TABLE_MAX = 46
 # `--engine brute` on the pure-Python kernel, from the same budget: 7 fresh
 # runs each of csv and json per kind took 0.3-0.9 s at 9, but at 10 1.6-2.9 s
 # for area/sper and 1.4-2.2 s for lda; lda at 11 takes 17.8 s in process.  On

@@ -29,6 +29,14 @@ such as a*x - b*y + c*z copies and hashes each term once instead of once per
 intermediate result.  `+`, `-`, `*` and `substitute` are calls of it, and the
 table recurrences build each cell with one call.
 
+The text forms are table-driven, because a monomial is one int: `to_text`
+and `to_json` read each key's monomial text from a bounded cache and add
+only the coefficient, and `from_text` splits a leading ASCII-digit
+coefficient off each term and reads the rest of the term from a cache of
+parsed bodies.  Only a body that parsed cleanly is cached, so a miss takes
+every check of the factor parser.  The caches only ever gain entries that
+are correct for their keys, so sharing them between threads is safe.
+
 Coefficients are Python ints and zero terms are never stored, so equality
 is plain term-map equality.  Every coefficient, exponent and scalar operand
 passes `operator.index`: a float or a Fraction raises TypeError instead of
@@ -39,6 +47,7 @@ pairs; no code outside this module reads or builds packed keys.
 
 from __future__ import annotations
 
+import json
 import operator
 import re
 from fractions import Fraction
@@ -53,7 +62,7 @@ ExpVec = tuple[int, int, int, int, int]
 
 # Bits per exponent field.  Exponents span [-16384, 16383].  A full
 # `verify --nmax 9 --order 12` stays within [-11, 80] and `dist` at the CLI's
-# caps (area/sper n = 16, lda n = 35) within [0, 136], and an area/sper table
+# caps (area/sper n = 19, lda n = 46) within [0, 190], and an area/sper table
 # at n = 24, which already takes seconds, has area exponents up to
 # n(n+1)/2 = 300: fifty times inside the range.
 W = 16
@@ -65,19 +74,36 @@ _ZERO_KEY = sum(_OFFSET << s for s in _SHIFTS)
 _GUARD = sum(1 << (s + W - 1) for s in _SHIFTS)
 _VAR_SHIFT = {v: s for v, s in zip(VARS, _SHIFTS)}
 
-_FACTOR_RE = re.compile(r"([ypqrt])(?:\^(-?\d+))?")
+_FACTOR_RE = re.compile(r"([ypqrt])(?:\^(-?[0-9]+))?")
 # Key offset of each variable factor `from_text` has parsed and range-checked,
-# such as "p^12" -> 12 << shift(p).  It halves parsing: in paired runs (best
-# of 3 each, shared 2-core host) the CSV of `dist area-sper -n 16` parsed in
-# 0.23-0.45 s with it and 0.58-0.82 s without, about 2x within each pair.
+# such as "p^12" -> 12 << shift(p).  Only a term body that misses
+# `_MONOMIAL_KEYS` reads it, and it more than halves those: the 23,486
+# distinct bodies of the CSVs of `dist area-sper -n 19` and `dist lda -n 46`
+# parsed cold in 0.04-0.06 s with it and 0.13 s without (4 runs each).
 # Capped, because the text may spell one exponent in any number of ways
-# ("p^007"): the CSVs of `dist area-sper -n 16` and `dist lda -n 35` fill only
-# 216 and 97 entries, and 65,536 of the shortest distinct spellings hold about
-# 8 MB (tracemalloc).
+# ("p^007"): those two CSVs fill only 345 entries, and 65,536 of the shortest
+# distinct spellings hold about 8 MB (tracemalloc).
 _FACTOR_OFFSETS: dict[str, int] = {}
 _FACTOR_OFFSETS_MAX = 1 << 16
-_DIGITS_RE = re.compile(r"\d+")
+_DIGITS_RE = re.compile(r"[0-9]+")
 _TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
+# Per-monomial caches of the text forms, so that each term costs a lookup:
+# `to_text` reads the coefficient-free text of a packed key ("p^3*q^2", ""
+# for the constant), `to_json` the JSON that ends a term after its
+# coefficient, and `from_text` the (coefficient factor, packed key) of a term
+# body after its leading coefficient ("p^3*q^2", but also "q^2*p^3" or
+# "p*2").  In process, the area/sper table at n = 16 (139,342 terms) went from
+# 0.30-0.44 s to 0.08-0.12 s in `to_csv`, 0.38-0.46 s to 0.18-0.26 s in
+# `from_csv` and 0.62-0.80 s to 0.10-0.13 s in `to_json` (3 runs each, C
+# kernel, shared 2-core host; the first, cold run included).  Each cache holds
+# at most this many entries: `dist` at the caps (area/sper n = 19, lda n = 46)
+# has 8,011 and 15,476 distinct monomials, and 65,536 entries hold about
+# 6.5 MB of text, 7.7 MB of JSON and 12 MB of parsed bodies (tracemalloc).
+_MONOMIAL_CACHE_MAX = 1 << 15
+_MONOMIAL_TEXT: dict[int, str] = {}
+_EXP_JSON: dict[int, str] = {}
+_MONOMIAL_KEYS: dict[str, tuple[int, int]] = {}
+_CONSTANT = (1, _ZERO_KEY)
 
 
 class NegativePowerSubstitutionError(ValueError):
@@ -356,27 +382,26 @@ class MPoly:
 
     def to_text(self) -> str:
         """Canonical text form, terms in ascending (y,p,q,r,t) exponent order."""
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
+        cached = _MONOMIAL_TEXT.get
         parts: list[str] = []
-        for k in sorted(self._terms):
-            c = self._terms[k]
-            factors = [
-                v if e == 1 else f"{v}^{e}"
-                for v, s in _VAR_SHIFT.items()
-                if (e := ((k >> s) & _FIELD) - _OFFSET)
-            ]
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
+        for k in sorted(terms):
+            c = terms[k]
+            monomial = cached(k)
+            if monomial is None:
+                monomial = _monomial_text(k)
+            a = c if c > 0 else -c
+            if not monomial:
+                body = str(a)
+            elif a == 1:
+                body = monomial
             else:
-                body = "*".join([str(abs(c))] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                body = f"{a}*{monomial}"
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     @classmethod
     def from_text(cls, text: str) -> "MPoly":
@@ -385,43 +410,46 @@ class MPoly:
         if s == "0":
             return cls.zero()
         terms: dict[int, int] = {}
+        cached = _MONOMIAL_KEYS.get
         for sign, body in _iter_signed_terms(s):
-            coeff = sign
-            key = _ZERO_KEY
-            for factor in body.split("*"):
-                factor = factor.strip()
-                offset = _FACTOR_OFFSETS.get(factor)
-                if offset is None:
-                    m = _FACTOR_RE.fullmatch(factor)
-                    if m:
-                        e = int(m.group(2) or 1)
-                        if not EXP_MIN <= e <= EXP_MAX:
-                            raise _overflow(factor)
-                        offset = e << _VAR_SHIFT[m.group(1)]
-                        if len(_FACTOR_OFFSETS) < _FACTOR_OFFSETS_MAX:
-                            _FACTOR_OFFSETS[factor] = offset
-                    elif _DIGITS_RE.fullmatch(factor):
-                        coeff *= int(factor)
-                        continue
-                    else:
-                        raise ValueError(f"bad factor {factor!r} in polynomial text {text!r}")
-                # A field kept in range by every step stays detectable:
-                # one in-range exponent cannot carry past the guard bit.
-                key += offset
-                if key & _GUARD:
-                    raise _overflow(body)
-            total = terms.get(key, 0) + coeff
+            head, star, rest = body.partition("*")
+            if head.isdigit() and head.isascii():  # a leading coefficient
+                coeff = sign * int(head)
+                parsed = cached(rest) if star else _CONSTANT
+            else:
+                coeff, rest = sign, body
+                parsed = cached(rest)
+            if parsed is None:
+                parsed = _parse_monomial(rest, body, text)
+            factor, key = parsed
+            total = terms.get(key, 0) + coeff * factor
             if total:
                 terms[key] = total
             else:
                 terms.pop(key, None)
         return _raw(terms)
 
+    def to_json(self) -> str:
+        """JSON text of the term list, `[{"coeff": "c", "exp": [y, p, q, r, t]}, ...]`.
+
+        Terms are in to_text order, and the bytes are those of json.dumps.
+        """
+        terms = self._terms
+        cached = _EXP_JSON.get
+        parts: list[str] = []
+        for k in sorted(terms):
+            exp = cached(k)
+            if exp is None:
+                exp = _exp_json(k)
+            parts.append(f'{{"coeff": "{terms[k]}{exp}')
+        return "[" + ", ".join(parts) + "]"
+
     def to_json_obj(self) -> list[dict[str, object]]:
-        return [
-            {"coeff": str(self._terms[k]), "exp": list(_unpack(k))}
-            for k in sorted(self._terms)
-        ]
+        """The JSON term list as Python objects: json.loads of to_json.
+
+        Nothing in the package reads it; perfbench/tracing.py wraps it by name.
+        """
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[Mapping[str, object]]) -> "MPoly":
@@ -430,6 +458,61 @@ class MPoly:
             exp = tuple(map(operator.index, entry["exp"]))  # type: ignore[arg-type]
             terms[exp] = terms.get(exp, 0) + int(str(entry["coeff"]))
         return cls(terms)
+
+
+def _monomial_text(key: int) -> str:
+    """Coefficient-free text of a packed key ("" for the constant), cached."""
+    text = "*".join(
+        v if e == 1 else f"{v}^{e}"
+        for v, s in _VAR_SHIFT.items()
+        if (e := ((key >> s) & _FIELD) - _OFFSET)
+    )
+    if len(_MONOMIAL_TEXT) < _MONOMIAL_CACHE_MAX:
+        _MONOMIAL_TEXT[key] = text
+    return text
+
+
+def _exp_json(key: int) -> str:
+    """The JSON text that ends a term after its coefficient, cached."""
+    text = '", "exp": [' + ", ".join(map(str, _unpack(key))) + "]}"
+    if len(_EXP_JSON) < _MONOMIAL_CACHE_MAX:
+        _EXP_JSON[key] = text
+    return text
+
+
+def _parse_monomial(rest: str, body: str, text: str) -> tuple[int, int]:
+    """(coefficient factor, packed key) of the '*'-separated factors in `rest`.
+
+    `rest` is the term `body` of `text` without its leading coefficient;
+    both appear in the error messages.  A cleanly parsed `rest` is cached.
+    """
+    factor = 1
+    key = _ZERO_KEY
+    for part in rest.split("*"):
+        part = part.strip()
+        offset = _FACTOR_OFFSETS.get(part)
+        if offset is None:
+            m = _FACTOR_RE.fullmatch(part)
+            if m:
+                e = int(m.group(2) or 1)
+                if not EXP_MIN <= e <= EXP_MAX:
+                    raise _overflow(part)
+                offset = e << _VAR_SHIFT[m.group(1)]
+                if len(_FACTOR_OFFSETS) < _FACTOR_OFFSETS_MAX:
+                    _FACTOR_OFFSETS[part] = offset
+            elif _DIGITS_RE.fullmatch(part):
+                factor *= int(part)
+                continue
+            else:
+                raise ValueError(f"bad factor {part!r} in polynomial text {text!r}")
+        # A field kept in range by every step stays detectable:
+        # one in-range exponent cannot carry past the guard bit.
+        key += offset
+        if key & _GUARD:
+            raise _overflow(body)
+    if len(_MONOMIAL_KEYS) < _MONOMIAL_CACHE_MAX:
+        _MONOMIAL_KEYS[rest] = (factor, key)
+    return factor, key
 
 
 def _iter_signed_terms(s: str) -> Iterator[tuple[int, str]]:

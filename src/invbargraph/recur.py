@@ -105,11 +105,10 @@ class DistTable:
         return cls._from_cells(cells)
 
     def to_json(self) -> str:
-        obj = [
-            {"n": m, "i": i, "poly": cell.to_json_obj()}
-            for m, i, cell in self.cells()
-        ]
-        return json.dumps(obj)
+        """`[{"n": m, "i": i, "poly": <MPoly.to_json>}, ...]`, the bytes of json.dumps."""
+        cells = [f'{{"n": {m}, "i": {i}, "poly": {cell.to_json()}}}'
+                 for m, i, cell in self.cells()]
+        return "[" + ", ".join(cells) + "]"
 
     @classmethod
     def from_json(cls, text: str) -> "DistTable":

@@ -309,14 +309,16 @@ def _suite_gf(
         table = t.point_lemma("a_lemma", p=p, q=1)
         results.append(gf.check_area_ogf_closed(p, y, order, table, a_rows))
 
+    # at q = r, rho(u) = (1 - (p-q)u)/(1 - (p-r)u) = 1 and both kernel
+    # identities hold for any series, so no fixed or drawn point has q = r
     pqr_points = [
-        (Fraction(1), Fraction(1), Fraction(1)),
+        (Fraction(1), Fraction(1), Fraction(2)),
         (Fraction(1, 3), Fraction(1, 2), Fraction(1, 5)),
-        (Fraction(0), Fraction(1), Fraction(1)),
+        (Fraction(0), Fraction(1), Fraction(2)),
     ]
     if point is not None:
         pqr_points.insert(0, point)
-    for p, q, r in _draw(rng, pqr_points, 8, lambda p, q, r: q != 0):
+    for p, q, r in _draw(rng, pqr_points, 8, lambda p, q, r: q != 0 and q != r):
         table = t.point_lemma("b_lemma", p=p, q=q, r=r)
         results.extend(gf.check_lda_kernel(p, q, r, order, table, b_sums))
 

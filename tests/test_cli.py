@@ -486,8 +486,7 @@ def test_verify_corrupt_control_fails(capsys):
 
 # The (formula-id, parameter-point) entries that `--corrupt` cannot reach at
 # --nmax 4 --order 4 and the default seed: the adjacency count and the
-# exhaustive sweeps read no table; the added p*q and p*q*r vanish at p = 0;
-# and at p = q = r = 1 the kernel substitution x -> x rho(x) is the identity.
+# exhaustive sweeps read no table; and the added p*q and p*q*r vanish at p = 0.
 CORRUPT_STAYS_PASS = {
     "recurrences": set(),
     "totals": {("adjacency-count-consistency", "")},
@@ -496,8 +495,7 @@ CORRUPT_STAYS_PASS = {
     "bijections": {("levels-to-cycles-roundtrip", ""), ("ascents-map-roundtrip", ""),
                    ("complement-transport", ""), ("bijection-injectivity", "")},
     "gf": {("area-ogf-recursion", "p=0"), ("area-ogf-closed", "p=0"),
-           ("lda-kernel-substitution", "p=1,q=1,r=1"), ("lda-kernel-unrolled", "p=1,q=1,r=1"),
-           ("lda-kernel-substitution", "p=0,q=1,r=1"), ("lda-kernel-unrolled", "p=0,q=1,r=1")},
+           ("lda-kernel-substitution", "p=0,q=1,r=2"), ("lda-kernel-unrolled", "p=0,q=1,r=2")},
 }
 
 
@@ -547,6 +545,34 @@ def test_an_area_point_table_cell_fails_every_y_point(monkeypatch, seed):
     monkeypatch.setattr(recur, "point_table", one_too_many)
     results, _ = verify.run_verify(("gf",), nmax=3, order=4, seed=seed)
     assert [r.status for r in _at_py_points(results)] == ["fail"] * 6
+
+
+def _lda_kernel_entries(results):
+    return [r for r in results if r.formula.startswith("lda-kernel-")]
+
+
+def test_no_lda_point_has_q_equal_r():
+    """At q = r, rho = 1 and both kernel identities hold for any series."""
+    for seed in range(100):
+        results, _ = verify.run_verify(("gf",), nmax=3, order=1, seed=seed)
+        points = [dict(kv.split("=") for kv in r.params.split(","))
+                  for r in _lda_kernel_entries(results)]
+        assert len(points) == 16 and all(pt["q"] != pt["r"] for pt in points), seed
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 1, 2])
+def test_an_lda_point_table_cell_fails_every_kernel_point(monkeypatch, seed):
+    """Row 5 lies past the rows linked to the symbolic table (nmax = 3): only
+    the kernel identities themselves can see it, at every point, fixed or drawn."""
+    point_table = recur.point_table
+
+    def one_too_many(engine, n, **values):
+        table = point_table(engine, n, **values)
+        return table.with_cell(5, 1, table[5, 1] + 1) if engine == "b_lemma" else table
+
+    monkeypatch.setattr(recur, "point_table", one_too_many)
+    results, _ = verify.run_verify(("gf",), nmax=3, order=6, seed=seed)
+    assert [r.status for r in _lda_kernel_entries(results)] == ["fail"] * 16
 
 
 def test_sweep_mismatch_names_its_conditions(capsys, monkeypatch):
@@ -663,12 +689,12 @@ def test_sweep_suites_share_one_enumeration(capsys, monkeypatch):
     assert code == 0 and lengths == [1, 2, 3, 4]
 
 
-# sha256 of passing `verify --out` reports since the (p, y) draw skips y = 0;
-# a speedup must reproduce them byte for byte.
+# sha256 of passing `verify --out` reports since the fixed lda points have
+# q != r; a speedup must reproduce them byte for byte.
 @pytest.mark.parametrize("argv,digest", [
-    ((), "746852c7ecae442c350af3d574241832e79cbde11ac6551f86ea447a21643d90"),
+    ((), "5691500883791a52aa5867c5cf42cd1a029f430e40938a2b552425d1d78e209a"),
     (("--nmax", "9", "--order", "12", "--seed", "1"),
-     "248e2c0e7a9f3977a0f11d8cd1867c953763fb34fcf24b40ed84a7aed8eef9d9"),
+     "ea34fe2cd8432608f6c57c0ab0f7e8bcf440356131d5f3942822c233826e0d1a"),
 ], ids=["defaults", "caps-seed-1"])
 def test_verify_report_bytes_pinned(tmp_path, capsys, argv, digest):
     target = tmp_path / "report.json"
@@ -679,9 +705,9 @@ def test_verify_report_bytes_pinned(tmp_path, capsys, argv, digest):
 # sha256 of `verify --corrupt --out` reports, from the same draw; the failing
 # reports must not change either.
 @pytest.mark.parametrize("argv,digest", [
-    ((), "56a19f41341b842eb6ca19923b6bdb7e7c3a160363c64f801aad5555d38dbd38"),
+    ((), "e6226457f94bf2ad0cf05ad8b5b15851dd2e03f90600694d8c983a41fc54e048"),
     (("--nmax", "9", "--order", "12", "--seed", "1"),
-     "3f6c2d7e79a7d21fa793970624a554b6fb9a631b2880ef4fe53d02e8e1513cce"),
+     "48e5819f8adaa12b6d2699ad88eaed75b018b2932ce797db18bce52995a2a6ba"),
 ], ids=["defaults", "caps-seed-1"])
 def test_verify_corrupt_report_bytes_pinned(tmp_path, capsys, argv, digest):
     target = tmp_path / "report.json"

@@ -1,11 +1,15 @@
+import json
 import operator
+import re
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from invbargraph import mpoly
 from invbargraph.mpoly import (
     EXP_MAX,
     EXP_MIN,
@@ -131,7 +135,9 @@ def test_text_parse_examples():
     assert MPoly.from_text("q^-2") == MPoly.monomial(1, q=-2)
 
 
-@pytest.mark.parametrize("text", ["p*x", "2.5*p", "p^", "p^+2", "p**2", ""])
+# non-ASCII digits ("\u0663" is ARABIC-INDIC DIGIT THREE) are no coefficient or exponent
+@pytest.mark.parametrize("text", ["p*x", "2.5*p", "p^", "p^+2", "p**2", "", "2*", "\u0663*p",
+                                  "p*\u0663", "p^\u0663", "\u00b2*p"])
 def test_text_parse_bad_factor(text):
     with pytest.raises(ValueError, match="bad factor"):
         MPoly.from_text(text)
@@ -219,7 +225,7 @@ def test_text_round_trip(a):
 
 @given(polys)
 def test_json_round_trip(a):
-    assert MPoly.from_json_obj(a.to_json_obj()) == a
+    assert MPoly.from_json_obj(json.loads(a.to_json())) == a
 
 
 # -- exponent range ----------------------------------------------------------------
@@ -234,7 +240,7 @@ def test_constructor_range(var):
         assert poly.degree(var) == e
         assert MPoly({tuple(e if v == var else 0 for v in VARS): 3}) == poly
         assert MPoly.from_text(poly.to_text()) == poly
-        assert MPoly.from_json_obj(poly.to_json_obj()) == poly
+        assert MPoly.from_json_obj(json.loads(poly.to_json())) == poly
     for e in (EXP_MIN - 1, EXP_MAX + 1, 2 ** 70):
         exp = tuple(e if v == var else 0 for v in VARS)
         with pytest.raises(OverflowError):
@@ -390,7 +396,62 @@ def test_text_and_json_match_reference(a):
     poly = MPoly(a)
     assert poly.to_text() == ref_text(a)
     assert MPoly.from_text(ref_text(a)) == poly
-    assert poly.to_json_obj() == [{"coeff": str(a[e]), "exp": list(e)} for e in sorted(a)]
+    assert poly.to_json() == ref_json(a)
+
+
+def ref_json(a):
+    return json.dumps([{"coeff": str(a[e]), "exp": list(e)} for e in sorted(a)])
+
+
+# -- the text-form caches ----------------------------------------------------------
+
+def fresh_caches():
+    """Empty text-form caches for the duration of a `with` block."""
+    return mock.patch.multiple(mpoly, _MONOMIAL_TEXT={}, _EXP_JSON={}, _MONOMIAL_KEYS={},
+                               _FACTOR_OFFSETS={})
+
+
+def test_caches_stop_at_their_bound(monkeypatch):
+    monkeypatch.setattr(mpoly, "_MONOMIAL_CACHE_MAX", 2)
+    cells = [as_ref(cell) for _, _, cell in a_table_lemma(4).cells()]
+    assert len(set().union(*cells)) > 2
+    with fresh_caches():
+        for _ in "cold", "warm":
+            for a in cells:
+                poly = MPoly(a)
+                assert poly.to_text() == ref_text(a)
+                assert poly.to_json() == ref_json(a)
+                assert MPoly.from_text(ref_text(a)) == poly
+        assert [len(cache) for cache in (mpoly._MONOMIAL_TEXT, mpoly._EXP_JSON,
+                                         mpoly._MONOMIAL_KEYS)] == [2, 2, 2]
+
+
+# (text that caches a monomial, a spelling of the same monomial that must fail)
+@pytest.mark.parametrize("cached,text", [
+    ("2*p*q", "2*p*q*x"),  # bad factor
+    ("2*p*q", "2*q*p*"),  # empty factor
+    (f"p^{EXP_MAX}", f"p^{EXP_MAX + 1}*p^-1"),  # exponent out of range
+    (f"p^{EXP_MAX}", f"p^{EXP_MAX}*p*p^-1"),  # running sum out of range
+    (f"p^{EXP_MAX}", f"2*p^{EXP_MAX}*p*p^-1"),  # the same after a leading coefficient
+])
+def test_cached_monomial_keeps_every_parse_error(cached, text):
+    with fresh_caches():
+        with pytest.raises((ValueError, OverflowError)) as cold:
+            MPoly.from_text(text)
+        MPoly.from_text(cached)
+        assert cached.removeprefix("2*") in mpoly._MONOMIAL_KEYS
+        with pytest.raises(cold.type, match=f"^{re.escape(str(cold.value))}$"):
+            MPoly.from_text(text)
+
+
+@given(polys)
+def test_text_forms_round_trip_with_cold_and_warm_caches(a):
+    with fresh_caches():
+        for _ in "cold", "warm":
+            text, js = a.to_text(), a.to_json()
+            assert (text, js) == (ref_text(as_ref(a)), ref_json(as_ref(a)))
+            assert MPoly.from_text(text) == a
+            assert MPoly.from_json_obj(json.loads(js)) == a
 
 
 # -- the multiply-accumulate kernel ------------------------------------------------
