@@ -400,7 +400,7 @@ class MPoly:
             else:
                 body = f"{a}*{monomial}"
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        text = " ".join(parts)
+        text = " ".join(parts)  # "+ a - b": the first term keeps only a minus sign
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
     @classmethod

@@ -145,7 +145,7 @@ def test_dist_brute_guard_on_the_pure_kernel(tmp_path, fresh_copy):
 
 
 @pytest.mark.parametrize("kind,cap", [("area-sper", cli.AREA_SPER_TABLE_MAX),
-                                      ("lda", cli.LDA_TABLE_MAX)])
+                                      ("lda", cli.LDA_TABLE_MAX)], ids=["area-sper", "lda"])
 def test_dist_table_caps(capsys, kind, cap):
     code, out, err = run_cli(capsys, "dist", kind, "-n", str(cap))
     assert (code, err) == (0, "") and len(out.splitlines()) == cap * (cap + 1) // 2
