@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: enumerate, stats, dist, totals, map, series, verify.
-Exit codes: 0 success, 1 identity violation, 2 usage or guard error.
+Exit codes: 0 success, 1 identity violation (or `verify` lost the process
+running its sweep suites), 2 usage or guard error.
 All numeric output is exact (decimal or num/den rational strings).
 """
 
@@ -39,11 +40,17 @@ LDA_TABLE_MAX = 46
 # the C kernel the cap is the kernel's own limit, `kernel.MAX_N`.
 BRUTE_MAX_PYTHON = 9
 # `verify` sizes; the benchmark's verify-deep workload runs at these two caps.
-# Against the same 2 s budget (all suites, fresh runs, as above): 0.5-0.6 s at
-# the defaults (nmax 7, order 8) and 0.9-1.1 s at the caps.  Above them, with
-# the guards lifted: nmax 10 or 11 (order 12) 1.0-1.6 s and nmax 12 5.0-5.8 s,
-# where brute enumeration dominates; order 13, 14 and 16 (nmax 9) 0.9-1.0,
-# 1.1-1.2 and 1.5-1.9 s, where the symbolic tables to depth `order` dominate.
+# Against the same 2 s budget (all suites, fresh runs, 10 each unless stated,
+# C kernel, Python 3.11 on the shared 2-core Xeon), with the sweep suites in a
+# forked child and, in brackets, on one CPU (`taskset -c 0`, all in process):
+# 0.4-0.6 s (0.4-0.6; 20 runs) at the defaults (nmax 7, order 8), where the
+# child has most of the work, and 0.4-1.0 s (0.6-0.9) at the caps.  Above
+# them, with the guards lifted: nmax 10 and 11 (order 12) 0.5-0.6 and 0.6-1.0 s
+# (0.6-1.0 and 0.9-1.2) and nmax 12 3.2-5.8 s (3.1-5.1; 6 runs), where brute
+# enumeration dominates; order 13, 14 and 16 (nmax 9) 0.4-0.7, 0.5-0.9 and
+# 1.0-1.7 s (0.6-1.0, 0.7-1.3 and 1.2-2.0), where the symbolic tables to depth
+# `order` dominate.  On this host two busy processes each run slower than one
+# alone, so the child saves less than the sweep suites' share.
 VERIFY_NMAX_MAX = 9
 VERIFY_ORDER_MAX = 12
 # Largest n whose five totals all print under `invseq.DIGITS_MAX`, Python's
@@ -58,8 +65,10 @@ TOTALS_MAX = 1556
 # and `verify`), from the same 2 s budget: exact arithmetic at the point grows
 # with its digits.  Fresh runs at the caps (`verify --nmax 9 --order 12`,
 # `series --order 12`), random numerators and denominators of both signs with
-# all D digits (13 runs each at 30, C kernel): at 30 `verify` takes 1.1-1.7 s
-# (0.8 s at one-digit points), `verify` at (10^29, 10^-29, 10^29) 0.8-1.0 s,
+# all D digits (13 runs each at 30, C kernel): at 30 `verify` takes 0.6-1.4 s
+# with its sweep suites in a forked child and 0.8-1.4 s on one CPU (0.4-0.6
+# and 0.6-1.0 s at one-digit points, 6 runs); measured before the child,
+# when it took 1.1-1.7 s: `verify` at (10^29, 10^-29, 10^29) 0.8-1.0 s,
 # `series A` 0.5-0.7 s and `series A1` 0.2-0.4 s; at 40 `verify` takes
 # 1.2-1.8 s, and at 50 1.7-2.0 s, where `series A` passes the 4300-digit print
 # limit.  At 4000 digits `verify` took 33 s and `series A1` more than 300 s.
@@ -359,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except verify.SweepChildError as err:  # no report: the run is not known to pass
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

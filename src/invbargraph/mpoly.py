@@ -86,6 +86,7 @@ _FACTOR_RE = re.compile(r"([ypqrt])(?:\^(-?[0-9]+))?")
 _FACTOR_OFFSETS: dict[str, int] = {}
 _FACTOR_OFFSETS_MAX = 1 << 16
 _DIGITS_RE = re.compile(r"[0-9]+")
+_COEFF_RE = re.compile(r"-?[0-9]+")  # a JSON coefficient, as to_json writes it
 _TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
 # Per-monomial caches of the text forms, so that each term costs a lookup:
 # `to_text` reads the coefficient-free text of a packed key ("p^3*q^2", ""
@@ -453,11 +454,23 @@ class MPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[Mapping[str, object]]) -> "MPoly":
-        terms: dict[ExpVec, int] = {}
+        """Parse the JSON term list (inverse of json.loads of to_json).
+
+        A coefficient is a string of ASCII digits with an optional leading
+        minus, as to_json writes it; an exponent is an integer.
+        """
+        terms: dict[int, int] = {}
         for entry in obj:
-            exp = tuple(map(operator.index, entry["exp"]))  # type: ignore[arg-type]
-            terms[exp] = terms.get(exp, 0) + int(str(entry["coeff"]))
-        return cls(terms)
+            coeff = entry["coeff"]
+            if not (isinstance(coeff, str) and _COEFF_RE.fullmatch(coeff)):
+                raise ValueError(f"bad coefficient {coeff!r} in a JSON term")
+            key = _pack(entry["exp"])  # type: ignore[arg-type]
+            total = terms.get(key, 0) + int(coeff)
+            if total:
+                terms[key] = total
+            else:
+                terms.pop(key, None)
+        return _raw(terms)
 
 
 def _monomial_text(key: int) -> str:

@@ -18,6 +18,7 @@ instead of evaluating symbolic tables.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -98,10 +99,14 @@ class DistTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "DistTable":
+        """Parse `to_csv` text; a duplicate, missing or out-of-range cell is a ValueError."""
         cells: dict[tuple[int, int], MPoly] = {}
         for line in text.strip().splitlines():
             m_str, i_str, poly_str = line.split(",", 2)
-            cells[(int(m_str), int(i_str))] = MPoly.from_text(poly_str)
+            cell = (int(m_str), int(i_str))
+            if cell in cells:
+                raise ValueError(f"cell {cell} appears twice")
+            cells[cell] = MPoly.from_text(poly_str)
         return cls._from_cells(cells)
 
     def to_json(self) -> str:
@@ -112,19 +117,36 @@ class DistTable:
 
     @classmethod
     def from_json(cls, text: str) -> "DistTable":
-        cells = {
-            (entry["n"], entry["i"]): MPoly.from_json_obj(entry["poly"])
-            for entry in json.loads(text)
-        }
+        """Parse `to_json` text; a duplicate, missing or out-of-range cell is a ValueError."""
+        cells: dict[tuple[int, int], MPoly] = {}
+        for entry in json.loads(text):
+            cell = (operator.index(entry["n"]), operator.index(entry["i"]))
+            if cell in cells:
+                raise ValueError(f"cell {cell} appears twice")
+            cells[cell] = MPoly.from_json_obj(entry["poly"])
         return cls._from_cells(cells)
 
     @classmethod
     def _from_cells(cls, cells: dict[tuple[int, int], MPoly]) -> "DistTable":
-        """The table of {(m, i): cell}, which must hold every cell up to its largest m."""
+        """The table of {(m, i): cell}, which must hold every cell up to its largest m, and no other.
+
+        Empties `cells`.
+        """
+        if not cells:
+            raise ValueError("a table needs at least one cell")
         n = max(m for m, _ in cells)
-        return cls(
-            tuple(tuple(cells[(m, i)] for i in range(1, m + 1)) for m in range(1, n + 1))
-        )
+        rows = []
+        for m in range(1, n + 1):
+            row = []
+            for i in range(1, m + 1):
+                cell = cells.pop((m, i), None)
+                if cell is None:
+                    raise ValueError(f"cell ({m}, {i}) is missing from a table of {n} rows")
+                row.append(cell)
+            rows.append(row)
+        if cells:
+            raise ValueError(f"cell {next(iter(cells))} is outside 1 <= i <= m")
+        return cls(rows)
 
 
 def row_poly(table: DistTable, m: int) -> MPoly:

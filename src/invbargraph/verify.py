@@ -3,6 +3,9 @@
 Builds the distribution tables once, then runs the selected suites against
 them; the gf suite also builds point tables at each parameter point it draws.
 The two sweep suites share one enumeration of each length, built on first use.
+Where the machine lets two suites run at once, the sweep suites run in a
+forked child while this process runs the table suites (`_fork_beside`); the
+report is the same on either path.
 Random rational parameter points are drawn from a seeded generator so runs
 are reproducible; `corrupt=True` perturbs cell (3,1) of each lemma table
 (symbolic and point) first, as a negative control that must make the run fail.
@@ -10,11 +13,13 @@ are reproducible; `corrupt=True` perturbs cell (3,1) of each lemma table
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, prod
-from typing import Callable
+from typing import Callable, TypeVar
 
 from invbargraph import bijections as bj
 from invbargraph import gfseries as gf
@@ -25,6 +30,9 @@ from invbargraph.recur import DistTable
 from invbargraph.reporting import CheckResult, check
 
 SUITES = ("recurrences", "totals", "signbalance", "bijections", "gf")
+# The suites that read the exhaustive enumeration (`_Tables.sweeps`); the
+# others read only tables.
+SWEEP_SUITES = ("signbalance", "bijections")
 DEFAULT_SEED = 12345
 DEFAULT_NMAX = 7
 DEFAULT_ORDER = 8
@@ -327,6 +335,69 @@ def _suite_gf(
     return results
 
 
+class SweepChildError(RuntimeError):
+    """The forked child running the sweep suites ended without a result."""
+
+
+def _can_fork_beside() -> bool:
+    """Whether a forked child may run suites beside this process.
+
+    Only where a fork is safe (no other thread holds a lock the child would
+    inherit) and a second CPU is there to run it.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return hasattr(os, "fork") and cpus >= 2 and threading.active_count() == 1
+
+
+A = TypeVar("A")
+B = TypeVar("B")
+
+
+def _fork_beside(in_child: Callable[[], A], in_parent: Callable[[], B]) -> tuple[A, B]:
+    """(in_child(), in_parent()), the first computed in a forked child meanwhile.
+
+    The child's result, or the exception it raised, comes back pickled through
+    a pipe and is returned, or raised, here.  The child ends only through
+    os._exit, so it flushes no inherited buffer and runs no atexit handler.
+    The child is always reaped; if `in_parent` raises, it is killed first.
+    """
+    import pickle  # here, so that importing the package does not pay for them
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, in_child())
+            except BaseException as err:  # raised again in the parent
+                outcome = (False, err)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    data = None
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            mine = in_parent()
+            data = pipe.read()
+        finally:
+            if data is None:
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise SweepChildError(f"the process running the sweep suites {how} without a result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value, mine
+
+
 def run_verify(
     suites: list[str] | tuple[str, ...] = SUITES,
     nmax: int = DEFAULT_NMAX,
@@ -335,18 +406,30 @@ def run_verify(
     point: tuple[Fraction, Fraction, Fraction] | None = None,
     corrupt: bool = False,
 ) -> tuple[list[CheckResult], bool]:
-    """Run the selected suites; returns (results, all_passed)."""
+    """Run the selected suites; returns (results, all_passed).
+
+    The results are in `SUITES` order, whichever process ran each suite.
+    """
     tables = _Tables(nmax, order, corrupt)
-    results: list[CheckResult] = []
-    if "recurrences" in suites:
-        results.extend(_suite_recurrences(tables))
-    if "totals" in suites:
-        results.extend(_suite_totals(tables))
-    if "signbalance" in suites:
-        results.extend(_suite_signbalance(tables))
-    if "bijections" in suites:
-        results.extend(_suite_bijections(tables))
-    if "gf" in suites:
-        results.extend(_suite_gf(tables, seed, point))
+    runs = {
+        "recurrences": lambda: _suite_recurrences(tables),
+        "totals": lambda: _suite_totals(tables),
+        "signbalance": lambda: _suite_signbalance(tables),
+        "bijections": lambda: _suite_bijections(tables),
+        "gf": lambda: _suite_gf(tables, seed, point),
+    }
+    selected = [name for name in SUITES if name in suites]
+    sweeps = [name for name in selected if name in SWEEP_SUITES]
+    rest = [name for name in selected if name not in SWEEP_SUITES]
+
+    def run(names: list[str]) -> dict[str, list[CheckResult]]:
+        return {name: runs[name]() for name in names}
+
+    if sweeps and rest and _can_fork_beside():
+        in_child, in_parent = _fork_beside(lambda: run(sweeps), lambda: run(rest))
+        by_suite = {**in_child, **in_parent}
+    else:
+        by_suite = run(selected)
+    results = [r for name in selected for r in by_suite[name]]
     ok = all(r.status == "pass" for r in results)
     return results, ok

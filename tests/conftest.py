@@ -17,6 +17,52 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    """Every child process a test starts is reaped by the time it ends.
+
+    `verify` forks one to run its sweep suites; it must wait for it on every
+    path (pass, fail, an exception on either side, a child that dies).
+    """
+    yield
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def _verify_with_cpus(monkeypatch, cpus: int) -> list[int]:
+    """Lets the process see `cpus` CPUs; returns the pids that fork from now on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks: list[int] = []
+    if hasattr(os, "fork"):
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """`verify` with its sweep suites in a forked child; the pids that fork.
+
+    The path follows the CPUs the process may use, two here.  Each
+    `run_verify` of a sweep suite and a table suite forks once.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    return _verify_with_cpus(monkeypatch, 2)
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """`verify` with every suite in this process (one CPU); the pids that fork, none."""
+    return _verify_with_cpus(monkeypatch, 1)
+
+
 @pytest.fixture
 def fresh_copy(tmp_path):
     """Copy the package, without its __pycache__, into a fresh directory.

@@ -2,9 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -676,43 +679,142 @@ def test_gf_suite_builds_no_enumeration(capsys, monkeypatch):
     assert code == 0 and json.loads(out)
 
 
-def test_sweep_suites_share_one_enumeration(capsys, monkeypatch):
-    lengths = []
+def _enumerated_lengths(capsys, monkeypatch, tmp_path):
+    """The lengths `verify` enumerates, counted in a file: the sweeps may run in a child."""
+    log = tmp_path / "lengths"
+    log.touch()
     enumerate_sequences = invseq.enumerate_sequences
 
     def counted(n):
-        lengths.append(n)
+        with open(log, "a") as fh:
+            fh.write(f"{n}\n")
         return enumerate_sequences(n)
 
     monkeypatch.setattr(invseq, "enumerate_sequences", counted)
-    code, _, _ = run_cli(capsys, "verify", "--nmax", "4", "--order", "1")
-    assert code == 0 and lengths == [1, 2, 3, 4]
+    assert run_cli(capsys, "verify", "--nmax", "4", "--order", "1")[0] == 0
+    return [int(line) for line in log.read_text().split()]
+
+
+def test_sweep_suites_share_one_enumeration(capsys, monkeypatch, tmp_path, forked):
+    assert _enumerated_lengths(capsys, monkeypatch, tmp_path) == [1, 2, 3, 4]
+    assert forked == [os.getpid()]
+
+
+def test_sweep_suites_share_one_enumeration_in_process(capsys, monkeypatch, tmp_path,
+                                                       in_process):
+    assert _enumerated_lengths(capsys, monkeypatch, tmp_path) == [1, 2, 3, 4]
+    assert in_process == []
 
 
 # sha256 of passing `verify --out` reports since the fixed lda points have
 # q != r; a speedup must reproduce them byte for byte.
-@pytest.mark.parametrize("argv,digest", [
+REPORT_PINS = [
     ((), "5691500883791a52aa5867c5cf42cd1a029f430e40938a2b552425d1d78e209a"),
     (("--nmax", "9", "--order", "12", "--seed", "1"),
      "ea34fe2cd8432608f6c57c0ab0f7e8bcf440356131d5f3942822c233826e0d1a"),
-], ids=["defaults", "caps-seed-1"])
-def test_verify_report_bytes_pinned(tmp_path, capsys, argv, digest):
-    target = tmp_path / "report.json"
-    assert run_cli(capsys, "verify", *argv, "--out", str(target))[0] == 0
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
-
-
+]
 # sha256 of `verify --corrupt --out` reports, from the same draw; the failing
 # reports must not change either.
-@pytest.mark.parametrize("argv,digest", [
+CORRUPT_REPORT_PINS = [
     ((), "e6226457f94bf2ad0cf05ad8b5b15851dd2e03f90600694d8c983a41fc54e048"),
     (("--nmax", "9", "--order", "12", "--seed", "1"),
      "48e5819f8adaa12b6d2699ad88eaed75b018b2932ce797db18bce52995a2a6ba"),
-], ids=["defaults", "caps-seed-1"])
-def test_verify_corrupt_report_bytes_pinned(tmp_path, capsys, argv, digest):
+]
+PIN_IDS = ["defaults", "caps-seed-1"]
+
+
+def _report_digest(tmp_path, capsys, argv, code):
     target = tmp_path / "report.json"
-    assert run_cli(capsys, "verify", *argv, "--corrupt", "--out", str(target))[0] == 1
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+    assert run_cli(capsys, "verify", *argv, "--out", str(target))[0] == code
+    return hashlib.sha256(target.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", REPORT_PINS, ids=PIN_IDS)
+def test_verify_report_bytes_pinned(tmp_path, capsys, argv, digest, forked):
+    assert _report_digest(tmp_path, capsys, argv, 0) == digest
+    assert forked == [os.getpid()]
+
+
+@pytest.mark.parametrize("argv,digest", CORRUPT_REPORT_PINS, ids=PIN_IDS)
+def test_verify_corrupt_report_bytes_pinned(tmp_path, capsys, argv, digest, forked):
+    assert _report_digest(tmp_path, capsys, (*argv, "--corrupt"), 1) == digest
+    assert forked == [os.getpid()]
+
+
+@pytest.mark.parametrize("argv,code,digest", [
+    *((argv, 0, digest) for argv, digest in REPORT_PINS),
+    *(((*argv, "--corrupt"), 1, digest) for argv, digest in CORRUPT_REPORT_PINS),
+], ids=[*PIN_IDS, *(f"corrupt-{name}" for name in PIN_IDS)])
+def test_verify_report_bytes_pinned_in_process(tmp_path, capsys, argv, code, digest,
+                                               in_process):
+    assert _report_digest(tmp_path, capsys, argv, code) == digest
+    assert in_process == []
+
+
+class SweepBroke(Exception):
+    """Raised by a broken map inside a sweep suite."""
+
+
+def _broken_map(rho):
+    raise SweepBroke(f"cannot map {rho.to_text()}")
+
+
+@pytest.mark.parametrize("path", ["forked", "in_process"])
+def test_a_sweep_suite_exception_keeps_its_type(monkeypatch, request, path):
+    forks = request.getfixturevalue(path)
+    monkeypatch.setattr(verify.bj, "g_ascents", _broken_map)
+    with pytest.raises(SweepBroke, match="^cannot map 1$"):
+        verify.run_verify(nmax=4, order=1)
+    assert len(forks) == (path == "forked")
+
+
+@pytest.mark.parametrize("end,how", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {int(signal.SIGKILL)}"),
+], ids=["exit", "killed"])
+def test_a_child_that_dies_is_one_error_line(capsys, monkeypatch, forked, end, how):
+    parent = os.getpid()
+
+    def dies_in_the_child(rho):
+        if os.getpid() == parent:
+            raise AssertionError("the sweep suites ran in process")
+        end()
+
+    monkeypatch.setattr(verify.bj, "complement", dies_in_the_child)
+    assert run_cli(capsys, "verify", "--nmax", "4", "--order", "1") == (
+        1, "", f"error: the process running the sweep suites {how} without a result\n")
+
+
+def test_a_parent_exception_kills_and_reaps_the_child(monkeypatch, forked):
+    parent = os.getpid()
+
+    def stalls_in_the_child(rho):
+        if os.getpid() == parent:
+            raise AssertionError("the sweep suites ran in process")
+        time.sleep(60)
+
+    def table_suite_breaks(*args):
+        raise SweepBroke("in the parent")
+
+    monkeypatch.setattr(verify.bj, "complement", stalls_in_the_child)
+    monkeypatch.setattr(verify, "_suite_gf", table_suite_breaks)
+    began = time.monotonic()
+    with pytest.raises(SweepBroke, match="^in the parent$"):
+        verify.run_verify(nmax=4, order=1)
+    assert time.monotonic() - began < 30  # killed, not waited for
+
+
+# `python -m invbargraph`, on the forked path whatever CPUs the host has
+FORKED_MAIN = ("import os, runpy; os.sched_getaffinity = lambda pid: {0, 1}; "
+               "runpy.run_module('invbargraph', run_name='__main__', alter_sys=True)")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_verify_through_a_pipe_prints_its_report_once(capsys, in_process):
+    argv = ("verify", "--nmax", "4", "--order", "2")
+    proc = subprocess.run([sys.executable, "-c", FORKED_MAIN, *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
 
 
 def test_gf_suite_builds_no_threeterm_or_brute_table(capsys, monkeypatch):

@@ -228,6 +228,22 @@ def test_json_round_trip(a):
     assert MPoly.from_json_obj(json.loads(a.to_json())) == a
 
 
+# a JSON coefficient is what to_json writes: ASCII digits after an optional minus
+@pytest.mark.parametrize("coeff", ["1_000", " 7 ", "+4", "\u0663", "", "-", "--1", "1.0",
+                                   "0x10", 7, 7.0, None, True])
+def test_json_bad_coefficient(coeff):
+    with pytest.raises(ValueError, match="^bad coefficient .* in a JSON term$"):
+        MPoly.from_json_obj([{"coeff": coeff, "exp": [0, 1, 0, 0, 0]}])
+
+
+def test_json_terms_with_one_monomial_add_up():
+    assert MPoly.from_json_obj([{"coeff": "3", "exp": [0, 1, 0, 0, 0]},
+                                {"coeff": "-007", "exp": [0, 1, 0, 0, 0]}]) == -4 * P
+    assert MPoly.from_json_obj([{"coeff": "2", "exp": [0, 1, 0, 0, 0]},
+                                {"coeff": "-2", "exp": [0, 1, 0, 0, 0]}]) == MPoly.zero()
+    assert MPoly.from_json_obj([{"coeff": "-0", "exp": [1, 0, 0, 0, 0]}]) == MPoly.zero()
+
+
 # -- exponent range ----------------------------------------------------------------
 
 HALF = (EXP_MAX + 1) // 2

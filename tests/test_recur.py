@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -335,6 +337,34 @@ def test_table_csv_round_trip(b_lemma_9):
 
 def test_table_json_round_trip(a_lemma_8):
     assert DistTable.from_json(a_lemma_8.to_json()) == a_lemma_8
+
+
+TABLE_2 = "1,1,p*q^2\n2,1,p^2*q^3\n2,2,p^3*q^2\n"
+
+
+# (csv text, the error); the JSON form of each table must fail the same way
+@pytest.mark.parametrize("text,message", [
+    ("", "a table needs at least one cell"),
+    ("\n \n", "a table needs at least one cell"),
+    (TABLE_2 + "2,2,q\n", "cell (2, 2) appears twice"),
+    (TABLE_2 + "2,5,q\n", "cell (2, 5) is outside 1 <= i <= m"),
+    (TABLE_2 + "2,0,q\n", "cell (2, 0) is outside 1 <= i <= m"),
+    (TABLE_2 + "0,1,q\n", "cell (0, 1) is outside 1 <= i <= m"),
+    ("0,1,q\n", "cell (0, 1) is outside 1 <= i <= m"),
+    (TABLE_2.replace("2,2,", "3,3,"), "cell (2, 2) is missing from a table of 3 rows"),
+    ("1,1,1\n" + "9" * 30 + ",1,1\n", f"cell (2, 1) is missing from a table of {'9' * 30} rows"),
+], ids=["empty", "blank", "duplicate", "past-m", "i-zero", "m-zero", "only-outside", "missing",
+        "huge-m"])
+def test_malformed_table_is_refused_by_name(text, message):
+    assert DistTable.from_csv(TABLE_2).n == 2
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        DistTable.from_csv(text)
+    cells = [line.split(",", 2) for line in text.split("\n") if line.strip()]
+    json_text = json.dumps([{"n": int(m), "i": int(i),
+                             "poly": json.loads(MPoly.from_text(poly).to_json())}
+                            for m, i, poly in cells])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        DistTable.from_json(json_text)
 
 
 # sha256 of the serialized tables as written by the tuple-keyed MPoly, which
