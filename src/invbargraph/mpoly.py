@@ -26,8 +26,12 @@ lincomb(pairs) = sum of m * x over (multiplier, polynomial) pairs.  It
 seeds one output dict with the largest product (one shifted copy of a term
 map) and merges every other product's terms into it in place, so a chain
 such as a*x - b*y + c*z copies and hashes each term once instead of once per
-intermediate result.  `+`, `-`, `*` and `substitute` are calls of it, and the
-table recurrences build each cell with one call.
+intermediate result.  `+`, `-` and `*` are calls of it, and the table
+recurrences build each cell with one call.  Two maps of one polynomial are
+single passes of their own: `substitute` of a unit monomial (+-1 times a
+monomial, which is every substitution the checks make) adds one key offset
+per term, and `div_one_minus` divides by 1 - y in one running prefix sum.
+`substitute` of any other polynomial is a call of `lincomb`.
 
 The text forms are table-driven, because a monomial is one int: `to_text`
 and `to_json` read each key's monomial text from a bounded cache and add
@@ -262,12 +266,6 @@ class MPoly:
         s = _VAR_SHIFT[name]
         return max((k >> s) & _FIELD for k in self._terms) - _OFFSET
 
-    def min_degree(self, name: str) -> int:
-        if not self._terms:
-            return 0
-        s = _VAR_SHIFT[name]
-        return min((k >> s) & _FIELD for k in self._terms) - _OFFSET
-
     def as_unit_monomial(self) -> ExpVec | None:
         """Exponent vector if this is a single term with coefficient +-1."""
         if len(self._terms) != 1:
@@ -312,6 +310,45 @@ class MPoly:
             group[k & keep | zero_field] = c
         return {e: _raw(group) for e, group in groups.items()}
 
+    def div_one_minus(self, name: str) -> tuple["MPoly", "MPoly"]:
+        """(quotient, rest) of the synthetic division by 1 - `name`.
+
+        self = (1 - name) * quotient + rest * name^d, where d is the degree
+        of `name` in self and rest = self at name = 1 is free of `name`; so
+        1 - name divides self exactly if and only if rest is zero, and then
+        quotient is the exact quotient.  The exponents of `name` must be
+        nonnegative (ValueError otherwise).  The coefficient of name^k in the
+        quotient is the sum of the coefficients c_j (from `by_degree`) for
+        j <= k, so one running prefix sum is kept, and each prefix below the
+        top degree is written out as the name^k slice of the quotient.  The
+        slices are disjoint, so they are copied in without merging; the
+        prefix left after the top degree is the rest.
+        """
+        groups = self.by_degree(name)
+        s = _VAR_SHIFT[name]
+        if not groups:
+            return MPoly.zero(), MPoly.zero()
+        if min(groups) < 0:
+            raise ValueError(f"negative powers of {name} in the dividend")
+        quotient: dict[int, int] = {}
+        prefix: dict[int, int] = {}
+        get = prefix.get
+        top = max(groups)
+        for k in range(top + 1):
+            group = groups.get(k)
+            if group is not None:
+                for key, c in group._terms.items():
+                    total = get(key, 0) + c
+                    if total:
+                        prefix[key] = total
+                    else:
+                        del prefix[key]
+            if k < top:
+                shift = k << s
+                for key, c in prefix.items():
+                    quotient[key + shift] = c
+        return _raw(quotient), _raw(prefix)
+
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, name: str, repl: "MPoly | int") -> "MPoly":
@@ -320,18 +357,58 @@ class MPoly:
         A replacement that is a single monomial with coefficient +-1 may be
         substituted into negative powers; any other replacement requires the
         exponents of `name` to be nonnegative.
+
+        A unit monomial u is substituted in one pass over the term map: for
+        each distinct exponent e of `name`, the key offset that clears its
+        field and multiplies by u^e is computed once (u^e range-checked
+        through `_pack`); each term then takes one key addition and merges
+        into the output.  For -u, the terms with odd e are negated first.
+        Only a non-constant u can push another field out of range, so only
+        then is the guard-bit scan run.  Any other replacement is expanded
+        as the sum of c_e * repl^e over the coefficients c_e of `by_degree`.
         """
+        if name not in _VAR_SHIFT:
+            raise ValueError(f"unknown variable {name!r}")
+        repl_terms = _terms_of(repl)
+        if len(repl_terms) == 1:
+            (unit, sign), = repl_terms.items()
+            if sign == 1 or sign == -1:
+                return self._substitute_unit(_VAR_SHIFT[name], unit, sign)
         groups = self.by_degree(name)
-        repl = _coerce(repl)
-        if repl.as_unit_monomial() is not None:
-            power = repl._unit_monomial_pow  # one key per power, no products
-        elif any(e < 0 for e in groups):
+        if any(e < 0 for e in groups):
             raise NegativePowerSubstitutionError(
                 f"cannot substitute a non-monomial into a negative power of {name}"
             )
-        else:
-            power = repl.__pow__
+        power = _coerce(repl).__pow__
         return lincomb((sub, power(e)) for e, sub in groups.items())
+
+    def _substitute_unit(self, s: int, unit: int, sign: int) -> "MPoly":
+        """`substitute` of sign * unit (unit a packed key) for the field at shift s."""
+        terms = self._terms
+        if sign == -1:  # (-u)^e = (-1)^e u^e, and e is odd where the field is (OFFSET is even)
+            terms = {k: -c if k >> s & 1 else c for k, c in terms.items()}
+        mask = _FIELD << s
+        zero_field = _OFFSET << s
+        unit_exp = _unpack(unit)
+        shifts: dict[int, int] = {}  # field of the variable -> key offset
+        out: dict[int, int] = {}
+        get = out.get
+        for k, c in terms.items():
+            field = k & mask
+            shift = shifts.get(field)
+            if shift is None:
+                e = (field >> s) - _OFFSET
+                power = _pack([x * e for x in unit_exp])  # u^e, range-checked
+                shift = shifts[field] = power - _ZERO_KEY + zero_field - field
+            k += shift
+            total = get(k, 0) + c
+            if total:
+                out[k] = total
+            else:
+                del out[k]
+        if unit != _ZERO_KEY and reduce(operator.or_, out, 0) & _GUARD:
+            raise _overflow("in a substitution")
+        return _raw(out)
 
     def eval_rational(self, assignment: Mapping[str, Fraction | int]) -> Fraction:
         """Exact value at a rational point, summed over a common denominator.
@@ -558,7 +635,8 @@ def lincomb(pairs: Iterable[tuple["MPoly | int", "MPoly | int"]]) -> MPoly:
     factor.  The row over the most terms seeds the output with one
     comprehension (its keys are one shift of a term map's, so they cannot
     collide); every other row merges into that dict in place, with no
-    multiply when c is 1 and no key addition when the shift is 0.  Zero sums
+    multiply when c is 1 or -1 (an add or a subtract) and no key addition
+    when the shift is 0 and c is 1.  Zero sums
     are deleted as they appear, and one guard-bit scan at the end catches any
     exponent that left the range (none can when no row shifts).  No pairs,
     or only zero products, give zero.
@@ -598,6 +676,14 @@ def lincomb(pairs: Iterable[tuple["MPoly | int", "MPoly | int"]]) -> MPoly:
             for kb, cb in b.items():
                 k = kb + shift
                 s = get(k, 0) + cb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        elif c == -1:
+            for kb, cb in b.items():
+                k = kb + shift
+                s = get(k, 0) - cb
                 if s:
                     out[k] = s
                 else:

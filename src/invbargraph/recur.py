@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator
 
@@ -29,6 +29,8 @@ from invbargraph.mpoly import MPoly, P, Q, R, T, Y, lincomb
 from invbargraph.reporting import CheckResult, check
 
 Rat = Fraction | int
+
+_INDEX_RE = re.compile(r"[0-9]+")  # a cell's row or column in the CSV form, as to_csv writes it
 
 
 class NonDivisibleError(ArithmeticError):
@@ -99,10 +101,18 @@ class DistTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "DistTable":
-        """Parse `to_csv` text; a duplicate, missing or out-of-range cell is a ValueError."""
+        """Parse `to_csv` text; a duplicate, missing or out-of-range cell is a ValueError.
+
+        The row and column of a cell are ASCII digits, as `to_csv` writes
+        them; any other line is a ValueError that names it.
+        """
         cells: dict[tuple[int, int], MPoly] = {}
         for line in text.strip().splitlines():
-            m_str, i_str, poly_str = line.split(",", 2)
+            fields = line.split(",", 2)
+            if len(fields) != 3 or not (_INDEX_RE.fullmatch(fields[0])
+                                        and _INDEX_RE.fullmatch(fields[1])):
+                raise ValueError(f"bad table line {line!r}")
+            m_str, i_str, poly_str = fields
             cell = (int(m_str), int(i_str))
             if cell in cells:
                 raise ValueError(f"cell {cell} appears twice")
@@ -366,37 +376,41 @@ def divide_exact_one_minus_y(num: MPoly) -> MPoly:
     """Exact quotient num / (1 - y) by synthetic division in y.
 
     Requires nonnegative y-exponents and num(y=1) = 0; raises
-    NonDivisibleError otherwise.
+    NonDivisibleError otherwise.  `MPoly.div_one_minus` divides in one
+    running prefix sum over the coefficients of y^0, y^1, ...; the prefix
+    after the top degree is the remainder num(y=1).
     """
-    if num.min_degree("y") < 0:
-        raise NonDivisibleError("negative powers of y in the dividend")
-    by_deg = num.by_degree("y")
-    if not by_deg:
-        return MPoly.zero()
-    zero = MPoly.zero()
-    # partials[k] = sum_{j <= k} num_j is the coefficient of y^k in the quotient
-    partials = list(accumulate(by_deg.get(k, zero) for k in range(max(by_deg) + 1)))
-    remainder = partials.pop()  # num(y=1); it must vanish for exactness
+    try:
+        quotient, remainder = num.div_one_minus("y")
+    except ValueError:
+        raise NonDivisibleError("negative powers of y in the dividend") from None
     if remainder:
         raise NonDivisibleError(f"remainder {remainder.to_text()}")
-    return lincomb((MPoly.monomial(1, y=k), partial) for k, partial in enumerate(partials))
+    return quotient
 
 
 def bn_poly_recurrence(nmax: int) -> list[MPoly]:
     """Row polynomials B_n(y) of the lda table, computed directly.
 
+    The paper's row equation is
     B_n(y) = [ (p(1-y) + yr - q) B_{n-1}(y) + y(q - y^n r) B_{n-1}(1) ] / (1-y),
-    the division being exact; returns [B_1(y), ..., B_nmax(y)].
+    the division being exact; returns [B_1(y), ..., B_nmax(y)].  The term
+    p(1-y) B_{n-1}(y) of the numerator is divided by (1-y) by cancelling it,
+    so each row is computed as
+    B_n(y) = p B_{n-1}(y) + [ (yr - q) B_{n-1}(y) + y(q - y^n r) B_{n-1}(1) ] / (1-y).
+    The two numerators differ by a multiple of (1-y), so they have the same
+    value at y = 1: the exactness check (a zero remainder) fails on one
+    exactly when it fails on the other.
     """
     if nmax < 1:
         raise ValueError(f"nmax must be positive, got {nmax}")
-    step = P * (1 - Y) + Y * R - Q
+    step = Y * R - Q
     out = [Y]
     for n in range(2, nmax + 1):
         prev = out[-1]
         prev_at_one = prev.substitute("y", 1)
         numerator = lincomb(((step, prev), (Y * (Q - MPoly.monomial(1, y=n) * R), prev_at_one)))
-        out.append(divide_exact_one_minus_y(numerator))
+        out.append(lincomb(((P, prev), (1, divide_exact_one_minus_y(numerator)))))
     return out
 
 

@@ -299,6 +299,40 @@ def test_product_overflow_never_wraps(var):
             b * a
 
 
+def test_unit_substitution_overflow_never_wraps():
+    top = MPoly.monomial(1, p=EXP_MAX)
+    assert top.substitute("p", Q) == MPoly.monomial(1, q=EXP_MAX)
+    with pytest.raises(OverflowError):  # q^(2 EXP_MAX): the power itself is out of range
+        top.substitute("p", Q ** 2)
+    with pytest.raises(OverflowError):  # p^(EXP_MAX + 3): another field leaves the range
+        MPoly.monomial(1, y=3, p=EXP_MAX).substitute("y", Y * P)
+    assert MPoly.monomial(1, y=3, p=EXP_MAX - 3).substitute("y", Y * P) == \
+        MPoly.monomial(1, y=3, p=EXP_MAX)
+    with pytest.raises(OverflowError):  # q^(EXP_MIN - 1), a borrow out of the q field
+        MPoly.monomial(1, y=1, q=EXP_MIN).substitute("y", Q ** -1)
+    with pytest.raises(OverflowError):  # q^(-EXP_MIN) = q^(EXP_MAX + 1)
+        MPoly.monomial(1, y=EXP_MIN).substitute("y", Q ** -1)
+    assert MPoly.monomial(1, y=EXP_MAX).substitute("y", Q ** -1) == MPoly.monomial(1, q=-EXP_MAX)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, -1, -2, -3, EXP_MAX, EXP_MIN])
+def test_unit_substitution_sign(e):
+    sign = -1 if e % 2 else 1
+    poly = MPoly.monomial(5, p=e, q=1)
+    assert poly.substitute("p", -1) == MPoly.monomial(5 * sign, q=1)
+    assert poly.substitute("p", MPoly.monomial(-1, t=1)) == MPoly.monomial(5 * sign, q=1, t=e)
+    assert poly.substitute("p", 1) == MPoly.monomial(5, q=1)
+
+
+def test_unit_substitution_merges_and_cancels():
+    assert (Y - 1).substitute("y", 1) == MPoly.zero()
+    assert (P + P ** 2).substitute("p", -1) == MPoly.zero()  # odd and even powers cancel
+    assert (P + P ** 2).substitute("p", MPoly.monomial(-1, t=1)) == T ** 2 - T
+    assert (P ** -1 + P * Q ** 2).substitute("p", Q ** -1) == 2 * Q
+    with pytest.raises(ValueError, match="unknown variable"):
+        P.substitute("x", 1)
+
+
 def test_text_factors_accumulate_within_range():
     assert MPoly.from_text(f"p^{EXP_MAX - 1}*p") == MPoly.monomial(1, p=EXP_MAX)
     assert MPoly.from_text(f"p^{EXP_MIN}*p^{EXP_MAX}") == MPoly.monomial(1, p=-1)
@@ -506,6 +540,34 @@ def test_lincomb_edge_cases():
     # the seed is the largest product, wherever it sits among the pairs
     big = (P + Q + Y + 1) ** 3
     assert lincomb([(Q, P), (Y, big), (-1, Y * big)]) == P * Q
+
+
+def test_lincomb_minus_one_rows_subtract():
+    big = 2 ** 70 + 3
+    x = MPoly.monomial(big, p=2, q=1) + MPoly.monomial(-big * big, y=1)
+    assert lincomb([(-1, x), (1, x)]) == MPoly.zero()
+    assert lincomb([(1, x), (-1, x)]) == MPoly.zero()
+    assert lincomb([(P - Q, x), (Q - P, x)]) == MPoly.zero()  # shifted rows with c = -1
+    assert lincomb([(x, x), (-1, x)]) == x * x - x
+
+
+@given(ref_polys)
+def test_div_one_minus_is_synthetic_division(a):
+    a = {e: c for e, c in a.items() if e[0] >= 0}
+    poly = MPoly(a)
+    quotient, rest = poly.div_one_minus("y")
+    assert (1 - Y) * quotient + rest * Y ** poly.degree("y") == poly
+    assert rest == poly.substitute("y", 1)
+    assert all(0 <= e[0] < poly.degree("y") for e, _ in quotient.items())
+
+
+def test_div_one_minus_edge_cases():
+    with pytest.raises(ValueError, match="negative powers of y"):
+        (Y ** -1 + 1).div_one_minus("y")
+    assert MPoly.zero().div_one_minus("y") == (MPoly.zero(), MPoly.zero())
+    assert (P * Q).div_one_minus("y") == (MPoly.zero(), P * Q)
+    assert Y.div_one_minus("y") == (MPoly.zero(), MPoly.one())  # y = (1 - y) 0 + 1 y^1
+    assert (P - P * Y ** 3).div_one_minus("y") == (P + P * Y + P * Y ** 2, MPoly.zero())
 
 
 @pytest.mark.parametrize("var", VARS)

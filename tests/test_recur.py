@@ -163,10 +163,30 @@ def test_point_table_needs_exactly_its_markers():
 def test_divide_exact():
     num = P * (MPoly.one() - Y)
     assert divide_exact_one_minus_y(num) == P
-    with pytest.raises(NonDivisibleError):
+    with pytest.raises(NonDivisibleError, match=r"^remainder p$"):
         divide_exact_one_minus_y(P)
-    with pytest.raises(NonDivisibleError):
+    with pytest.raises(NonDivisibleError, match="^negative powers of y in the dividend$"):
         divide_exact_one_minus_y(mono(y=-1) - mono(y=-1, p=1))
+    assert divide_exact_one_minus_y(MPoly.zero()) == MPoly.zero()
+
+
+small_exps = st.integers(min_value=-3, max_value=3)
+y_free_polys = st.dictionaries(st.tuples(st.just(0), *[small_exps] * 4),
+                               st.integers(min_value=-9, max_value=9), max_size=4).map(MPoly)
+y_polys = st.dictionaries(st.tuples(st.integers(min_value=0, max_value=5), *[small_exps] * 4),
+                          st.integers(min_value=-9, max_value=9), max_size=6).map(MPoly)
+
+
+@given(y_polys)
+def test_divide_exact_round_trip(quotient):
+    assert divide_exact_one_minus_y((1 - Y) * quotient) == quotient
+
+
+@given(y_polys, y_free_polys.filter(bool))
+def test_divide_exact_names_the_remainder(quotient, remainder):
+    message = f"remainder {remainder.to_text()}"
+    with pytest.raises(NonDivisibleError, match=f"^{re.escape(message)}$"):
+        divide_exact_one_minus_y((1 - Y) * quotient + remainder)
 
 
 # -- totals ------------------------------------------------------------------------
@@ -367,6 +387,16 @@ def test_malformed_table_is_refused_by_name(text, message):
         DistTable.from_json(json_text)
 
 
+@pytest.mark.parametrize("line", ["+1,\u0661,p", "0_1, 1 ,p", "1,1", "1, 1,p", "\uff11,1,p", "-1,1,p"],
+                         ids=["plus-arabic-indic", "underscore-spaces", "no-poly", "space",
+                              "fullwidth", "minus"])
+def test_csv_cell_index_is_ascii_digits(line):
+    with pytest.raises(ValueError, match=f"^bad table line {re.escape(repr(line))}$"):
+        DistTable.from_csv(line + "\n")
+    with pytest.raises(ValueError, match="^bad table line"):
+        DistTable.from_csv(TABLE_2 + line + "\n")
+
+
 # sha256 of the serialized tables as written by the tuple-keyed MPoly, which
 # any change of term storage must reproduce byte for byte.
 @pytest.mark.parametrize("serialize,digest", [
@@ -392,6 +422,8 @@ def test_table_serialization_bytes_pinned(serialize, digest):
      "9a33bcb36805cd535d898f28c1d91176ce097e8b6b36dce58ac922826ba10bef"),
     (lambda: "\n".join(poly.to_text() for poly in bn_poly_recurrence(12)),
      "10243a3bd855edaea1e9f204b6756cdc8464d6cb96293a63bc0b3ae64959e374"),
-], ids=["a_lemma", "a_threeterm", "b_lemma", "b_threeterm", "bn_rows"])
+    (lambda: "\n".join(poly.to_text() for poly in bn_poly_recurrence(25)),
+     "59c9d4c8f04950d6bcfe812a93e7b8815aaebab342dd99ba852fd7c43b2c98da"),
+], ids=["a_lemma", "a_threeterm", "b_lemma", "b_threeterm", "bn_rows", "bn_rows_25"])
 def test_engine_outputs_pinned(serialize, digest):
     assert hashlib.sha256(serialize().encode()).hexdigest() == digest
