@@ -272,6 +272,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         point = (parse_rational(args.p), parse_rational(args.q), parse_rational(args.r))
         if point[1] == 0:
             raise UsageError("q must be nonzero for the kernel identity")
+        if point[1] == point[2]:  # rho = 1 there: both identities would hold for any series
+            raise UsageError("q and r must differ for the kernel identity")
     if args.out:
         _emit("", args.out)  # an unwritable path fails before the suites run
     results, ok = verify.run_verify(

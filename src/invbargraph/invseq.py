@@ -21,7 +21,7 @@ from operator import eq, gt, index, le, sub
 from typing import Callable, Iterable, Iterator
 
 from invbargraph import kernel
-from invbargraph.mpoly import MPoly
+from invbargraph.mpoly import DIGITS_MAX, MPoly
 from invbargraph.recur import DistTable, _check_size
 
 
@@ -38,7 +38,6 @@ class OutOfRangeError(ValueError):
         self.value = value
 
 
-DIGITS_MAX = 4300  # Python's default limit on the digits of an int read or written as text
 # A decimal integer as users type it: no sign but '-', no '_', 1..DIGITS_MAX ASCII digits.
 INTEGER = rf"-?[0-9]{{1,{DIGITS_MAX}}}"
 INT_RE = re.compile(rf"\s*{INTEGER}\s*", re.ASCII)

@@ -27,11 +27,11 @@ seeds one output dict with the largest product (one shifted copy of a term
 map) and merges every other product's terms into it in place, so a chain
 such as a*x - b*y + c*z copies and hashes each term once instead of once per
 intermediate result.  `+`, `-` and `*` are calls of it, and the table
-recurrences build each cell with one call.  Two maps of one polynomial are
-single passes of their own: `substitute` of a unit monomial (+-1 times a
-monomial, which is every substitution the checks make) adds one key offset
-per term, and `div_one_minus` divides by 1 - y in one running prefix sum.
-`substitute` of any other polynomial is a call of `lincomb`.
+recurrences build each cell with one call.  Substitution and powers take
+only a unit monomial (+-1, or +-1 times a monomial, which is every
+substitution and power the checks make), so each maps a term to one term:
+`substitute` adds one key offset per term and `**` scales one key.
+`div_one_minus` divides by 1 - y in one running prefix sum.
 
 The text forms are table-driven, because a monomial is one int: `to_text`
 and `to_json` read each key's monomial text from a bounded cache and add
@@ -78,7 +78,12 @@ _ZERO_KEY = sum(_OFFSET << s for s in _SHIFTS)
 _GUARD = sum(1 << (s + W - 1) for s in _SHIFTS)
 _VAR_SHIFT = {v: s for v, s in zip(VARS, _SHIFTS)}
 
-_FACTOR_RE = re.compile(r"([ypqrt])(?:\^(-?[0-9]+))?")
+# Python's default limit on the digits of an int read or written as text.  A
+# reader bounds every digit run by it before int(), so that a longer one is an
+# error naming its term instead of the interpreter's own message.
+DIGITS_MAX = 4300
+_DIGITS = rf"[0-9]{{1,{DIGITS_MAX}}}"
+_FACTOR_RE = re.compile(rf"([ypqrt])(?:\^(-?{_DIGITS}))?")
 # Key offset of each variable factor `from_text` has parsed and range-checked,
 # such as "p^12" -> 12 << shift(p).  Only a term body that misses
 # `_MONOMIAL_KEYS` reads it, and it more than halves those: the 23,486
@@ -89,8 +94,8 @@ _FACTOR_RE = re.compile(r"([ypqrt])(?:\^(-?[0-9]+))?")
 # distinct spellings hold about 8 MB (tracemalloc).
 _FACTOR_OFFSETS: dict[str, int] = {}
 _FACTOR_OFFSETS_MAX = 1 << 16
-_DIGITS_RE = re.compile(r"[0-9]+")
-_COEFF_RE = re.compile(r"-?[0-9]+")  # a JSON coefficient, as to_json writes it
+_DIGITS_RE = re.compile(_DIGITS)
+_COEFF_RE = re.compile(rf"-?{_DIGITS}")  # a JSON coefficient, as to_json writes it
 _TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
 # Per-monomial caches of the text forms, so that each term costs a lookup:
 # `to_text` reads the coefficient-free text of a packed key ("p^3*q^2", ""
@@ -109,10 +114,6 @@ _MONOMIAL_TEXT: dict[int, str] = {}
 _EXP_JSON: dict[int, str] = {}
 _MONOMIAL_KEYS: dict[str, tuple[int, int]] = {}
 _CONSTANT = (1, _ZERO_KEY)
-
-
-class NegativePowerSubstitutionError(ValueError):
-    """Substituting a non-monomial into a negative power of a variable."""
 
 
 class MissingAssignmentError(KeyError):
@@ -236,18 +237,16 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
-        if n < 0:
-            if self.as_unit_monomial() is None:
-                raise ValueError("negative power of a non-monomial polynomial")
-            return self._unit_monomial_pow(n)
-        result = MPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        """self^n for a unit monomial self (+-1 times a monomial) and any integer n.
+
+        The key of the power is one `_pack` of the scaled exponents, so it
+        is range-checked; any other base is a ValueError.
+        """
+        if len(self._terms) == 1:
+            (k, c), = self._terms.items()
+            if c == 1 or c == -1:
+                return _raw({_pack([e * n for e in _unpack(k)]): c if n % 2 else 1})
+        raise ValueError(f"power of {self.to_text()}: the base must be +-1 times a monomial")
 
     # -- queries -----------------------------------------------------------
 
@@ -266,17 +265,6 @@ class MPoly:
         s = _VAR_SHIFT[name]
         return max((k >> s) & _FIELD for k in self._terms) - _OFFSET
 
-    def as_unit_monomial(self) -> ExpVec | None:
-        """Exponent vector if this is a single term with coefficient +-1."""
-        if len(self._terms) != 1:
-            return None
-        (k, c), = self._terms.items()
-        return _unpack(k) if c in (1, -1) else None
-
-    def _unit_monomial_pow(self, n: int) -> "MPoly":
-        (k, c), = self._terms.items()
-        return _raw({_pack([e * n for e in _unpack(k)]): c if n % 2 else 1})
-
     def coeff_sum(self) -> int:
         """Sum of the coefficients: the value with every variable set to 1."""
         return sum(self._terms.values())
@@ -290,26 +278,6 @@ class MPoly:
         s = _VAR_SHIFT[name]
         return sum(c * (((k >> s) & _FIELD) - _OFFSET) for k, c in self._terms.items())
 
-    def by_degree(self, name: str) -> dict[int, "MPoly"]:
-        """The coefficients of this polynomial as a Laurent polynomial in `name`.
-
-        Returns {e: c_e} with self = sum_e c_e * name^e, where no c_e
-        contains `name` and every c_e is nonzero.
-        """
-        if name not in _VAR_SHIFT:
-            raise ValueError(f"unknown variable {name!r}")
-        s = _VAR_SHIFT[name]
-        keep = ~(_FIELD << s)
-        zero_field = _OFFSET << s
-        groups: dict[int, dict[int, int]] = {}
-        for k, c in self._terms.items():
-            e = ((k >> s) & _FIELD) - _OFFSET
-            group = groups.get(e)
-            if group is None:
-                group = groups[e] = {}
-            group[k & keep | zero_field] = c
-        return {e: _raw(group) for e, group in groups.items()}
-
     def div_one_minus(self, name: str) -> tuple["MPoly", "MPoly"]:
         """(quotient, rest) of the synthetic division by 1 - `name`.
 
@@ -317,73 +285,70 @@ class MPoly:
         of `name` in self and rest = self at name = 1 is free of `name`; so
         1 - name divides self exactly if and only if rest is zero, and then
         quotient is the exact quotient.  The exponents of `name` must be
-        nonnegative (ValueError otherwise).  The coefficient of name^k in the
-        quotient is the sum of the coefficients c_j (from `by_degree`) for
-        j <= k, so one running prefix sum is kept, and each prefix below the
-        top degree is written out as the name^k slice of the quotient.  The
-        slices are disjoint, so they are copied in without merging; the
-        prefix left after the top degree is the rest.
+        nonnegative (ValueError otherwise).  The terms are grouped by their
+        field of `name`, keyed with that field cleared.  The coefficient of
+        name^k in the quotient is the sum of the groups of the fields up to
+        k's, so one running prefix sum walks the fields upwards, and each
+        prefix below the top field is written out as the name^k slice of the
+        quotient.  The slices are disjoint, so they are copied in without
+        merging; the prefix left after the top field is the rest.
         """
-        groups = self.by_degree(name)
+        if name not in _VAR_SHIFT:
+            raise ValueError(f"unknown variable {name!r}")
         s = _VAR_SHIFT[name]
+        mask = _FIELD << s
+        zero_field = _OFFSET << s
+        groups: dict[int, dict[int, int]] = {}  # field of `name` -> {key with it cleared: coeff}
+        for k, c in self._terms.items():
+            field = k & mask
+            group = groups.get(field)
+            if group is None:
+                group = groups[field] = {}
+            group[k - field] = c
         if not groups:
             return MPoly.zero(), MPoly.zero()
-        if min(groups) < 0:
+        if min(groups) < zero_field:
             raise ValueError(f"negative powers of {name} in the dividend")
         quotient: dict[int, int] = {}
         prefix: dict[int, int] = {}
         get = prefix.get
         top = max(groups)
-        for k in range(top + 1):
-            group = groups.get(k)
+        for field in range(zero_field, top + 1, 1 << s):
+            group = groups.get(field)
             if group is not None:
-                for key, c in group._terms.items():
+                for key, c in group.items():
                     total = get(key, 0) + c
                     if total:
                         prefix[key] = total
                     else:
                         del prefix[key]
-            if k < top:
-                shift = k << s
+            if field < top:
                 for key, c in prefix.items():
-                    quotient[key + shift] = c
-        return _raw(quotient), _raw(prefix)
+                    quotient[key + field] = c
+        return _raw(quotient), _raw({key + zero_field: c for key, c in prefix.items()})
 
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, name: str, repl: "MPoly | int") -> "MPoly":
-        """Replace every occurrence of variable `name` by `repl`.
+        """Replace every occurrence of variable `name` by the unit monomial `repl`.
 
-        A replacement that is a single monomial with coefficient +-1 may be
-        substituted into negative powers; any other replacement requires the
-        exponents of `name` to be nonnegative.
-
-        A unit monomial u is substituted in one pass over the term map: for
-        each distinct exponent e of `name`, the key offset that clears its
-        field and multiplies by u^e is computed once (u^e range-checked
-        through `_pack`); each term then takes one key addition and merges
-        into the output.  For -u, the terms with odd e are negated first.
-        Only a non-constant u can push another field out of range, so only
-        then is the guard-bit scan run.  Any other replacement is expanded
-        as the sum of c_e * repl^e over the coefficients c_e of `by_degree`.
+        `repl` is +-1 or +-1 times a monomial u (ValueError otherwise), and
+        is substituted in one pass over the term map: for each distinct
+        exponent e of `name`, the key offset that clears its field and
+        multiplies by u^e is computed once (u^e range-checked through
+        `_pack`); each term then takes one key addition and merges into the
+        output.  For -u, the terms with odd e are negated first.  Only a
+        non-constant u can push another field out of range, so only then is
+        the guard-bit scan run.
         """
         if name not in _VAR_SHIFT:
             raise ValueError(f"unknown variable {name!r}")
         repl_terms = _terms_of(repl)
-        if len(repl_terms) == 1:
-            (unit, sign), = repl_terms.items()
-            if sign == 1 or sign == -1:
-                return self._substitute_unit(_VAR_SHIFT[name], unit, sign)
-        groups = self.by_degree(name)
-        if any(e < 0 for e in groups):
-            raise NegativePowerSubstitutionError(
-                f"cannot substitute a non-monomial into a negative power of {name}"
-            )
-        power = _coerce(repl).__pow__
-        return lincomb((sub, power(e)) for e, sub in groups.items())
-
-    def _substitute_unit(self, s: int, unit: int, sign: int) -> "MPoly":
-        """`substitute` of sign * unit (unit a packed key) for the field at shift s."""
+        unit, sign = next(iter(repl_terms.items())) if len(repl_terms) == 1 else (0, 0)
+        if sign != 1 and sign != -1:
+            raise ValueError(f"cannot substitute {_raw(repl_terms).to_text()} for {name}: "
+                             "the replacement must be +-1 times a monomial")
+        s = _VAR_SHIFT[name]
         terms = self._terms
         if sign == -1:  # (-u)^e = (-1)^e u^e, and e is odd where the field is (OFFSET is even)
             terms = {k: -c if k >> s & 1 else c for k, c in terms.items()}
@@ -492,6 +457,9 @@ class MPoly:
         for sign, body in _iter_signed_terms(s):
             head, star, rest = body.partition("*")
             if head.isdigit() and head.isascii():  # a leading coefficient
+                if len(head) > DIGITS_MAX:
+                    raise ValueError(f"coefficient of more than {DIGITS_MAX} digits "
+                                     f"in the term {body!r} of polynomial text")
                 coeff = sign * int(head)
                 parsed = cached(rest) if star else _CONSTANT
             else:
@@ -533,15 +501,27 @@ class MPoly:
     def from_json_obj(cls, obj: Iterable[Mapping[str, object]]) -> "MPoly":
         """Parse the JSON term list (inverse of json.loads of to_json).
 
-        A coefficient is a string of ASCII digits with an optional leading
-        minus, as to_json writes it; an exponent is an integer.
+        A term is an object with "coeff" and "exp"; a coefficient is a string
+        of at most `DIGITS_MAX` ASCII digits with an optional leading minus,
+        as to_json writes it; "exp" is a list of integers.  A term without
+        both keys, a bad coefficient, and "exp" that is not a list or holds
+        text are ValueErrors that name the term or its part; a non-integer
+        number in "exp" is a TypeError, as everywhere in this module.
         """
         terms: dict[int, int] = {}
         for entry in obj:
-            coeff = entry["coeff"]
+            try:
+                coeff, exp = entry["coeff"], entry["exp"]
+            except (KeyError, TypeError):
+                raise ValueError(f"bad JSON term {entry!r}") from None
             if not (isinstance(coeff, str) and _COEFF_RE.fullmatch(coeff)):
                 raise ValueError(f"bad coefficient {coeff!r} in a JSON term")
-            key = _pack(entry["exp"])  # type: ignore[arg-type]
+            try:
+                key = _pack(exp)
+            except TypeError:  # text is JSON text, or an integer too long for int()
+                if isinstance(exp, list) and not any(isinstance(e, str) for e in exp):
+                    raise
+                raise ValueError(f"bad exponents {exp!r} in a JSON term") from None
             total = terms.get(key, 0) + int(coeff)
             if total:
                 terms[key] = total
@@ -614,10 +594,6 @@ def _iter_signed_terms(s: str) -> Iterator[tuple[int, str]]:
     yield sign, first
     for op, body in zip(pieces[1::2], pieces[2::2]):
         yield (1 if op == "+" else -1), body.strip()
-
-
-def _coerce(x: "MPoly | int") -> MPoly:
-    return x if isinstance(x, MPoly) else MPoly.const(x)
 
 
 def _terms_of(x: "MPoly | int") -> dict[int, int]:

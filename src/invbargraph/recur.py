@@ -18,19 +18,24 @@ instead of evaluating symbolic tables.
 from __future__ import annotations
 
 import json
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator
 
-from invbargraph.mpoly import MPoly, P, Q, R, T, Y, lincomb
+from invbargraph.mpoly import DIGITS_MAX, MPoly, P, Q, R, T, Y, lincomb
 from invbargraph.reporting import CheckResult, check
 
 Rat = Fraction | int
 
-_INDEX_RE = re.compile(r"[0-9]+")  # a cell's row or column in the CSV form, as to_csv writes it
+# a cell's row or column in the CSV form, as to_csv writes it
+_INDEX_RE = re.compile(rf"[0-9]{{1,{DIGITS_MAX}}}")
+
+
+def _int_or_text(digits: str) -> int | str:
+    """A JSON integer, or its text when it has more than `DIGITS_MAX` digits."""
+    return digits if len(digits.lstrip("-")) > DIGITS_MAX else int(digits)
 
 
 class NonDivisibleError(ArithmeticError):
@@ -127,10 +132,27 @@ class DistTable:
 
     @classmethod
     def from_json(cls, text: str) -> "DistTable":
-        """Parse `to_json` text; a duplicate, missing or out-of-range cell is a ValueError."""
+        """Parse `to_json` text; a duplicate, missing or out-of-range cell is a ValueError.
+
+        The text is a list of entries, each an object with integers "n" and
+        "i" and a term list "poly"; anything else is a ValueError that names
+        the entry.  An integer of more than `DIGITS_MAX` digits is read as
+        its text, so the entry or term that holds it is refused by name.
+        """
+        try:
+            entries = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer past Python's digit limit
+            entries = json.loads(text, parse_int=_int_or_text)
+        if not isinstance(entries, list):
+            raise ValueError(f"a JSON table is a list of entries, not {entries!r}")
         cells: dict[tuple[int, int], MPoly] = {}
-        for entry in json.loads(text):
-            cell = (operator.index(entry["n"]), operator.index(entry["i"]))
+        for entry in entries:
+            if not (isinstance(entry, dict) and type(entry.get("n")) is int
+                    and type(entry.get("i")) is int and isinstance(entry.get("poly"), list)):
+                raise ValueError(f"bad table entry {entry!r}")
+            cell = (entry["n"], entry["i"])
             if cell in cells:
                 raise ValueError(f"cell {cell} appears twice")
             cells[cell] = MPoly.from_json_obj(entry["poly"])

@@ -834,6 +834,15 @@ def test_verify_guards(capsys):
     assert run_cli(capsys, "verify", "--p", "1/2")[0] == 2  # --q/--r missing
 
 
+@pytest.mark.parametrize("q,r", [("2", "2"), ("-1/3", "-2/6"), ("5/1", "5")])
+def test_verify_refuses_a_kernel_point_with_q_equal_to_r(capsys, q, r):
+    """At q = r, rho = 1 and both lda kernel identities hold for any series, corrupt or not."""
+    assert run_cli(capsys, "verify", "--suite", "gf", "--corrupt", "--p", "1", "--q", q,
+                   "--r", r) == (2, "", "error: q and r must differ for the kernel identity\n")
+    assert run_cli(capsys, "verify", "--suite", "gf", "--corrupt", "--order", "3",
+                   "--p", "1", "--q", q, "--r", "3")[0] == 1
+
+
 def test_out_flag(tmp_path, capsys):
     target = tmp_path / "totals.json"
     code, out, _ = run_cli(capsys, "totals", "-n", "2", "--out", str(target))

@@ -17,7 +17,6 @@ from invbargraph.mpoly import (
     VARS,
     MissingAssignmentError,
     MPoly,
-    NegativePowerSubstitutionError,
     P,
     Q,
     R,
@@ -74,10 +73,30 @@ def test_substitute_polynomial_expansion():
 
 def test_substitute_negative_power_refused():
     laurent = MPoly.monomial(1, q=-1)
-    with pytest.raises(NegativePowerSubstitutionError):
+    with pytest.raises(ValueError, match="^cannot substitute 1 \\+ q for q: "):
         laurent.substitute("q", MPoly.one() + Q)
     # a unit monomial replacement is fine even into negative powers
     assert laurent.substitute("q", MPoly.monomial(-1, t=2)) == MPoly.monomial(-1, t=-2)
+
+
+# every replacement but +-1 times a monomial is refused, into any power of the variable
+@pytest.mark.parametrize("repl,text", [(0, "0"), (2, "2"), (1 + Q, "1 + q"), (2 * P, "2*p")],
+                         ids=["zero", "two", "one-plus-q", "two-p"])
+def test_substitute_takes_only_unit_monomials(repl, text):
+    message = (f"^cannot substitute {re.escape(text)} for p: "
+               "the replacement must be \\+-1 times a monomial$")
+    for poly in (PQ2, MPoly.monomial(1, p=-2), MPoly.const(3), MPoly.zero()):
+        with pytest.raises(ValueError, match=message):
+            poly.substitute("p", repl)
+
+
+@pytest.mark.parametrize("base,n", [(MPoly.zero(), 0), (MPoly.zero(), 1), (P + Q, 2),
+                                    (P + Q, -2), (P + Q, 0), (MPoly.const(2), 3),
+                                    (MPoly.monomial(3, p=1), -1)],
+                         ids=["zero-0", "zero-1", "p+q-2", "p+q--2", "p+q-0", "two-3", "3p--1"])
+def test_pow_takes_only_unit_monomials(base, n):
+    with pytest.raises(ValueError, match="^power of .*: the base must be \\+-1 times a monomial$"):
+        base ** n
 
 
 def test_eval_all_ones():
@@ -234,6 +253,41 @@ def test_json_round_trip(a):
 def test_json_bad_coefficient(coeff):
     with pytest.raises(ValueError, match="^bad coefficient .* in a JSON term$"):
         MPoly.from_json_obj([{"coeff": coeff, "exp": [0, 1, 0, 0, 0]}])
+
+
+LONG = "9" * 5000  # past the 4300 digits of Python's own int() limit
+
+
+@pytest.mark.parametrize("text,message", [
+    (f"{LONG}*p", f"coefficient of more than 4300 digits in the term '{LONG}*p' of polynomial text"),
+    (f"p - {LONG}", f"coefficient of more than 4300 digits in the term '{LONG}' of polynomial text"),
+    (f"p^{LONG}", f"bad factor 'p^{LONG}' in polynomial text 'p^{LONG}'"),
+    (f"p*{LONG}", f"bad factor '{LONG}' in polynomial text 'p*{LONG}'"),
+], ids=["coefficient", "constant", "exponent", "factor"])
+def test_text_digit_runs_are_bounded(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MPoly.from_text(text)
+    bound = "9" * 4300
+    assert MPoly.from_text(f"{bound}*p") == MPoly.monomial(int(bound), p=1)
+
+
+def test_json_digit_runs_are_bounded():
+    with pytest.raises(ValueError, match=f"^bad coefficient '{LONG}' in a JSON term$"):
+        MPoly.from_json_obj([{"coeff": LONG, "exp": [0, 1, 0, 0, 0]}])
+    assert MPoly.from_json_obj([{"coeff": "-" + "9" * 4300, "exp": [0, 1, 0, 0, 0]}]) == \
+        MPoly.monomial(-int("9" * 4300), p=1)
+
+
+@pytest.mark.parametrize("term,message", [
+    (1, "bad JSON term 1"),
+    ({"coeff": "1"}, "bad JSON term {'coeff': '1'}"),
+    ({"coeff": "1", "exp": "00000"}, "bad exponents '00000' in a JSON term"),
+    ({"coeff": "1", "exp": 5}, "bad exponents 5 in a JSON term"),
+    ({"coeff": "1", "exp": [0, "1", 0, 0, 0]}, "bad exponents [0, '1', 0, 0, 0] in a JSON term"),
+], ids=["number", "no-exp", "exp-text", "exp-number", "exp-text-entry"])
+def test_json_bad_term_is_refused_by_name(term, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MPoly.from_json_obj([term])
 
 
 def test_json_terms_with_one_monomial_add_up():
@@ -421,9 +475,13 @@ def test_ring_ops_match_reference(a, b):
     assert as_ref(pa * 3) == {e: 3 * c for e, c in a.items()}
 
 
-@given(ref_polys, st.integers(min_value=0, max_value=3))
+@given(ref_polys, st.integers(min_value=-3, max_value=3))
 def test_pow_matches_reference(a, n):
-    assert as_ref(MPoly(a) ** n) == ref_pow(a, n)
+    if len(a) == 1 and set(a.values()) <= {1, -1}:
+        assert as_ref(MPoly(a) ** n) == ref_pow(a, n)
+    else:
+        with pytest.raises(ValueError, match="the base must be"):
+            MPoly(a) ** n
 
 
 @given(unit_monomials, st.integers(min_value=-4, max_value=4))
@@ -431,14 +489,12 @@ def test_unit_monomial_pow_matches_reference(a, n):
     assert as_ref(MPoly(a) ** n) == ref_pow(a, n)
 
 
-@given(ref_polys, st.sampled_from(range(NVARS)), st.one_of(ref_polys, unit_monomials))
+unit_constants = st.sampled_from([{ZERO_EXP: 1}, {ZERO_EXP: -1}])
+
+
+@given(ref_polys, st.sampled_from(range(NVARS)), st.one_of(unit_monomials, unit_constants))
 def test_substitute_matches_reference(a, i, repl):
-    poly = MPoly(a)
-    if any(e[i] < 0 for e in a) and MPoly(repl).as_unit_monomial() is None:
-        with pytest.raises(NegativePowerSubstitutionError):
-            poly.substitute(VARS[i], MPoly(repl))
-    else:
-        assert as_ref(poly.substitute(VARS[i], MPoly(repl))) == ref_substitute(a, i, repl)
+    assert as_ref(MPoly(a).substitute(VARS[i], MPoly(repl))) == ref_substitute(a, i, repl)
 
 
 @given(ref_polys)
@@ -534,11 +590,12 @@ def test_lincomb_edge_cases():
     assert lincomb(iter(())) == 0
     # zero products are skipped, also when their other factor is the largest
     assert lincomb([(0, P), (Q, MPoly.zero()), (P, Q)]) == P * Q
-    assert lincomb([(P, Q), (0, (P + Q + 1) ** 2), ((P + Q + 1) ** 2, 0)]) == P * Q
+    square = (P + Q + 1) * (P + Q + 1)
+    assert lincomb([(P, Q), (0, square), (square, 0)]) == P * Q
     assert lincomb([(3, P), (P, 2)]) == MPoly.monomial(5, p=1)  # constant multipliers
     assert lincomb([(P ** -1, P), (-1, MPoly.one())]) == MPoly.zero()  # Laurent cancellation
     # the seed is the largest product, wherever it sits among the pairs
-    big = (P + Q + Y + 1) ** 3
+    big = (P + Q + Y + 1) * (P + Q + Y + 1) * (P + Q + Y + 1)
     assert lincomb([(Q, P), (Y, big), (-1, Y * big)]) == P * Q
 
 
@@ -561,6 +618,17 @@ def test_div_one_minus_is_synthetic_division(a):
     assert all(0 <= e[0] < poly.degree("y") for e, _ in quotient.items())
 
 
+@given(ref_polys, st.sampled_from(range(NVARS)))
+def test_div_one_minus_in_every_variable(a, i):
+    a = {e: c for e, c in a.items() if e[i] >= 0}
+    poly, x = MPoly(a), MPoly.var(VARS[i])
+    quotient, rest = poly.div_one_minus(VARS[i])
+    assert (1 - x) * quotient + rest * x ** poly.degree(VARS[i]) == poly
+    assert rest == poly.substitute(VARS[i], 1)
+    assert all(0 <= e[i] < poly.degree(VARS[i]) for e, _ in quotient.items())
+    assert all(e[i] == 0 for e, _ in rest.items())
+
+
 def test_div_one_minus_edge_cases():
     with pytest.raises(ValueError, match="negative powers of y"):
         (Y ** -1 + 1).div_one_minus("y")
@@ -568,6 +636,8 @@ def test_div_one_minus_edge_cases():
     assert (P * Q).div_one_minus("y") == (MPoly.zero(), P * Q)
     assert Y.div_one_minus("y") == (MPoly.zero(), MPoly.one())  # y = (1 - y) 0 + 1 y^1
     assert (P - P * Y ** 3).div_one_minus("y") == (P + P * Y + P * Y ** 2, MPoly.zero())
+    with pytest.raises(ValueError, match="^unknown variable 'x'$"):
+        P.div_one_minus("x")
 
 
 @pytest.mark.parametrize("var", VARS)
