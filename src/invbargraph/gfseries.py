@@ -306,9 +306,7 @@ def check_area_ogf_recursion(
     `table` is the area/sper point table at (p, q=1); `link` holds the
     symbolic row sums A_n(1) for n = 1..len(link) <= order.
     """
-    p = Fraction(p)
-    if p == 1:
-        raise SingularParameterError(_AREA_SINGULAR)
+    p = _nonsingular(p, order, _AREA_SINGULAR)
     data = series_from_table(table, order)
     scaled = RationalSeries(
         [c * p ** n for n, c in enumerate(data.coeffs)], order

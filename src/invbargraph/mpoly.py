@@ -40,6 +40,8 @@ coefficient off each term and reads the rest of the term from a cache of
 parsed bodies.  Only a body that parsed cleanly is cached, so a miss takes
 every check of the factor parser.  The caches only ever gain entries that
 are correct for their keys, so sharing them between threads is safe.
+`from_text` is the package's one reader (through `DistTable.from_csv`);
+nothing in the package reads JSON back.
 
 Coefficients are Python ints and zero terms are never stored, so equality
 is plain term-map equality.  Every coefficient, exponent and scalar operand
@@ -84,16 +86,6 @@ _VAR_SHIFT = {v: s for v, s in zip(VARS, _SHIFTS)}
 DIGITS_MAX = 4300
 _DIGITS = rf"[0-9]{{1,{DIGITS_MAX}}}"
 _FACTOR_RE = re.compile(rf"([ypqrt])(?:\^(-?{_DIGITS}))?")
-# Key offset of each variable factor `from_text` has parsed and range-checked,
-# such as "p^12" -> 12 << shift(p).  Only a term body that misses
-# `_MONOMIAL_KEYS` reads it, and it more than halves those: the 23,486
-# distinct bodies of the CSVs of `dist area-sper -n 19` and `dist lda -n 46`
-# parsed cold in 0.04-0.06 s with it and 0.13 s without (4 runs each).
-# Capped, because the text may spell one exponent in any number of ways
-# ("p^007"): those two CSVs fill only 345 entries, and 65,536 of the shortest
-# distinct spellings hold about 8 MB (tracemalloc).
-_FACTOR_OFFSETS: dict[str, int] = {}
-_FACTOR_OFFSETS_MAX = 1 << 16
 _DIGITS_RE = re.compile(_DIGITS)
 _COEFF_RE = re.compile(rf"-?{_DIGITS}")  # a JSON coefficient, as to_json writes it
 _TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
@@ -501,12 +493,14 @@ class MPoly:
     def from_json_obj(cls, obj: Iterable[Mapping[str, object]]) -> "MPoly":
         """Parse the JSON term list (inverse of json.loads of to_json).
 
+        Nothing in the package reads it; perfbench/tracing.py wraps it by name.
         A term is an object with "coeff" and "exp"; a coefficient is a string
         of at most `DIGITS_MAX` ASCII digits with an optional leading minus,
         as to_json writes it; "exp" is a list of integers.  A term without
         both keys, a bad coefficient, and "exp" that is not a list or holds
-        text are ValueErrors that name the term or its part; a non-integer
-        number in "exp" is a TypeError, as everywhere in this module.
+        text or a boolean are ValueErrors that name the term or its part; a
+        non-integer number in "exp" is a TypeError, as everywhere in this
+        module.
         """
         terms: dict[int, int] = {}
         for entry in obj:
@@ -516,12 +510,9 @@ class MPoly:
                 raise ValueError(f"bad JSON term {entry!r}") from None
             if not (isinstance(coeff, str) and _COEFF_RE.fullmatch(coeff)):
                 raise ValueError(f"bad coefficient {coeff!r} in a JSON term")
-            try:
-                key = _pack(exp)
-            except TypeError:  # text is JSON text, or an integer too long for int()
-                if isinstance(exp, list) and not any(isinstance(e, str) for e in exp):
-                    raise
-                raise ValueError(f"bad exponents {exp!r} in a JSON term") from None
+            if not isinstance(exp, list) or any(isinstance(e, (str, bool)) for e in exp):
+                raise ValueError(f"bad exponents {exp!r} in a JSON term")
+            key = _pack(exp)
             total = terms.get(key, 0) + int(coeff)
             if total:
                 terms[key] = total
@@ -560,24 +551,18 @@ def _parse_monomial(rest: str, body: str, text: str) -> tuple[int, int]:
     key = _ZERO_KEY
     for part in rest.split("*"):
         part = part.strip()
-        offset = _FACTOR_OFFSETS.get(part)
-        if offset is None:
-            m = _FACTOR_RE.fullmatch(part)
-            if m:
-                e = int(m.group(2) or 1)
-                if not EXP_MIN <= e <= EXP_MAX:
-                    raise _overflow(part)
-                offset = e << _VAR_SHIFT[m.group(1)]
-                if len(_FACTOR_OFFSETS) < _FACTOR_OFFSETS_MAX:
-                    _FACTOR_OFFSETS[part] = offset
-            elif _DIGITS_RE.fullmatch(part):
-                factor *= int(part)
-                continue
-            else:
+        m = _FACTOR_RE.fullmatch(part)
+        if m is None:
+            if not _DIGITS_RE.fullmatch(part):
                 raise ValueError(f"bad factor {part!r} in polynomial text {text!r}")
+            factor *= int(part)
+            continue
+        e = int(m.group(2) or 1)
+        if not EXP_MIN <= e <= EXP_MAX:
+            raise _overflow(part)
         # A field kept in range by every step stays detectable:
         # one in-range exponent cannot carry past the guard bit.
-        key += offset
+        key += e << _VAR_SHIFT[m.group(1)]
         if key & _GUARD:
             raise _overflow(body)
     if len(_MONOMIAL_KEYS) < _MONOMIAL_CACHE_MAX:

@@ -17,7 +17,6 @@ instead of evaluating symbolic tables.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,11 +32,6 @@ Rat = Fraction | int
 _INDEX_RE = re.compile(rf"[0-9]{{1,{DIGITS_MAX}}}")
 
 
-def _int_or_text(digits: str) -> int | str:
-    """A JSON integer, or its text when it has more than `DIGITS_MAX` digits."""
-    return digits if len(digits.lstrip("-")) > DIGITS_MAX else int(digits)
-
-
 class NonDivisibleError(ArithmeticError):
     """Exact division left a remainder (signals an implementation bug)."""
 
@@ -46,7 +40,8 @@ class DistTable:
     """Triangular array of cells (m, i), 1 <= i <= m <= n.
 
     The cells are distribution polynomials, or their values at a point (see
-    `point_table`); the text and JSON forms need polynomials.
+    `point_table`).  The CSV and JSON forms need polynomials; only the CSV
+    form is read back (`from_csv`).
     """
 
     __slots__ = ("_rows",)
@@ -122,48 +117,6 @@ class DistTable:
             if cell in cells:
                 raise ValueError(f"cell {cell} appears twice")
             cells[cell] = MPoly.from_text(poly_str)
-        return cls._from_cells(cells)
-
-    def to_json(self) -> str:
-        """`[{"n": m, "i": i, "poly": <MPoly.to_json>}, ...]`, the bytes of json.dumps."""
-        cells = [f'{{"n": {m}, "i": {i}, "poly": {cell.to_json()}}}'
-                 for m, i, cell in self.cells()]
-        return "[" + ", ".join(cells) + "]"
-
-    @classmethod
-    def from_json(cls, text: str) -> "DistTable":
-        """Parse `to_json` text; a duplicate, missing or out-of-range cell is a ValueError.
-
-        The text is a list of entries, each an object with integers "n" and
-        "i" and a term list "poly"; anything else is a ValueError that names
-        the entry.  An integer of more than `DIGITS_MAX` digits is read as
-        its text, so the entry or term that holds it is refused by name.
-        """
-        try:
-            entries = json.loads(text)
-        except json.JSONDecodeError:
-            raise
-        except ValueError:  # an integer past Python's digit limit
-            entries = json.loads(text, parse_int=_int_or_text)
-        if not isinstance(entries, list):
-            raise ValueError(f"a JSON table is a list of entries, not {entries!r}")
-        cells: dict[tuple[int, int], MPoly] = {}
-        for entry in entries:
-            if not (isinstance(entry, dict) and type(entry.get("n")) is int
-                    and type(entry.get("i")) is int and isinstance(entry.get("poly"), list)):
-                raise ValueError(f"bad table entry {entry!r}")
-            cell = (entry["n"], entry["i"])
-            if cell in cells:
-                raise ValueError(f"cell {cell} appears twice")
-            cells[cell] = MPoly.from_json_obj(entry["poly"])
-        return cls._from_cells(cells)
-
-    @classmethod
-    def _from_cells(cls, cells: dict[tuple[int, int], MPoly]) -> "DistTable":
-        """The table of {(m, i): cell}, which must hold every cell up to its largest m, and no other.
-
-        Empties `cells`.
-        """
         if not cells:
             raise ValueError("a table needs at least one cell")
         n = max(m for m, _ in cells)
@@ -179,6 +132,12 @@ class DistTable:
         if cells:
             raise ValueError(f"cell {next(iter(cells))} is outside 1 <= i <= m")
         return cls(rows)
+
+    def to_json(self) -> str:
+        """`[{"n": m, "i": i, "poly": <MPoly.to_json>}, ...]`, the bytes of json.dumps."""
+        cells = [f'{{"n": {m}, "i": {i}, "poly": {cell.to_json()}}}'
+                 for m, i, cell in self.cells()]
+        return "[" + ", ".join(cells) + "]"
 
 
 def row_poly(table: DistTable, m: int) -> MPoly:

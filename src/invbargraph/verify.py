@@ -409,7 +409,12 @@ def run_verify(
     """Run the selected suites; returns (results, all_passed).
 
     The results are in `SUITES` order, whichever process ran each suite.
+    A name outside `SUITES`, or no name at all, is a ValueError.
     """
+    unknown = [name for name in suites if name not in SUITES]
+    if unknown or not suites:
+        problem = f"unknown suites {unknown}" if unknown else "no suite selected"
+        raise ValueError(f"{problem} (the suites are {', '.join(SUITES)})")
     tables = _Tables(nmax, order, corrupt)
     runs = {
         "recurrences": lambda: _suite_recurrences(tables),

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from invbargraph import cli, invseq, kernel, recur, verify
 from invbargraph.invseq import InversionSequence, Permutation
+from invbargraph.mpoly import MPoly
 from invbargraph.recur import (
     DistTable,
     a_table_lemma,
@@ -106,7 +107,11 @@ def test_dist_csv_round_trips(capsys):
 def test_dist_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "dist", "area-sper", "-n", "4", "--format", "json")
     assert code == 0
-    assert DistTable.from_json(out) == a_table_lemma(4)
+    entries = json.loads(out)
+    table = a_table_lemma(4)
+    assert [(e["n"], e["i"]) for e in entries] == [(m, i) for m, i, _ in table.cells()]
+    for entry in entries:
+        assert MPoly.from_json_obj(entry["poly"]) == table[entry["n"], entry["i"]]
 
 
 # sha256 of `dist` output as written by per-term formatting (json.dumps of one
@@ -802,6 +807,18 @@ def test_a_parent_exception_kills_and_reaps_the_child(monkeypatch, forked):
     with pytest.raises(SweepBroke, match="^in the parent$"):
         verify.run_verify(nmax=4, order=1)
     assert time.monotonic() - began < 30  # killed, not waited for
+
+
+@pytest.mark.parametrize("suites,message", [
+    (["gff"], "unknown suites ['gff']"),
+    (["gf", "totals", "x"], "unknown suites ['x']"),
+    ([], "no suite selected"),
+], ids=["misspelt", "one-unknown", "none"])
+def test_run_verify_refuses_an_unknown_or_empty_selection(monkeypatch, suites, message):
+    monkeypatch.setattr(verify, "_Tables", None)  # refused before any table is built
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} \\(the suites are "
+                                         "recurrences, totals, signbalance, bijections, gf\\)$"):
+        verify.run_verify(suites, nmax=3, order=1)
 
 
 # `python -m invbargraph`, on the forked path whatever CPUs the host has

@@ -284,7 +284,9 @@ def test_json_digit_runs_are_bounded():
     ({"coeff": "1", "exp": "00000"}, "bad exponents '00000' in a JSON term"),
     ({"coeff": "1", "exp": 5}, "bad exponents 5 in a JSON term"),
     ({"coeff": "1", "exp": [0, "1", 0, 0, 0]}, "bad exponents [0, '1', 0, 0, 0] in a JSON term"),
-], ids=["number", "no-exp", "exp-text", "exp-number", "exp-text-entry"])
+    ({"coeff": "1", "exp": [0, True, 0, 0, 0]}, "bad exponents [0, True, 0, 0, 0] in a JSON term"),
+    ({"coeff": "1", "exp": [0, 0, 0, 0, False]}, "bad exponents [0, 0, 0, 0, False] in a JSON term"),
+], ids=["number", "no-exp", "exp-text", "exp-number", "exp-text-entry", "exp-true", "exp-false"])
 def test_json_bad_term_is_refused_by_name(term, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MPoly.from_json_obj([term])
@@ -513,8 +515,7 @@ def ref_json(a):
 
 def fresh_caches():
     """Empty text-form caches for the duration of a `with` block."""
-    return mock.patch.multiple(mpoly, _MONOMIAL_TEXT={}, _EXP_JSON={}, _MONOMIAL_KEYS={},
-                               _FACTOR_OFFSETS={})
+    return mock.patch.multiple(mpoly, _MONOMIAL_TEXT={}, _EXP_JSON={}, _MONOMIAL_KEYS={})
 
 
 def test_caches_stop_at_their_bound(monkeypatch):
