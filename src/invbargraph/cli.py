@@ -26,13 +26,15 @@ from invbargraph.invseq import InversionSequence, Permutation
 ENUMERATE_MAX = 10
 # Recurrence tables (`dist`), one cap per kind from a 2 s budget: the largest n
 # whose slowest engine and format stays under 2 s wall time, process start
-# included.  Ranges over fresh runs of both engines and both formats (10 runs
-# each at the caps, 5 or 10 above), C kernel, Python 3.11 on a shared 2-core
-# Xeon: area/sper takes 0.9-1.4 s at 19, 1.3-2.2 s at 20 and 2.2-2.5 s at 21
-# (threeterm); lda takes 1.2-1.9 s at 46, 1.2-2.0 s at 47 and 1.8-2.3 s at 48.
-# The threeterm engine is the slowest, and csv and json now take about as long:
-# with cached monomial text the recurrences, not the text forms, bind.
-AREA_SPER_TABLE_MAX = 19
+# included.  Ranges over fresh runs of both engines and both formats, C kernel,
+# Python 3.11 on a shared 2-core Xeon.  Area/sper, built on packed ints (10
+# runs of each engine and format at 19-21, 20 at 22, 3 at 23): 0.40-0.71 s at
+# 19, 0.54-1.10 s at 20, 0.67-1.33 s at 21, 1.17-1.96 s at 22 and 1.57-2.12 s
+# at 23.  From 22 on a coefficient slot takes two 64-bit words, which doubles
+# the packed ints.  Lda (10 runs each at the cap, 5 or 10 above): 1.2-1.9 s at
+# 46, 1.2-2.0 s at 47 and 1.8-2.3 s at 48.  The threeterm engine is the
+# slowest, and csv and json take about as long.
+AREA_SPER_TABLE_MAX = 22
 LDA_TABLE_MAX = 46
 # `--engine brute` on the pure-Python kernel, from the same budget: 7 fresh
 # runs each of csv and json per kind took 0.3-0.9 s at 9, but at 10 1.6-2.9 s

@@ -26,12 +26,17 @@ lincomb(pairs) = sum of m * x over (multiplier, polynomial) pairs.  It
 seeds one output dict with the largest product (one shifted copy of a term
 map) and merges every other product's terms into it in place, so a chain
 such as a*x - b*y + c*z copies and hashes each term once instead of once per
-intermediate result.  `+`, `-` and `*` are calls of it, and the table
+intermediate result.  `+`, `-` and `*` are calls of it, and the lda table
 recurrences build each cell with one call.  Substitution and powers take
 only a unit monomial (+-1, or +-1 times a monomial, which is every
 substitution and power the checks make), so each maps a term to one term:
 `substitute` adds one key offset per term and `**` scales one key.
 `div_one_minus` divides by 1 - y in one running prefix sum.
+
+`Kronecker` packs a polynomial in two variables into one int and reads it
+back (Kronecker substitution): the area/sper table recurrences run on such
+ints, where a monomial multiple is one shift, and each finished cell is
+unpacked into a term map whose keys come from one table per packing.
 
 The text forms are table-driven, because a monomial is one int: `to_text`
 and `to_json` read each key's monomial text from a bounded cache and add
@@ -56,8 +61,11 @@ from __future__ import annotations
 import json
 import operator
 import re
+import sys
+from array import array
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 VARS = ("y", "p", "q", "r", "t")
@@ -68,8 +76,8 @@ ExpVec = tuple[int, int, int, int, int]
 
 # Bits per exponent field.  Exponents span [-16384, 16383].  A full
 # `verify --nmax 9 --order 12` stays within [-11, 80] and `dist` at the CLI's
-# caps (area/sper n = 19, lda n = 46) within [0, 190], and an area/sper table
-# at n = 24, which already takes seconds, has area exponents up to
+# caps (area/sper n = 22, lda n = 46) within [0, 253], and an area/sper table
+# at n = 24, which takes about 1.5 s in process, has area exponents up to
 # n(n+1)/2 = 300: fifty times inside the range.
 W = 16
 _OFFSET = 1 << (W - 2)
@@ -98,8 +106,8 @@ _TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
 # 0.30-0.44 s to 0.08-0.12 s in `to_csv`, 0.38-0.46 s to 0.18-0.26 s in
 # `from_csv` and 0.62-0.80 s to 0.10-0.13 s in `to_json` (3 runs each, C
 # kernel, shared 2-core host; the first, cold run included).  Each cache holds
-# at most this many entries: `dist` at the caps (area/sper n = 19, lda n = 46)
-# has 8,011 and 15,476 distinct monomials, and 65,536 entries hold about
+# at most this many entries: `dist` at the caps (area/sper n = 22, lda n = 46)
+# has 14,453 and 15,476 distinct monomials, and 65,536 entries hold about
 # 6.5 MB of text, 7.7 MB of JSON and 12 MB of parsed bodies (tracemalloc).
 _MONOMIAL_CACHE_MAX = 1 << 15
 _MONOMIAL_TEXT: dict[int, str] = {}
@@ -667,6 +675,62 @@ def _raw(terms: dict[int, int]) -> MPoly:
     poly = MPoly.__new__(MPoly)
     object.__setattr__(poly, "_terms", terms)
     return poly
+
+
+class Kronecker:
+    """One nonnegative int per polynomial in two variables (Kronecker substitution).
+
+    With u = `outer`, v = `inner` and slots of bits = 64 * words bits, the
+    polynomial f = sum c[a, b] u^a v^b is packed as its value at v = 2^bits,
+    u = 2^(bits * slots): the int sum c[a, b] 2^(bits * (slots * a + b)).
+    Evaluation at a point is a ring map, so a sum of monomial multiples of
+    packed values is computed on the ints themselves, one shift by
+    `shift(**exps)` bits per monomial, whatever the signs along the way.
+
+    The map is one to one on the box of polynomials whose coefficients lie in
+    [0, 2^bits) and whose exponents lie in 0 <= a <= outer_max, 0 <= b < slots:
+    the term (a, b) fills slot slots * a + b alone, and no slot carries into
+    the next.  The caller proves that the values it unpacks lie in the box;
+    `unpack` refuses a negative int and one with a bit above the box, the two
+    faults it can see.  Unpacked polynomials share their key objects, one per
+    slot of the box.
+    """
+
+    __slots__ = ("_outer", "_inner", "_bits", "_slots", "_words", "_keys")
+
+    def __init__(self, outer: str, inner: str, outer_max: int, slots: int, words: int):
+        if outer_max > EXP_MAX or slots > EXP_MAX + 1:
+            raise _overflow(f"{outer}^{outer_max} or {inner}^{slots - 1}")
+        self._outer, self._inner = outer, inner
+        self._bits, self._slots, self._words = 64 * words, slots, words
+        so, si = _VAR_SHIFT[outer], _VAR_SHIFT[inner]
+        self._keys = [_ZERO_KEY + (a << so) + (b << si)
+                      for a in range(outer_max + 1) for b in range(slots)]
+
+    def shift(self, **exps: int) -> int:
+        """Bits that multiply a packed value by the monomial with these exponents."""
+        a, b = exps.get(self._outer, 0), exps.get(self._inner, 0)
+        if exps.keys() - {self._outer, self._inner} or a < 0 or b < 0:
+            raise ValueError(f"cannot pack the monomial {exps}: only nonnegative powers of "
+                             f"{self._outer} and {self._inner}")
+        return self._bits * (self._slots * a + b)
+
+    def unpack(self, value: int, what: str) -> MPoly:
+        """The polynomial packed in `value`; outside the box, a ValueError naming `what`."""
+        size = value.bit_length()
+        if value < 0 or size > self._bits * len(self._keys):
+            raise ValueError(f"{what} is outside the packing's box: "
+                             f"{'a negative int' if value < 0 else f'bit {size - 1} is set'}")
+        w = self._words
+        words = array("Q", value.to_bytes(-(-size // self._bits) * 8 * w, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        coeffs = words[::w] if w > 1 else words  # the low word of each slot
+        for j in range(1, w):
+            high = words[j::w]
+            if any(high):  # word j is set in some slot: combine every slot's words
+                coeffs = [c | h << 64 * j for c, h in zip(coeffs, high)]
+        return _raw(dict(zip(compress(self._keys, coeffs), filter(None, coeffs))))
 
 
 Y = MPoly.var("y")

@@ -9,10 +9,15 @@ polynomial a(n,i) in p (area) and q (sper) summed over length-n sequences
 ending in i; row polynomials attach y^i to cell (n, i).  The lda table b(n,i)
 uses p (levels), q (descents), r (ascents).
 
-Each recurrence is written once and fills either the symbolic table
-(`a_table_lemma` and friends) or the table of its values at a numeric point
-(`point_table`), so the generating-function checks can recur at the point
-instead of evaluating symbolic tables.
+Each recurrence is written once over a ring and runs on three of them (see
+the comment above the engines).  The area/sper tables (`a_table_lemma`,
+`a_table_threeterm`) are built on packed ints, one int per cell (Kronecker
+substitution, `mpoly.Kronecker`), and each finished row is unpacked once into
+`MPoly` cells.  The lda tables (`b_table_lemma`, `b_table_threeterm`) and
+`bn_poly_recurrence` are built on `MPoly`: packing the lda tables was
+measured to save too little.  `point_table` runs the same recurrences on the
+numbers of a parameter point, so the generating-function checks can recur at
+the point instead of evaluating symbolic tables.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator
 
-from invbargraph.mpoly import DIGITS_MAX, MPoly, P, Q, R, T, Y, lincomb
+from invbargraph.mpoly import DIGITS_MAX, Kronecker, MPoly, P, Q, R, T, Y, lincomb
 from invbargraph.reporting import CheckResult, check
 
 Rat = Fraction | int
@@ -147,13 +152,33 @@ def row_poly(table: DistTable, m: int) -> MPoly:
 
 # -- the recurrence engines ------------------------------------------------------
 #
-# Each engine is written once over a ring (mono, lin): `mono(coeff, **exponents)`
-# is the value of the monomial coeff * p^a q^b r^c in the ring the table lives
-# in, and `lin(pairs)` is the sum of m * x over (m, x) pairs.  With
-# `_SYMBOLIC` the cells are the symbolic distribution polynomials and every
-# cell is built in one term map; with `_at_point(values)` they are those
-# polynomials evaluated at a point, computed by the same recurrence
-# (evaluate-then-recur).
+# Each engine is written once over a ring (mono, lin) and yields the rows of
+# its table in order, holding only the previous row.  `mono(coeff,
+# **exponents)` is the multiplier coeff * p^a q^b r^c, and multipliers are
+# summed with `+`; `lin(pairs)` is the value sum of m * x over (multiplier m,
+# value x) pairs, so `lin(((m, 1),))` is the value of the multiplier m.
+# Values are summed with `+`.  There are three rings:
+#
+# - `_SYMBOLIC`: multipliers and values are `MPoly`, and each `lin` builds one
+#   term map (`lincomb`).  The lda tables (`b_table_lemma`,
+#   `b_table_threeterm`) are built on it, as are the tests' references.
+# - `_at_point(values)`: numbers, the cells evaluated at a point and computed
+#   by the same recurrence (evaluate-then-recur); `point_table` uses it.
+# - `_packed_ring(packing)`: a value is one int, its polynomial packed by
+#   `mpoly.Kronecker` (see `_packed_table`); a multiplier is a tuple of
+#   (shift, coeff) terms, so `+` concatenates them, and `lin` is a few shifts
+#   and adds of ints.  The area/sper tables (`a_table_lemma`,
+#   `a_table_threeterm`) are built on it, and each finished row is unpacked
+#   once into `MPoly` cells; at n = 20 unpacking takes about two thirds of
+#   the time.
+#
+# The lda tables stay on `MPoly`.  Their cells at n = 40 need 192-bit slots
+# and a layout in p and q with r implied by p + q + r = m - 1, so one key
+# table per row.  Measured in process at n = 40 (10 to 15 runs each, C kernel,
+# shared 2-core host), such a packing took 0.19-0.30 s a table against
+# 0.23-0.37 s on `MPoly`: about 0.04 s saved, not enough to pay for a second
+# layout.  `bn_poly_recurrence` divides by 1 - y, which the packed ring
+# cannot do, so it stays on `MPoly` too.
 
 Ring = tuple[Callable[..., Any], Callable[[Iterable[tuple[Any, Any]]], Any]]
 _SYMBOLIC: Ring = (MPoly.monomial, lincomb)
@@ -164,53 +189,57 @@ def _check_size(n: int) -> None:
         raise ValueError(f"n must be positive, got {n}")
 
 
-def _a_lemma(n: int, ring: Ring) -> DistTable:
+def _a_lemma(n: int, ring: Ring) -> Iterator[tuple]:
     _check_size(n)
-    mono = ring[0]
+    mono, lin = ring
     q = mono(1, q=1)
-    rows = [(mono(1, p=1, q=2),)]
+    prev = (lin(((mono(1, p=1, q=2), 1),)),)
+    yield prev
     for m in range(2, n + 1):
-        prev = rows[-1]
         # suffix[k] = sum of prev[k:], so cell i sees sum_{j >= i} a(m-1,j)
         suffix = list(prev)
         for k in range(m - 3, -1, -1):
             suffix[k] = suffix[k + 1] + prev[k]
-        row = [mono(1, p=1, q=1) * suffix[0]]
-        weighted = prev[0] * q  # sum_{j<i} q^(i-j) a(m-1,j), grown with i
+        row = [lin(((mono(1, p=1, q=1), suffix[0]),))]
+        weighted = lin(((q, prev[0]),))  # sum_{j<i} q^(i-j) a(m-1,j), grown with i
         for i in range(2, m):
-            row.append(mono(1, p=i, q=1) * (suffix[i - 1] + weighted))
-            weighted = (weighted + prev[i - 1]) * q
-        row.append(mono(1, p=m, q=1) * weighted)
-        rows.append(tuple(row))
-    return DistTable(rows)
+            row.append(lin(((mono(1, p=i, q=1), suffix[i - 1] + weighted),)))
+            weighted = lin(((q, weighted + prev[i - 1]),))
+        row.append(lin(((mono(1, p=m, q=1), weighted),)))
+        prev = tuple(row)
+        yield prev
 
 
-def _a_threeterm(n: int, ring: Ring) -> DistTable:
+def _a_threeterm(n: int, ring: Ring) -> Iterator[tuple]:
     _check_size(n)
     mono, lin = ring
     p, pq = mono(1, p=1), mono(1, p=1, q=1)
     up, back = pq + p, mono(-1, p=2, q=1)  # p(q+1) and -p^2 q
-    rows = [(mono(1, p=1, q=2),)]
+    prev = (lin(((mono(1, p=1, q=2), 1),)),)
+    yield prev
     for m in range(2, n + 1):
-        prev = rows[-1]
         row = [lin((pq, cell) for cell in prev)]
         row.append(lin(((p, row[0]), (mono(1, p=2, q=2) + back, prev[0]))))
         for i in range(3, m + 1):
-            fresh = mono(1, p=i, q=2) - mono(1, p=i, q=1)  # p^i q (q-1)
+            fresh = mono(1, p=i, q=2) + mono(-1, p=i, q=1)  # p^i q (q-1)
             row.append(lin(((up, row[i - 2]), (back, row[i - 3]), (fresh, prev[i - 2]))))
-        rows.append(tuple(row))
-    return DistTable(rows)
+        prev = tuple(row)
+        yield prev
 
 
-def _b_lemma(n: int, ring: Ring) -> DistTable:
+# The lda engines also use a multiplier as a value (`mono(1)`, `one`), which
+# holds in the two rings they run on.
+
+def _b_lemma(n: int, ring: Ring) -> Iterator[tuple]:
     _check_size(n)
     mono, lin = ring
     p, q, r = mono(1, p=1), mono(1, q=1), mono(1, r=1)
-    rows = [(mono(1),)]
+    prev = (mono(1),)
+    yield prev
     for m in range(2, n + 1):
-        prev = rows[-1]
         if m == 2:
-            rows.append((p * prev[0], r * prev[0]))
+            prev = (lin(((p, prev[0]),)), lin(((r, prev[0]),)))
+            yield prev
             continue
         # above[k] = sum of prev[k+1:], so cell i < m-1 sees sum_{j > i} b(m-1,j)
         above = list(prev[1:])
@@ -223,25 +252,87 @@ def _b_lemma(n: int, ring: Ring) -> DistTable:
             below = below + prev[i - 1]
         row.append(lin(((p, prev[m - 2]), (r, below))))
         row.append(lin(((r, below), (r, prev[m - 2]))))
-        rows.append(tuple(row))
-    return DistTable(rows)
+        prev = tuple(row)
+        yield prev
 
 
-def _b_threeterm(n: int, ring: Ring) -> DistTable:
+def _b_threeterm(n: int, ring: Ring) -> Iterator[tuple]:
     _check_size(n)
     mono, lin = ring
     one, q, r = mono(1), mono(1, q=1), mono(1, r=1)
     p_q, r_p = mono(1, p=1) - q, r - mono(1, p=1)
-    rows = [(one,)]
+    prev = (one,)
+    yield prev
     for m in range(2, n + 1):
-        prev = rows[-1]
         prev_sum = lin((one, cell) for cell in prev)
         row = [lin(((p_q, prev[0]), (q, prev_sum)))]
         for i in range(2, m):
             row.append(lin(((one, row[i - 2]), (p_q, prev[i - 1]), (r_p, prev[i - 2]))))
-        row.append(r * prev_sum)
-        rows.append(tuple(row))
-    return DistTable(rows)
+        row.append(lin(((r, prev_sum),)))
+        prev = tuple(row)
+        yield prev
+
+
+def _slot_words(n: int) -> int:
+    """64-bit words per coefficient slot of a packed area/sper value at size n.
+
+    A coefficient of cell (m, i), m <= n, counts some of the (m-1)! sequences
+    of length m that end in i, so it lies in [0, (n-1)!]; w words hold it
+    when (n-1)! < 2^(64 w).  This is the fewest such w: one word up to
+    n = 21, two from n = 22.
+    """
+    return -(-factorial(n - 1).bit_length() // 64)
+
+
+def _sper_slots(n: int) -> int:
+    """q-slots of a packed area/sper value at size n: one per sper 0..bound.
+
+    A bargraph of heights rho_1..rho_m has half-perimeter
+    sper = m + (rho_1 + sum_k |rho_(k+1) - rho_k| + rho_m) / 2.  Here rho_1 = 1,
+    rho_m <= m, and |rho_(k+1) - rho_k| <= k since both letters lie in
+    [1, k+1], so sper <= m + (1 + m(m-1)/2 + m) / 2, a bound that grows with m.
+    """
+    return n + (1 + n * (n - 1) // 2 + n) // 2 + 1
+
+
+def _packed_lin(pairs: Iterable[tuple[tuple[tuple[int, int], ...], int]]) -> int:
+    total = 0
+    for terms, x in pairs:
+        for shift, c in terms:
+            if c == 1:
+                total += x << shift
+            elif c == -1:
+                total -= x << shift
+            else:
+                total += c * (x << shift)
+    return total
+
+
+def _packed_ring(packing: Kronecker) -> Ring:
+    shift = packing.shift
+
+    def mono(coeff: int, **exps: int) -> tuple[tuple[int, int], ...]:
+        return ((shift(**exps), coeff),)
+
+    return mono, _packed_lin
+
+
+def _packed_table(engine: Callable[[int, Ring], Iterator[tuple]], n: int) -> DistTable:
+    """An area/sper engine's table, built on packed ints and unpacked row by row.
+
+    Each value is the int of `mpoly.Kronecker` with p outer and q inner, slots
+    of `_slot_words(n)` words, `_sper_slots(n)` q-slots and area up to
+    n(n+1)/2.  The unpacking is exact: packing is a ring map, so the int of a
+    cell is the packing of the true cell whatever the signs of the
+    intermediate sums, and every cell lies in the packing's box, where the map
+    is one to one: its coefficients lie in [0, (n-1)!] (`_slot_words`), its
+    sper in [0, _sper_slots(n)) (`_sper_slots`), and its area, the number of
+    bargraph cells, in [0, n(n+1)/2] since rho_k <= k.
+    """
+    _check_size(n)
+    packing = Kronecker("p", "q", n * (n + 1) // 2, _sper_slots(n), _slot_words(n))
+    return DistTable([packing.unpack(cell, f"cell ({m}, {i})") for i, cell in enumerate(row, 1)]
+                     for m, row in enumerate(engine(n, _packed_ring(packing)), start=1))
 
 
 def a_table_lemma(n: int) -> DistTable:
@@ -251,7 +342,7 @@ def a_table_lemma(n: int) -> DistTable:
     from a(1,1) = p q^2.  Appending a column of height i adds i cells and one
     half-perimeter unit, plus i-j more when the previous column is lower.
     """
-    return _a_lemma(n, _SYMBOLIC)
+    return _packed_table(_a_lemma, n)
 
 
 def a_table_threeterm(n: int) -> DistTable:
@@ -261,7 +352,7 @@ def a_table_threeterm(n: int) -> DistTable:
     for 3 <= i <= n, with a(n,1) = pq * rowsum(n-1) and
     a(n,2) = p a(n,1) + p^2 q(q-1) a(n-1,1).
     """
-    return _a_threeterm(n, _SYMBOLIC)
+    return _packed_table(_a_threeterm, n)
 
 
 def b_table_lemma(n: int) -> DistTable:
@@ -270,7 +361,7 @@ def b_table_lemma(n: int) -> DistTable:
     b(n,i) = p b(n-1,i) + q sum_{j>i} b(n-1,j) + r sum_{j<i} b(n-1,j) for
     i < n, and b(n,n) = r * rowsum(n-1), from b(1,1) = 1.
     """
-    return _b_lemma(n, _SYMBOLIC)
+    return DistTable(_b_lemma(n, _SYMBOLIC))
 
 
 def b_table_threeterm(n: int) -> DistTable:
@@ -279,7 +370,7 @@ def b_table_threeterm(n: int) -> DistTable:
     b(n,i) = b(n,i-1) + (p-q) b(n-1,i) + (r-p) b(n-1,i-1) for 2 <= i <= n-1,
     with b(n,1) = (p-q) b(n-1,1) + q * rowsum(n-1) and b(n,n) = r * rowsum(n-1).
     """
-    return _b_threeterm(n, _SYMBOLIC)
+    return DistTable(_b_threeterm(n, _SYMBOLIC))
 
 
 # engine name: (engine, its markers)
@@ -320,7 +411,7 @@ def point_table(engine: str, n: int, **values: Rat) -> DistTable:
     for name, v in values.items():
         if not isinstance(v, (int, Fraction)):
             raise TypeError(f"{name} must be an int or a Fraction, got {type(v).__name__}")
-    return build(n, _at_point(values))
+    return DistTable(build(n, _at_point(values)))
 
 
 def check_an_functional(nmax: int, table: DistTable) -> CheckResult:

@@ -15,6 +15,7 @@ from invbargraph.mpoly import (
     EXP_MIN,
     NVARS,
     VARS,
+    Kronecker,
     MissingAssignmentError,
     MPoly,
     P,
@@ -673,6 +674,29 @@ def test_point_rows_agree_with_the_symbolic_rows():
         table = point_table(engine, 7, **point)
         for n in range(1, 8):
             assert table.row_sum(n) == symbolic.row_sum(n).eval_rational(point)
+
+
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_kronecker_unpacks_every_polynomial_in_its_box(words, data):
+    """Slots of one to three words, coefficients that fill only the low word or any word."""
+    outer_max, slots = 4, 3
+    packing = Kronecker("p", "q", outer_max, slots, words)
+    coeffs = st.one_of(st.integers(1, 2 ** 64 - 1), st.integers(1, 2 ** (64 * words) - 1))
+    terms = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, outer_max), st.integers(0, slots - 1)), coeffs, max_size=6))
+    value = sum(c << packing.shift(p=a, q=b) for (a, b), c in terms.items())
+    assert packing.unpack(value, "v") == MPoly({(0, a, b, 0, 0): c for (a, b), c in terms.items()})
+
+
+def test_kronecker_shifts_only_nonnegative_powers_of_its_variables():
+    packing = Kronecker("p", "q", 4, 3, 1)
+    assert packing.shift() == 0 and packing.shift(p=2, q=1) == 64 * 7
+    for exps in ({"q": -1}, {"p": -1}, {"r": 1}, {"p": 1, "y": 1}):
+        with pytest.raises(ValueError, match="^cannot pack the monomial .*: only nonnegative "
+                                             "powers of p and q$"):
+            packing.shift(**exps)
+    with pytest.raises(OverflowError):
+        Kronecker("p", "q", EXP_MAX + 1, 3, 1)
 
 
 @pytest.mark.parametrize("build", [

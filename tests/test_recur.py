@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invbargraph import invseq
+from invbargraph import invseq, recur
 from invbargraph.mpoly import MPoly, P, Q, R, T, Y
 from invbargraph.recur import (
     ENGINES,
@@ -83,6 +83,64 @@ def test_an_functional_detects_corruption(a_lemma_8):
     bad = a_lemma_8.with_cell(4, 2, a_lemma_8[4, 2] + MPoly.one())
     result = check_an_functional(8, bad)
     assert result.status == "fail" and result.first_mismatch.startswith("n=4: ")
+
+
+# The area/sper tables are built on packed ints (recur._packed_table); the
+# same engines on MPoly are the reference.  Slots are one word up to n = 21
+# and two from n = 22.
+PACKED_NMAX = 22
+
+
+@pytest.fixture(scope="module")
+def symbolic_rows():
+    """Rows 1..PACKED_NMAX of each area/sper engine on MPoly; rows 1..n are its table at n."""
+    return {engine: tuple(engine(PACKED_NMAX, recur._SYMBOLIC))
+            for engine in (recur._a_lemma, recur._a_threeterm)}
+
+
+@pytest.mark.parametrize("engine", [recur._a_lemma, recur._a_threeterm],
+                         ids=["a_lemma", "a_threeterm"])
+@pytest.mark.parametrize("n", range(1, PACKED_NMAX + 1))
+def test_packed_engine_equals_the_symbolic_engine(symbolic_rows, engine, n):
+    assert recur._packed_table(engine, n) == DistTable(symbolic_rows[engine][:n])
+
+
+@pytest.mark.parametrize("n", [3, 22])
+def test_unpack_refuses_a_value_outside_the_box(n):
+    def one_bad_cell(value):
+        return lambda n, ring: iter([(1,), (value, 0)])
+
+    area_max, sper_slots, bits = n * (n + 1) // 2, recur._sper_slots(n), 64 * recur._slot_words(n)
+    top = bits * sper_slots * (area_max + 1) - 1  # the last bit of the box still unpacks
+    assert recur._packed_table(one_bad_cell(1 << top), n)[2, 1] == \
+        MPoly.monomial(1 << (bits - 1), p=area_max, q=sper_slots - 1)
+    with pytest.raises(ValueError, match=r"^cell \(2, 1\) is outside the packing's box: "
+                                         r"a negative int$"):
+        recur._packed_table(one_bad_cell(-1), n)
+    with pytest.raises(ValueError, match=rf"^cell \(2, 1\) is outside the packing's box: "
+                                         rf"bit {top + 1} is set$"):
+        recur._packed_table(one_bad_cell(1 << (top + 1)), n)
+
+
+def _pq_off_by_one_slot(engine):
+    """A copy of `engine` whose multiplier p q is one q-slot higher (p q^2)."""
+    def corrupted(n, ring):
+        mono, lin = ring
+        return engine(n, (lambda c, **e: mono(c, **({"p": 1, "q": 2} if e == {"p": 1, "q": 1}
+                                                     else e)), lin))
+
+    return corrupted
+
+
+def test_packed_multiplier_off_by_one_slot_is_caught(symbolic_rows):
+    """Negative control: the corrupted lemma unpacks to a wrong table, threeterm is refused."""
+    n = 8
+    right = DistTable(symbolic_rows[recur._a_lemma][:n])
+    bad = recur._packed_table(_pq_off_by_one_slot(recur._a_lemma), n)
+    assert bad != recur._packed_table(recur._a_threeterm, n) and bad != right
+    # the corrupted threeterm copy leaves the box
+    with pytest.raises(ValueError, match=r"^cell \(8, 7\) is outside the packing's box"):
+        recur._packed_table(_pq_off_by_one_slot(recur._a_threeterm), n)
 
 
 # -- lda tables --------------------------------------------------------------------
