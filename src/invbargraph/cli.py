@@ -31,11 +31,14 @@ ENUMERATE_MAX = 10
 # runs of each engine and format at 19-21, 20 at 22, 3 at 23): 0.40-0.71 s at
 # 19, 0.54-1.10 s at 20, 0.67-1.33 s at 21, 1.17-1.96 s at 22 and 1.57-2.12 s
 # at 23.  From 22 on a coefficient slot takes two 64-bit words, which doubles
-# the packed ints.  Lda (10 runs each at the cap, 5 or 10 above): 1.2-1.9 s at
-# 46, 1.2-2.0 s at 47 and 1.8-2.3 s at 48.  The threeterm engine is the
-# slowest, and csv and json take about as long.
+# the packed ints.  Lda, also built on packed ints (10 runs of each engine and
+# format, alternating with the `MPoly` engines they replaced): 0.81-1.68 s at
+# 46 and 0.97-1.72 s at 47, against 0.85-2.00 s and 1.20-1.94 s on `MPoly`; 5
+# runs each at 48, in a quieter hour and without the alternation, took
+# 0.96-1.46 s, too few to move the cap past 47.  Csv and json take about as
+# long, and neither engine is always the slower.
 AREA_SPER_TABLE_MAX = 22
-LDA_TABLE_MAX = 46
+LDA_TABLE_MAX = 47
 # `--engine brute` on the pure-Python kernel, from the same budget: 7 fresh
 # runs each of csv and json per kind took 0.3-0.9 s at 9, but at 10 1.6-2.9 s
 # for area/sper and 1.4-2.2 s for lda; lda at 11 takes 17.8 s in process.  On

@@ -26,17 +26,19 @@ lincomb(pairs) = sum of m * x over (multiplier, polynomial) pairs.  It
 seeds one output dict with the largest product (one shifted copy of a term
 map) and merges every other product's terms into it in place, so a chain
 such as a*x - b*y + c*z copies and hashes each term once instead of once per
-intermediate result.  `+`, `-` and `*` are calls of it, and the lda table
-recurrences build each cell with one call.  Substitution and powers take
-only a unit monomial (+-1, or +-1 times a monomial, which is every
-substitution and power the checks make), so each maps a term to one term:
+intermediate result.  `+`, `-` and `*` are calls of it, and a table
+recurrence run on `MPoly` builds each cell with one call.  Substitution and
+powers take only a unit monomial (+-1, or +-1 times a monomial, which is
+every substitution and power the checks make), so each maps a term to one term:
 `substitute` adds one key offset per term and `**` scales one key.
-`div_one_minus` divides by 1 - y in one running prefix sum.
 
 `Kronecker` packs a polynomial in two variables into one int and reads it
-back (Kronecker substitution): the area/sper table recurrences run on such
-ints, where a monomial multiple is one shift, and each finished cell is
-unpacked into a term map whose keys come from one table per packing.
+back (Kronecker substitution): the table recurrences run on such ints, where
+a monomial multiple is one shift, and each finished cell is unpacked into a
+term map whose keys come from one table per packing.  A packing may also
+have one implied variable, packed as 1: on polynomials homogeneous of a
+known degree, such as the lda cells of one row, that loses nothing, and
+`unpack` restores it from a base monomial that multiplies every term.
 
 The text forms are table-driven, because a monomial is one int: `to_text`
 and `to_json` read each key's monomial text from a bounded cache and add
@@ -76,7 +78,7 @@ ExpVec = tuple[int, int, int, int, int]
 
 # Bits per exponent field.  Exponents span [-16384, 16383].  A full
 # `verify --nmax 9 --order 12` stays within [-11, 80] and `dist` at the CLI's
-# caps (area/sper n = 22, lda n = 46) within [0, 253], and an area/sper table
+# caps (area/sper n = 22, lda n = 47) within [0, 253], and an area/sper table
 # at n = 24, which takes about 1.5 s in process, has area exponents up to
 # n(n+1)/2 = 300: fifty times inside the range.
 W = 16
@@ -106,8 +108,8 @@ _TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
 # 0.30-0.44 s to 0.08-0.12 s in `to_csv`, 0.38-0.46 s to 0.18-0.26 s in
 # `from_csv` and 0.62-0.80 s to 0.10-0.13 s in `to_json` (3 runs each, C
 # kernel, shared 2-core host; the first, cold run included).  Each cache holds
-# at most this many entries: `dist` at the caps (area/sper n = 22, lda n = 46)
-# has 14,453 and 15,476 distinct monomials, and 65,536 entries hold about
+# at most this many entries: `dist` at the caps (area/sper n = 22, lda n = 47)
+# has 14,453 and 16,521 distinct monomials, and 65,536 entries hold about
 # 6.5 MB of text, 7.7 MB of JSON and 12 MB of parsed bodies (tracemalloc).
 _MONOMIAL_CACHE_MAX = 1 << 15
 _MONOMIAL_TEXT: dict[int, str] = {}
@@ -277,55 +279,6 @@ class MPoly:
         """
         s = _VAR_SHIFT[name]
         return sum(c * (((k >> s) & _FIELD) - _OFFSET) for k, c in self._terms.items())
-
-    def div_one_minus(self, name: str) -> tuple["MPoly", "MPoly"]:
-        """(quotient, rest) of the synthetic division by 1 - `name`.
-
-        self = (1 - name) * quotient + rest * name^d, where d is the degree
-        of `name` in self and rest = self at name = 1 is free of `name`; so
-        1 - name divides self exactly if and only if rest is zero, and then
-        quotient is the exact quotient.  The exponents of `name` must be
-        nonnegative (ValueError otherwise).  The terms are grouped by their
-        field of `name`, keyed with that field cleared.  The coefficient of
-        name^k in the quotient is the sum of the groups of the fields up to
-        k's, so one running prefix sum walks the fields upwards, and each
-        prefix below the top field is written out as the name^k slice of the
-        quotient.  The slices are disjoint, so they are copied in without
-        merging; the prefix left after the top field is the rest.
-        """
-        if name not in _VAR_SHIFT:
-            raise ValueError(f"unknown variable {name!r}")
-        s = _VAR_SHIFT[name]
-        mask = _FIELD << s
-        zero_field = _OFFSET << s
-        groups: dict[int, dict[int, int]] = {}  # field of `name` -> {key with it cleared: coeff}
-        for k, c in self._terms.items():
-            field = k & mask
-            group = groups.get(field)
-            if group is None:
-                group = groups[field] = {}
-            group[k - field] = c
-        if not groups:
-            return MPoly.zero(), MPoly.zero()
-        if min(groups) < zero_field:
-            raise ValueError(f"negative powers of {name} in the dividend")
-        quotient: dict[int, int] = {}
-        prefix: dict[int, int] = {}
-        get = prefix.get
-        top = max(groups)
-        for field in range(zero_field, top + 1, 1 << s):
-            group = groups.get(field)
-            if group is not None:
-                for key, c in group.items():
-                    total = get(key, 0) + c
-                    if total:
-                        prefix[key] = total
-                    else:
-                        del prefix[key]
-            if field < top:
-                for key, c in prefix.items():
-                    quotient[key + field] = c
-        return _raw(quotient), _raw({key + zero_field: c for key, c in prefix.items()})
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -605,10 +558,11 @@ def lincomb(pairs: Iterable[tuple["MPoly | int", "MPoly | int"]]) -> MPoly:
     comprehension (its keys are one shift of a term map's, so they cannot
     collide); every other row merges into that dict in place, with no
     multiply when c is 1 or -1 (an add or a subtract) and no key addition
-    when the shift is 0 and c is 1.  Zero sums
-    are deleted as they appear, and one guard-bit scan at the end catches any
-    exponent that left the range (none can when no row shifts).  No pairs,
-    or only zero products, give zero.
+    when the shift is 0 and c is 1; such a row whose keys are all new, as
+    when the unpacked cells of a row polynomial are summed, is copied in
+    with one dict update.  Zero sums are deleted as they appear, and one
+    guard-bit scan at the end catches any exponent that left the range (none
+    can when no row shifts).  No pairs, or only zero products, give zero.
     """
     rows: list[tuple[int, int, dict[int, int]]] = []
     most = seed = shifted = 0
@@ -635,6 +589,9 @@ def lincomb(pairs: Iterable[tuple["MPoly | int", "MPoly | int"]]) -> MPoly:
     get = out.get
     for shift, c, b in rows[1:]:
         if not shift and c == 1:
+            if out.keys().isdisjoint(b):
+                out.update(b)
+                continue
             for k, cb in b.items():
                 s = get(k, 0) + cb
                 if s:
@@ -678,7 +635,7 @@ def _raw(terms: dict[int, int]) -> MPoly:
 
 
 class Kronecker:
-    """One nonnegative int per polynomial in two variables (Kronecker substitution).
+    """One int per polynomial in two variables, or three with one implied (Kronecker substitution).
 
     With u = `outer`, v = `inner` and slots of bits = 64 * words bits, the
     polynomial f = sum c[a, b] u^a v^b is packed as its value at v = 2^bits,
@@ -694,43 +651,85 @@ class Kronecker:
     `unpack` refuses a negative int and one with a bit above the box, the two
     faults it can see.  Unpacked polynomials share their key objects, one per
     slot of the box.
+
+    An `implied` variable w is packed as w = 1, so multiplying by w is a
+    shift of 0 bits.  On the polynomials homogeneous of one degree d in u, v
+    and w that map is one to one, since w's exponent is d - a - b: `unpack`
+    reads the term (a, b) as u^a v^b w^(d - a - b) when it is given w = d in
+    its base monomial.  The base monomial multiplies every term read, so it
+    can carry other variables too (y^k, say).  The key table of each degree
+    of w is made on its first use and kept, so the cells of one table row
+    share their key objects too; other base variables cost one key
+    addition per term.
     """
 
-    __slots__ = ("_outer", "_inner", "_bits", "_slots", "_words", "_keys")
+    __slots__ = ("_vars", "_bits", "_slots", "_words", "_keys", "_keys_of_degree")
 
-    def __init__(self, outer: str, inner: str, outer_max: int, slots: int, words: int):
-        if outer_max > EXP_MAX or slots > EXP_MAX + 1:
+    def __init__(self, outer: str, inner: str, outer_max: int, slots: int, words: int,
+                 implied: str | None = None):
+        # with w implied, w's field falls by a + b <= outer_max + slots - 1 below the base's
+        if outer_max > EXP_MAX or slots > EXP_MAX + 1 or (
+                implied and outer_max + slots - 1 > -EXP_MIN):
             raise _overflow(f"{outer}^{outer_max} or {inner}^{slots - 1}")
-        self._outer, self._inner = outer, inner
+        self._vars = (outer, inner, implied)
         self._bits, self._slots, self._words = 64 * words, slots, words
-        so, si = _VAR_SHIFT[outer], _VAR_SHIFT[inner]
-        self._keys = [_ZERO_KEY + (a << so) + (b << si)
+        sw = (1 << _VAR_SHIFT[implied]) if implied else 0
+        du, dv = (1 << _VAR_SHIFT[outer]) - sw, (1 << _VAR_SHIFT[inner]) - sw
+        self._keys = [_ZERO_KEY + a * du + b * dv
                       for a in range(outer_max + 1) for b in range(slots)]
+        self._keys_of_degree: dict[int, list[int]] = {}  # w's degree d -> keys times w^d
 
     def shift(self, **exps: int) -> int:
         """Bits that multiply a packed value by the monomial with these exponents."""
-        a, b = exps.get(self._outer, 0), exps.get(self._inner, 0)
-        if exps.keys() - {self._outer, self._inner} or a < 0 or b < 0:
-            raise ValueError(f"cannot pack the monomial {exps}: only nonnegative powers of "
-                             f"{self._outer} and {self._inner}")
+        outer, inner, implied = self._vars
+        a, b = exps.get(outer, 0), exps.get(inner, 0)
+        if exps.keys() - set(self._vars) or min(exps.values(), default=0) < 0:
+            names = f"{outer}, {inner} and {implied}" if implied else f"{outer} and {inner}"
+            raise ValueError(f"cannot pack the monomial {exps}: only nonnegative powers of {names}")
         return self._bits * (self._slots * a + b)
 
-    def unpack(self, value: int, what: str) -> MPoly:
-        """The polynomial packed in `value`; outside the box, a ValueError naming `what`."""
+    def unpack(self, value: int, what: str, **base: int) -> MPoly:
+        """The polynomial packed in `value` times the monomial `base`.
+
+        A value outside the box is a ValueError naming `what`.  `base` has
+        nonnegative exponents and, of the packed variables, only the implied
+        one (ValueError otherwise).
+        """
         size = value.bit_length()
         if value < 0 or size > self._bits * len(self._keys):
             raise ValueError(f"{what} is outside the packing's box: "
                              f"{'a negative int' if value < 0 else f'bit {size - 1} is set'}")
-        w = self._words
-        words = array("Q", value.to_bytes(-(-size // self._bits) * 8 * w, "little"))
+        keys, offset = self._keys, 0
+        if base:
+            outer, inner, implied = self._vars
+            if base.keys() & {outer, inner} or min(base.values()) < 0:
+                raise ValueError(f"bad base monomial {base} for a packing in {outer} and {inner}")
+            degree = base.pop(implied, 0) if implied else 0
+            if degree:
+                keys = self._keys_of_degree.get(degree)
+                if keys is None:
+                    if degree > EXP_MAX:
+                        raise _overflow(f"{implied}^{degree}")
+                    shift = degree << _VAR_SHIFT[implied]
+                    keys = self._keys_of_degree[degree] = [k + shift for k in self._keys]
+            if base:
+                offset = _pack(_as_expvec(base)) - _ZERO_KEY
+        bits, w = self._bits, self._words
+        words = array("Q", value.to_bytes(-(-size // bits) * 8 * w, "little"))
         if sys.byteorder == "big":
             words.byteswap()
         coeffs = words[::w] if w > 1 else words  # the low word of each slot
         for j in range(1, w):
             high = words[j::w]
-            if any(high):  # word j is set in some slot: combine every slot's words
-                coeffs = [c | h << 64 * j for c, h in zip(coeffs, high)]
-        return _raw(dict(zip(compress(self._keys, coeffs), filter(None, coeffs))))
+            if any(high):  # word j is set in some slots: add it to theirs
+                coeffs = list(coeffs)
+                s = 64 * j
+                for i in compress(range(len(high)), high):
+                    coeffs[i] |= high[i] << s
+        keys = compress(keys, coeffs)
+        if offset:
+            keys = map(offset.__add__, keys)
+        return _raw(dict(zip(keys, filter(None, coeffs))))
 
 
 Y = MPoly.var("y")

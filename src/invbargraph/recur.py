@@ -10,14 +10,16 @@ ending in i; row polynomials attach y^i to cell (n, i).  The lda table b(n,i)
 uses p (levels), q (descents), r (ascents).
 
 Each recurrence is written once over a ring and runs on three of them (see
-the comment above the engines).  The area/sper tables (`a_table_lemma`,
-`a_table_threeterm`) are built on packed ints, one int per cell (Kronecker
-substitution, `mpoly.Kronecker`), and each finished row is unpacked once into
-`MPoly` cells.  The lda tables (`b_table_lemma`, `b_table_threeterm`) and
-`bn_poly_recurrence` are built on `MPoly`: packing the lda tables was
-measured to save too little.  `point_table` runs the same recurrences on the
-numbers of a parameter point, so the generating-function checks can recur at
-the point instead of evaluating symbolic tables.
+the comment above the engines).  Every symbolic table is built on packed
+ints, one int per cell (Kronecker substitution, `mpoly.Kronecker`), and each
+finished row is unpacked once into `MPoly` cells: the area/sper tables
+(`a_table_lemma`, `a_table_threeterm`) in p and q, the lda tables
+(`b_table_lemma`, `b_table_threeterm`) in p and q with r implied, and
+`bn_poly_recurrence`, the paper's row equation, on the lda packing too, its
+division by 1 - y done by synthetic division on the ints (`_b_direct`).
+`point_table` runs the same recurrences on the numbers of a parameter point,
+so the generating-function checks can recur at the point instead of
+evaluating symbolic tables.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator
 
-from invbargraph.mpoly import DIGITS_MAX, Kronecker, MPoly, P, Q, R, T, Y, lincomb
+from invbargraph.mpoly import DIGITS_MAX, Kronecker, MPoly, P, Q, T, Y, lincomb
 from invbargraph.reporting import CheckResult, check
 
 Rat = Fraction | int
@@ -160,25 +162,25 @@ def row_poly(table: DistTable, m: int) -> MPoly:
 # Values are summed with `+`.  There are three rings:
 #
 # - `_SYMBOLIC`: multipliers and values are `MPoly`, and each `lin` builds one
-#   term map (`lincomb`).  The lda tables (`b_table_lemma`,
-#   `b_table_threeterm`) are built on it, as are the tests' references.
+#   term map (`lincomb`).  The tests' references are built on it.
 # - `_at_point(values)`: numbers, the cells evaluated at a point and computed
 #   by the same recurrence (evaluate-then-recur); `point_table` uses it.
 # - `_packed_ring(packing)`: a value is one int, its polynomial packed by
 #   `mpoly.Kronecker` (see `_packed_table`); a multiplier is a tuple of
 #   (shift, coeff) terms, so `+` concatenates them, and `lin` is a few shifts
-#   and adds of ints.  The area/sper tables (`a_table_lemma`,
-#   `a_table_threeterm`) are built on it, and each finished row is unpacked
-#   once into `MPoly` cells; at n = 20 unpacking takes about two thirds of
-#   the time.
+#   and adds of ints.  Every symbolic table and `bn_poly_recurrence` is built
+#   on it, and each finished row is unpacked once into `MPoly` cells, which
+#   takes most of the time: at n = 20 about two thirds of an area/sper
+#   table, at n = 40 about three quarters of an lda table.
 #
-# The lda tables stay on `MPoly`.  Their cells at n = 40 need 192-bit slots
-# and a layout in p and q with r implied by p + q + r = m - 1, so one key
-# table per row.  Measured in process at n = 40 (10 to 15 runs each, C kernel,
-# shared 2-core host), such a packing took 0.19-0.30 s a table against
-# 0.23-0.37 s on `MPoly`: about 0.04 s saved, not enough to pay for a second
-# layout.  `bn_poly_recurrence` divides by 1 - y, which the packed ring
-# cannot do, so it stays on `MPoly` too.
+# Dividing by 1 - y is a running prefix sum over the y-coefficients
+# (synthetic division), so on the packed ring it is shifts and adds too
+# (after Harvey, "Faster polynomial multiplication via multipoint Kronecker
+# substitution", J. Symbolic Comput. 44, 2009).  Measured in process at
+# n = 40 against the same engines on `MPoly` (C kernel, shared 2-core host,
+# 10 alternating runs each): `b_table_lemma` 0.23-0.32 s against 0.25-0.45 s,
+# `b_table_threeterm` 0.24-0.34 s against 0.27-0.48 s and
+# `bn_poly_recurrence` 0.25-0.44 s against 0.43-0.69 s.
 
 Ring = tuple[Callable[..., Any], Callable[[Iterable[tuple[Any, Any]]], Any]]
 _SYMBOLIC: Ring = (MPoly.monomial, lincomb)
@@ -227,14 +229,11 @@ def _a_threeterm(n: int, ring: Ring) -> Iterator[tuple]:
         yield prev
 
 
-# The lda engines also use a multiplier as a value (`mono(1)`, `one`), which
-# holds in the two rings they run on.
-
 def _b_lemma(n: int, ring: Ring) -> Iterator[tuple]:
     _check_size(n)
     mono, lin = ring
     p, q, r = mono(1, p=1), mono(1, q=1), mono(1, r=1)
-    prev = (mono(1),)
+    prev = (lin(((mono(1), 1),)),)
     yield prev
     for m in range(2, n + 1):
         if m == 2:
@@ -260,8 +259,8 @@ def _b_threeterm(n: int, ring: Ring) -> Iterator[tuple]:
     _check_size(n)
     mono, lin = ring
     one, q, r = mono(1), mono(1, q=1), mono(1, r=1)
-    p_q, r_p = mono(1, p=1) - q, r - mono(1, p=1)
-    prev = (one,)
+    p_q, r_p = mono(1, p=1) + mono(-1, q=1), r + mono(-1, p=1)
+    prev = (lin(((one, 1),)),)
     yield prev
     for m in range(2, n + 1):
         prev_sum = lin((one, cell) for cell in prev)
@@ -273,13 +272,45 @@ def _b_threeterm(n: int, ring: Ring) -> Iterator[tuple]:
         yield prev
 
 
-def _slot_words(n: int) -> int:
-    """64-bit words per coefficient slot of a packed area/sper value at size n.
+def _b_direct(n: int, ring: Ring) -> Iterator[tuple]:
+    """Row m is (b_1, ..., b_m), the y-coefficients of the paper's B_m(y).
 
-    A coefficient of cell (m, i), m <= n, counts some of the (m-1)! sequences
-    of length m that end in i, so it lies in [0, (n-1)!]; w words hold it
-    when (n-1)! < 2^(64 w).  This is the fewest such w: one word up to
-    n = 21, two from n = 22.
+    B_m(y) = p B_{m-1}(y) + N(y) / (1 - y) with the numerator
+    N(y) = (yr - q) B_{m-1}(y) + y(q - y^m r) B_{m-1}(1), so with b_k the
+    coefficients of B_{m-1} (zero outside 1..m-1),
+    N_k = r b_{k-1} - q b_k, plus q B_{m-1}(1) at k = 1 and -r B_{m-1}(1) at
+    k = m + 1.  Synthetic division: the y^k coefficient of N / (1 - y) is the
+    prefix N_1 + ... + N_k, and the prefix left after the top degree, m + 1,
+    is the remainder N(1), which must be zero (NonDivisibleError otherwise).
+    """
+    _check_size(n)
+    mono, lin = ring
+    one, p, q, r = mono(1), mono(1, p=1), mono(1, q=1), mono(1, r=1)
+    minus_q, minus_r = mono(-1, q=1), mono(-1, r=1)
+    prev = (lin(((one, 1),)),)
+    yield prev
+    for m in range(2, n + 1):
+        at_one = lin((one, cell) for cell in prev)  # B_{m-1}(1)
+        prefix = lin(((minus_q, prev[0]), (q, at_one)))
+        row = [lin(((p, prev[0]), (one, prefix)))]
+        for k in range(2, m):
+            prefix = lin(((one, prefix), (r, prev[k - 2]), (minus_q, prev[k - 1])))
+            row.append(lin(((p, prev[k - 1]), (one, prefix))))
+        prefix = lin(((one, prefix), (r, prev[m - 2])))  # b_m = 0: cell m is the prefix
+        row.append(prefix)
+        if lin(((one, prefix), (minus_r, at_one))):
+            raise NonDivisibleError(f"row {m}: 1 - y leaves a nonzero remainder")
+        prev = tuple(row)
+        yield prev
+
+
+def _slot_words(n: int) -> int:
+    """64-bit words per coefficient slot of a packed table value at size n.
+
+    A coefficient of cell (m, i), m <= n, of either table counts some of the
+    (m-1)! sequences of length m that end in i, so it lies in [0, (n-1)!]; w
+    words hold it when (n-1)! < 2^(64 w).  This is the fewest such w: one
+    word up to n = 21, two from n = 22, three from n = 36.
     """
     return -(-factorial(n - 1).bit_length() // 64)
 
@@ -317,22 +348,49 @@ def _packed_ring(packing: Kronecker) -> Ring:
     return mono, _packed_lin
 
 
-def _packed_table(engine: Callable[[int, Ring], Iterator[tuple]], n: int) -> DistTable:
-    """An area/sper engine's table, built on packed ints and unpacked row by row.
+def _lda_packing(n: int) -> Kronecker:
+    """The packing of the lda values of rows 1..n: p outer, q inner, r implied.
 
-    Each value is the int of `mpoly.Kronecker` with p outer and q inner, slots
-    of `_slot_words(n)` words, `_sper_slots(n)` q-slots and area up to
-    n(n+1)/2.  The unpacking is exact: packing is a ring map, so the int of a
-    cell is the packing of the true cell whatever the signs of the
-    intermediate sums, and every cell lies in the packing's box, where the map
-    is one to one: its coefficients lie in [0, (n-1)!] (`_slot_words`), its
+    Every value of row m, a cell or (in `_b_direct`) a partial sum, is
+    homogeneous of degree m - 1 in p, q and r: row 1 is the constant 1, and
+    each recurrence step multiplies the previous row by a multiplier of
+    degree one (p, q, r, p - q, r - p) or adds values of its own row.  So
+    r -> 1 is one to one on row m's values, r is a zero shift, and unpacking
+    a value of row m with the base monomial r^(m-1) restores r.  The p and q
+    exponents, at most m - 1, stay below n.  A coefficient of cell (m, i)
+    counts some of the sequences of length m that end in i, and every cell
+    sums to (m-1)! at the all-ones point, so it lies in [0, (n-1)!]:
+    `_slot_words(n)` words hold it.
+    """
+    return Kronecker("p", "q", n - 1, n, _slot_words(n), implied="r")
+
+
+def _packed_table(engine: Callable[[int, Ring], Iterator[tuple]], n: int,
+                  lda: bool = False) -> DistTable:
+    """An engine's table, built on packed ints and unpacked row by row.
+
+    The area/sper values are the ints of `mpoly.Kronecker` with p outer and
+    q inner, slots of `_slot_words(n)` words, `_sper_slots(n)` q-slots and
+    area up to n(n+1)/2; the lda values (`lda`) those of `_lda_packing(n)`,
+    each cell of row m unpacked with the base monomial r^(m-1).  The
+    unpacking is exact: packing is a ring map, so the int of a cell is the
+    packing of the true cell whatever the signs of the intermediate sums,
+    and every cell lies in the packing's box, where the map is one to one.
+    An area/sper cell's coefficients lie in [0, (n-1)!] (`_slot_words`), its
     sper in [0, _sper_slots(n)) (`_sper_slots`), and its area, the number of
     bargraph cells, in [0, n(n+1)/2] since rho_k <= k.
     """
     _check_size(n)
-    packing = Kronecker("p", "q", n * (n + 1) // 2, _sper_slots(n), _slot_words(n))
-    return DistTable([packing.unpack(cell, f"cell ({m}, {i})") for i, cell in enumerate(row, 1)]
-                     for m, row in enumerate(engine(n, _packed_ring(packing)), start=1))
+    if lda:
+        packing = _lda_packing(n)
+    else:
+        packing = Kronecker("p", "q", n * (n + 1) // 2, _sper_slots(n), _slot_words(n))
+
+    def unpacked(m: int, row: tuple[int, ...]) -> list[MPoly]:
+        base = {"r": m - 1} if lda else {}
+        return [packing.unpack(cell, f"cell ({m}, {i})", **base) for i, cell in enumerate(row, 1)]
+
+    return DistTable(unpacked(m, row) for m, row in enumerate(engine(n, _packed_ring(packing)), 1))
 
 
 def a_table_lemma(n: int) -> DistTable:
@@ -361,7 +419,7 @@ def b_table_lemma(n: int) -> DistTable:
     b(n,i) = p b(n-1,i) + q sum_{j>i} b(n-1,j) + r sum_{j<i} b(n-1,j) for
     i < n, and b(n,n) = r * rowsum(n-1), from b(1,1) = 1.
     """
-    return DistTable(_b_lemma(n, _SYMBOLIC))
+    return _packed_table(_b_lemma, n, lda=True)
 
 
 def b_table_threeterm(n: int) -> DistTable:
@@ -370,7 +428,7 @@ def b_table_threeterm(n: int) -> DistTable:
     b(n,i) = b(n,i-1) + (p-q) b(n-1,i) + (r-p) b(n-1,i-1) for 2 <= i <= n-1,
     with b(n,1) = (p-q) b(n-1,1) + q * rowsum(n-1) and b(n,n) = r * rowsum(n-1).
     """
-    return DistTable(_b_threeterm(n, _SYMBOLIC))
+    return _packed_table(_b_threeterm, n, lda=True)
 
 
 # engine name: (engine, its markers)
@@ -379,6 +437,7 @@ _ENGINES = {
     "a_threeterm": (_a_threeterm, ("p", "q")),
     "b_lemma": (_b_lemma, ("p", "q", "r")),
     "b_threeterm": (_b_threeterm, ("p", "q", "r")),
+    "b_direct": (_b_direct, ("p", "q", "r")),
 }
 ENGINES = tuple(_ENGINES)
 
@@ -444,23 +503,6 @@ def check_an_functional(nmax: int, table: DistTable) -> CheckResult:
     return check("area-sper-row-functional", f"2<=n<={nmax}", "", cases())
 
 
-def divide_exact_one_minus_y(num: MPoly) -> MPoly:
-    """Exact quotient num / (1 - y) by synthetic division in y.
-
-    Requires nonnegative y-exponents and num(y=1) = 0; raises
-    NonDivisibleError otherwise.  `MPoly.div_one_minus` divides in one
-    running prefix sum over the coefficients of y^0, y^1, ...; the prefix
-    after the top degree is the remainder num(y=1).
-    """
-    try:
-        quotient, remainder = num.div_one_minus("y")
-    except ValueError:
-        raise NonDivisibleError("negative powers of y in the dividend") from None
-    if remainder:
-        raise NonDivisibleError(f"remainder {remainder.to_text()}")
-    return quotient
-
-
 def bn_poly_recurrence(nmax: int) -> list[MPoly]:
     """Row polynomials B_n(y) of the lda table, computed directly.
 
@@ -472,18 +514,20 @@ def bn_poly_recurrence(nmax: int) -> list[MPoly]:
     B_n(y) = p B_{n-1}(y) + [ (yr - q) B_{n-1}(y) + y(q - y^n r) B_{n-1}(1) ] / (1-y).
     The two numerators differ by a multiple of (1-y), so they have the same
     value at y = 1: the exactness check (a zero remainder) fails on one
-    exactly when it fails on the other.
+    exactly when it fails on the other.  `_b_direct` divides by synthetic
+    division on the packed ints of `_lda_packing(nmax)`.  Its remainder is
+    homogeneous of degree n - 1, like the cells, so r -> 1 loses nothing, and
+    an int of 0 is the zero polynomial whenever the coefficients lie below
+    2^(64 * words) in size: the lowest nonzero slot of a nonzero one would
+    leave a nonzero residue modulo its slot's power of two.  Each row is
+    unpacked into one polynomial, its cell k with the base r^(n-1) y^k.
     """
     if nmax < 1:
         raise ValueError(f"nmax must be positive, got {nmax}")
-    step = Y * R - Q
-    out = [Y]
-    for n in range(2, nmax + 1):
-        prev = out[-1]
-        prev_at_one = prev.substitute("y", 1)
-        numerator = lincomb(((step, prev), (Y * (Q - MPoly.monomial(1, y=n) * R), prev_at_one)))
-        out.append(lincomb(((P, prev), (1, divide_exact_one_minus_y(numerator)))))
-    return out
+    packing = _lda_packing(nmax)
+    return [lincomb((1, packing.unpack(cell, f"row {m}, y^{k}", r=m - 1, y=k))
+                    for k, cell in enumerate(row, 1))
+            for m, row in enumerate(_b_direct(nmax, _packed_ring(packing)), 1)]
 
 
 # -- closed-form totals --------------------------------------------------------

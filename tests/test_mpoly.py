@@ -599,6 +599,8 @@ def test_lincomb_edge_cases():
     # the seed is the largest product, wherever it sits among the pairs
     big = (P + Q + Y + 1) * (P + Q + Y + 1) * (P + Q + Y + 1)
     assert lincomb([(Q, P), (Y, big), (-1, Y * big)]) == P * Q
+    # unit rows whose keys are all new are copied in whole; later rows still merge
+    assert lincomb([(1, big), (1, Q ** 5), (1, R ** 4 - big)]) == Q ** 5 + R ** 4
 
 
 def test_lincomb_minus_one_rows_subtract():
@@ -608,38 +610,6 @@ def test_lincomb_minus_one_rows_subtract():
     assert lincomb([(1, x), (-1, x)]) == MPoly.zero()
     assert lincomb([(P - Q, x), (Q - P, x)]) == MPoly.zero()  # shifted rows with c = -1
     assert lincomb([(x, x), (-1, x)]) == x * x - x
-
-
-@given(ref_polys)
-def test_div_one_minus_is_synthetic_division(a):
-    a = {e: c for e, c in a.items() if e[0] >= 0}
-    poly = MPoly(a)
-    quotient, rest = poly.div_one_minus("y")
-    assert (1 - Y) * quotient + rest * Y ** poly.degree("y") == poly
-    assert rest == poly.substitute("y", 1)
-    assert all(0 <= e[0] < poly.degree("y") for e, _ in quotient.items())
-
-
-@given(ref_polys, st.sampled_from(range(NVARS)))
-def test_div_one_minus_in_every_variable(a, i):
-    a = {e: c for e, c in a.items() if e[i] >= 0}
-    poly, x = MPoly(a), MPoly.var(VARS[i])
-    quotient, rest = poly.div_one_minus(VARS[i])
-    assert (1 - x) * quotient + rest * x ** poly.degree(VARS[i]) == poly
-    assert rest == poly.substitute(VARS[i], 1)
-    assert all(0 <= e[i] < poly.degree(VARS[i]) for e, _ in quotient.items())
-    assert all(e[i] == 0 for e, _ in rest.items())
-
-
-def test_div_one_minus_edge_cases():
-    with pytest.raises(ValueError, match="negative powers of y"):
-        (Y ** -1 + 1).div_one_minus("y")
-    assert MPoly.zero().div_one_minus("y") == (MPoly.zero(), MPoly.zero())
-    assert (P * Q).div_one_minus("y") == (MPoly.zero(), P * Q)
-    assert Y.div_one_minus("y") == (MPoly.zero(), MPoly.one())  # y = (1 - y) 0 + 1 y^1
-    assert (P - P * Y ** 3).div_one_minus("y") == (P + P * Y + P * Y ** 2, MPoly.zero())
-    with pytest.raises(ValueError, match="^unknown variable 'x'$"):
-        P.div_one_minus("x")
 
 
 @pytest.mark.parametrize("var", VARS)
@@ -676,12 +646,19 @@ def test_point_rows_agree_with_the_symbolic_rows():
             assert table.row_sum(n) == symbolic.row_sum(n).eval_rational(point)
 
 
+def slot_coeffs(words):
+    """Coefficients below 2^(64 words), each word drawn on its own, so any word may be set."""
+    word = st.one_of(st.just(0), st.integers(1, 2 ** 64 - 1))
+    return st.tuples(*[word] * words).map(
+        lambda ws: sum(w << 64 * i for i, w in enumerate(ws))).filter(bool)
+
+
 @given(st.integers(min_value=1, max_value=3), st.data())
 def test_kronecker_unpacks_every_polynomial_in_its_box(words, data):
     """Slots of one to three words, coefficients that fill only the low word or any word."""
     outer_max, slots = 4, 3
     packing = Kronecker("p", "q", outer_max, slots, words)
-    coeffs = st.one_of(st.integers(1, 2 ** 64 - 1), st.integers(1, 2 ** (64 * words) - 1))
+    coeffs = st.one_of(st.integers(1, 2 ** 64 - 1), slot_coeffs(words))
     terms = data.draw(st.dictionaries(
         st.tuples(st.integers(0, outer_max), st.integers(0, slots - 1)), coeffs, max_size=6))
     value = sum(c << packing.shift(p=a, q=b) for (a, b), c in terms.items())
@@ -697,6 +674,35 @@ def test_kronecker_shifts_only_nonnegative_powers_of_its_variables():
             packing.shift(**exps)
     with pytest.raises(OverflowError):
         Kronecker("p", "q", EXP_MAX + 1, 3, 1)
+
+
+@given(st.integers(min_value=1, max_value=3), st.integers(0, 5), st.integers(0, 3), st.data())
+def test_kronecker_with_an_implied_variable_reads_back_homogeneous_polynomials(words, degree, k,
+                                                                              data):
+    """r packed as 1: a polynomial homogeneous of degree d comes back with r = d in the base."""
+    packing = Kronecker("p", "q", 5, 6, words, implied="r")
+    exps = st.tuples(st.integers(0, degree), st.integers(0, degree)).filter(
+        lambda e: sum(e) <= degree)
+    terms = data.draw(st.dictionaries(exps, slot_coeffs(words), max_size=6))
+    value = sum(c << packing.shift(p=a, q=b, r=degree - a - b) for (a, b), c in terms.items())
+    assert packing.unpack(value, "v", r=degree, y=k) == \
+        MPoly({(k, a, b, degree - a - b, 0): c for (a, b), c in terms.items()})
+
+
+def test_kronecker_implied_variable_is_a_zero_shift():
+    packing = Kronecker("p", "q", 4, 3, 1, implied="r")
+    assert packing.shift(r=5) == 0 and packing.shift(p=1, q=2, r=1) == 64 * 5
+    with pytest.raises(ValueError, match="^cannot pack the monomial .*: only nonnegative "
+                                         "powers of p, q and r$"):
+        packing.shift(r=-1)
+    with pytest.raises(OverflowError):
+        packing.unpack(1, "v", r=EXP_MAX + 1)
+    for base in ({"p": 1}, {"q": 1, "r": 2}, {"r": -1}, {"y": -2}):
+        with pytest.raises(ValueError, match="^bad base monomial .* for a packing in p and q$"):
+            packing.unpack(1, "v", **base)
+    # with r implied, r's field falls by up to outer_max + slots - 1 below the base's
+    with pytest.raises(OverflowError):
+        Kronecker("p", "q", 10_000, -EXP_MIN - 10_000 + 2, 1, implied="r")
 
 
 @pytest.mark.parametrize("build", [

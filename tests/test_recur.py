@@ -23,7 +23,6 @@ from invbargraph.recur import (
     check_an_functional,
     check_sign_balance,
     check_stirling_eulerian,
-    divide_exact_one_minus_y,
     eulerian,
     point_table,
     row_poly,
@@ -144,6 +143,75 @@ def test_packed_multiplier_off_by_one_slot_is_caught(symbolic_rows):
 
 
 # -- lda tables --------------------------------------------------------------------
+#
+# The lda tables and the B_n rows are built on packed ints with r implied
+# (recur._lda_packing); the same engines on MPoly are the reference.  Slots are
+# one word up to n = 21, two from n = 22 and three at n = 36.
+LDA_PACKED_NS = [*range(1, 23), 36]
+LDA_ENGINES = [recur._b_lemma, recur._b_threeterm, recur._b_direct]
+
+
+@pytest.fixture(scope="module")
+def symbolic_lda_rows():
+    """Rows 1..36 of each lda engine on MPoly; rows 1..n are its table at n."""
+    return {engine: tuple(engine(36, recur._SYMBOLIC)) for engine in LDA_ENGINES}
+
+
+@pytest.mark.parametrize("engine", LDA_ENGINES, ids=["b_lemma", "b_threeterm", "b_direct"])
+@pytest.mark.parametrize("n", LDA_PACKED_NS)
+def test_packed_lda_engine_equals_the_symbolic_engine(symbolic_lda_rows, engine, n):
+    assert recur._packed_table(engine, n, lda=True) == DistTable(symbolic_lda_rows[engine][:n])
+
+
+def test_direct_engine_is_the_lda_table(symbolic_lda_rows):
+    assert DistTable(symbolic_lda_rows[recur._b_direct]) == b_table_lemma(36)
+    assert DistTable(recur._b_direct(12, recur._SYMBOLIC)) == b_table_lemma(12)
+
+
+def _b_direct_without_q_at_one(n, ring):
+    """recur._b_direct with the term q B_{m-1}(1) dropped from its numerator.
+
+    The multiplier q (coefficient 1) multiplies only B_{m-1}(1) there, so the
+    ring drops every pair whose multiplier it is.
+    """
+    mono, lin = ring
+    dropped = object()
+
+    def mono_without_q(c, **exps):
+        return dropped if (c, exps) == (1, {"q": 1}) else mono(c, **exps)
+
+    return recur._b_direct(n, (mono_without_q, lambda pairs: lin(
+        (m, x) for m, x in pairs if m is not dropped)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda engine: recur._packed_table(engine, 6, lda=True),
+    lambda engine: DistTable(engine(6, recur._SYMBOLIC)),
+    lambda engine: DistTable(engine(6, recur._at_point({"p": 2, "q": Fraction(-1, 3), "r": 5}))),
+], ids=["packed", "symbolic", "point"])
+def test_direct_engine_without_q_at_one_leaves_a_remainder(build):
+    """Negative control: drop q B(1) from the numerator and (1 - y) no longer divides it."""
+    assert build(recur._b_direct).n == 6
+    with pytest.raises(NonDivisibleError, match=r"^row 2: 1 - y leaves a nonzero remainder$"):
+        build(_b_direct_without_q_at_one)
+
+
+@pytest.mark.parametrize("n", [3, 22])
+def test_lda_unpack_refuses_a_value_outside_the_box(n):
+    """As for area/sper, with r implied: the last bit of the box reads r^(1 - 2(n - 1)) in row 2."""
+    def one_bad_cell(value):
+        return lambda n, ring: iter([(1,), (value, 0)])
+
+    bits = 64 * recur._slot_words(n)
+    top = bits * n * n - 1  # p^(n-1) q^(n-1), the last slot of the box
+    assert recur._packed_table(one_bad_cell(1 << top), n, lda=True)[2, 1] == \
+        MPoly.monomial(1 << (bits - 1), p=n - 1, q=n - 1, r=1 - 2 * (n - 1))
+    with pytest.raises(ValueError, match=r"^cell \(2, 1\) is outside the packing's box: "
+                                         r"a negative int$"):
+        recur._packed_table(one_bad_cell(-1), n, lda=True)
+    with pytest.raises(ValueError, match=rf"^cell \(2, 1\) is outside the packing's box: "
+                                         rf"bit {top + 1} is set$"):
+        recur._packed_table(one_bad_cell(1 << (top + 1)), n, lda=True)
 
 
 def test_b_lemma_small_cells():
@@ -180,7 +248,8 @@ def test_bn_poly_recurrence_matches_rows(b_lemma_9):
 @pytest.fixture(scope="module")
 def symbolic_10():
     return {"a_lemma": a_table_lemma(10), "a_threeterm": a_table_threeterm(10),
-            "b_lemma": b_table_lemma(10), "b_threeterm": b_table_threeterm(10)}
+            "b_lemma": b_table_lemma(10), "b_threeterm": b_table_threeterm(10),
+            "b_direct": DistTable(recur._b_direct(10, recur._SYMBOLIC))}
 
 
 values = st.fractions(min_value=-3, max_value=3, max_denominator=5)
@@ -215,35 +284,6 @@ def test_point_table_needs_exactly_its_markers():
         point_table("a_threeterm", 4, p=1, q=1, r=1)
     with pytest.raises(ValueError, match="n must be positive"):
         point_table("a_lemma", 0, p=1, q=1)
-
-
-def test_divide_exact():
-    num = P * (MPoly.one() - Y)
-    assert divide_exact_one_minus_y(num) == P
-    with pytest.raises(NonDivisibleError, match=r"^remainder p$"):
-        divide_exact_one_minus_y(P)
-    with pytest.raises(NonDivisibleError, match="^negative powers of y in the dividend$"):
-        divide_exact_one_minus_y(mono(y=-1) - mono(y=-1, p=1))
-    assert divide_exact_one_minus_y(MPoly.zero()) == MPoly.zero()
-
-
-small_exps = st.integers(min_value=-3, max_value=3)
-y_free_polys = st.dictionaries(st.tuples(st.just(0), *[small_exps] * 4),
-                               st.integers(min_value=-9, max_value=9), max_size=4).map(MPoly)
-y_polys = st.dictionaries(st.tuples(st.integers(min_value=0, max_value=5), *[small_exps] * 4),
-                          st.integers(min_value=-9, max_value=9), max_size=6).map(MPoly)
-
-
-@given(y_polys)
-def test_divide_exact_round_trip(quotient):
-    assert divide_exact_one_minus_y((1 - Y) * quotient) == quotient
-
-
-@given(y_polys, y_free_polys.filter(bool))
-def test_divide_exact_names_the_remainder(quotient, remainder):
-    message = f"remainder {remainder.to_text()}"
-    with pytest.raises(NonDivisibleError, match=f"^{re.escape(message)}$"):
-        divide_exact_one_minus_y((1 - Y) * quotient + remainder)
 
 
 # -- totals ------------------------------------------------------------------------
