@@ -53,9 +53,12 @@ BRUTE_MAX_PYTHON = 9
 # them, with the guards lifted: nmax 10 and 11 (order 12) 0.5-0.6 and 0.6-1.0 s
 # (0.6-1.0 and 0.9-1.2) and nmax 12 3.2-5.8 s (3.1-5.1; 6 runs), where brute
 # enumeration dominates; order 13, 14 and 16 (nmax 9) 0.4-0.7, 0.5-0.9 and
-# 1.0-1.7 s (0.6-1.0, 0.7-1.3 and 1.2-2.0), where the symbolic tables to depth
-# `order` dominate.  On this host two busy processes each run slower than one
-# alone, so the child saves less than the sweep suites' share.
+# 1.0-1.7 s (0.6-1.0, 0.7-1.3 and 1.2-2.0), where the area/sper row functional
+# (`recur.check_an_functional`) dominates, not the table builds: at order 16,
+# in process, it took 0.39-0.47 s of the recurrences suite's 0.48-0.58 s, all
+# five table builds 0.16 s and the gf suite 0.20-0.25 s (3 runs).  On this
+# host two busy processes each run slower than one alone, so the child saves
+# less than the sweep suites' share.
 VERIFY_NMAX_MAX = 9
 VERIFY_ORDER_MAX = 12
 # Largest n whose five totals all print under `invseq.DIGITS_MAX`, Python's

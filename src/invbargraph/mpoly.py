@@ -24,10 +24,12 @@ Exponents outside the range raise OverflowError and never wrap.
 Every sum of products is built by one multiply-accumulate kernel,
 lincomb(pairs) = sum of m * x over (multiplier, polynomial) pairs.  It
 seeds one output dict with the largest product (one shifted copy of a term
-map) and merges every other product's terms into it in place, so a chain
-such as a*x - b*y + c*z copies and hashes each term once instead of once per
-intermediate result.  `+`, `-` and `*` are calls of it, and a table
-recurrence run on `MPoly` builds each cell with one call.  Substitution and
+map) and merges every other product's terms into it in place by one loop,
+so a chain such as a*x - b*y + c*z copies and hashes each term once instead
+of once per intermediate result.  `+`, `-` and `*` are calls of it, and so
+is each side of an identity the checks compare.  The tables are built on
+packed ints (`Kronecker`, below), not on `MPoly`: only the tests' reference
+ring (`recur._SYMBOLIC`) runs the table recurrences on it.  Substitution and
 powers take only a unit monomial (+-1, or +-1 times a monomial, which is
 every substitution and power the checks make), so each maps a term to one term:
 `substitute` adds one key offset per term and `**` scales one key.
@@ -556,13 +558,15 @@ def lincomb(pairs: Iterable[tuple["MPoly | int", "MPoly | int"]]) -> MPoly:
     term's coefficient c and key shift applied to every term of the larger
     factor.  The row over the most terms seeds the output with one
     comprehension (its keys are one shift of a term map's, so they cannot
-    collide); every other row merges into that dict in place, with no
-    multiply when c is 1 or -1 (an add or a subtract) and no key addition
-    when the shift is 0 and c is 1; such a row whose keys are all new, as
-    when the unpacked cells of a row polynomial are summed, is copied in
-    with one dict update.  Zero sums are deleted as they appear, and one
-    guard-bit scan at the end catches any exponent that left the range (none
-    can when no row shifts).  No pairs, or only zero products, give zero.
+    collide), and every other row merges into that dict in place by one
+    loop, tuned for no engine: the tables are built on packed ints, and only
+    the tests' reference ring (`recur._SYMBOLIC`) runs the table recurrences
+    here.  The one exception is a row with c = 1 and no shift whose keys are
+    all new, as when `recur.bn_poly_recurrence` sums the unpacked cells of a
+    row polynomial: it is copied in with one dict update.  Zero sums are
+    deleted as they appear, and one guard-bit scan at the end catches any
+    exponent that left the range (none can when no row shifts).  No pairs,
+    or only zero products, give zero.
     """
     rows: list[tuple[int, int, dict[int, int]]] = []
     most = seed = shifted = 0
@@ -580,48 +584,19 @@ def lincomb(pairs: Iterable[tuple["MPoly | int", "MPoly | int"]]) -> MPoly:
         return MPoly.zero()
     rows[0], rows[seed] = rows[seed], rows[0]
     shift, c, b = rows[0]
-    if c != 1:
-        out = {kb + shift: c * cb for kb, cb in b.items()}
-    elif shift:
-        out = {kb + shift: cb for kb, cb in b.items()}
-    else:
-        out = dict(b)
+    out = {kb + shift: c * cb for kb, cb in b.items()}
     get = out.get
     for shift, c, b in rows[1:]:
-        if not shift and c == 1:
-            if out.keys().isdisjoint(b):
-                out.update(b)
-                continue
-            for k, cb in b.items():
-                s = get(k, 0) + cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        elif c == 1:
-            for kb, cb in b.items():
-                k = kb + shift
-                s = get(k, 0) + cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        elif c == -1:
-            for kb, cb in b.items():
-                k = kb + shift
-                s = get(k, 0) - cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        else:
-            for kb, cb in b.items():
-                k = kb + shift
-                s = get(k, 0) + c * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+        if not shift and c == 1 and out.keys().isdisjoint(b):
+            out.update(b)
+            continue
+        for kb, cb in b.items():
+            k = kb + shift
+            s = get(k, 0) + c * cb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
     if shifted and reduce(operator.or_, out, 0) & _GUARD:
         raise _overflow("in a product")
     return _raw(out)

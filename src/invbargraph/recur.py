@@ -162,7 +162,9 @@ def row_poly(table: DistTable, m: int) -> MPoly:
 # Values are summed with `+`.  There are three rings:
 #
 # - `_SYMBOLIC`: multipliers and values are `MPoly`, and each `lin` builds one
-#   term map (`lincomb`).  The tests' references are built on it.
+#   term map (`lincomb`, whose one merge loop is not tuned for any engine).
+#   Only the tests' references are built on it: every table the package
+#   builds runs on packed ints.
 # - `_at_point(values)`: numbers, the cells evaluated at a point and computed
 #   by the same recurrence (evaluate-then-recur); `point_table` uses it.
 # - `_packed_ring(packing)`: a value is one int, its polynomial packed by
@@ -479,25 +481,28 @@ def check_an_functional(nmax: int, table: DistTable) -> CheckResult:
     For each n, with A_n(y) the row polynomial:
       (1-yp)(1-ypq) A_n(y) = ypq (1-ypq) (A_{n-1}(1) - A_{n-1}(yp))
                            + ypq^2 (1-yp) (A_{n-1}(yp) - (ypq)^n A_{n-1}(1/q))
-    checked as exact Laurent-polynomial equality.
+    checked as exact Laurent-polynomial equality.  Each side is one sum of
+    products: the right side is grouped by the three values of A_{n-1}, whose
+    multipliers ypq (1-ypq), ypq^2 (1-yp) - ypq (1-ypq) and -ypq^2 (1-yp)
+    (times (ypq)^n) are built once, and summed by one `lincomb`.
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
 
     def cases():
-        ypq = Y * P * Q
-        yp = Y * P
+        yp, ypq = Y * P, Y * P * Q
+        left = (1 - yp) * (1 - ypq)
+        by_one = ypq * (1 - ypq)
+        by_qinv = -ypq * Q * (1 - yp)
+        by_yp = -by_qinv - by_one
+        q_inv = MPoly.monomial(1, q=-1)
         a_prev = row_poly(table, 1)
         for n in range(2, nmax + 1):
             a_n = row_poly(table, n)
-            at_one = a_prev.substitute("y", 1)
-            at_yp = a_prev.substitute("y", yp)
-            at_qinv = a_prev.substitute("y", MPoly.monomial(1, q=-1))
-            lhs = (1 - yp) * (1 - ypq) * a_n
-            rhs = ypq * (1 - ypq) * (at_one - at_yp) + Y * P * Q * Q * (1 - yp) * (
-                at_yp - ypq ** n * at_qinv
-            )
-            yield f"n={n}", lhs, rhs
+            rhs = lincomb(((by_one, a_prev.substitute("y", 1)),
+                           (by_yp, a_prev.substitute("y", yp)),
+                           (by_qinv * ypq ** n, a_prev.substitute("y", q_inv))))
+            yield f"n={n}", left * a_n, rhs
             a_prev = a_n
 
     return check("area-sper-row-functional", f"2<=n<={nmax}", "", cases())
@@ -590,9 +595,10 @@ def total_ascents(n: int) -> int:
 def table_stat_total(table: DistTable, n: int, marker: str) -> int:
     """Total of the statistic tracked by `marker` over row n of a table.
 
-    Derivative-free extraction: sum over terms of coeff * marker-exponent.
+    Derivative-free extraction: sum over terms of coeff * marker-exponent,
+    the sum of the per-last-letter totals.
     """
-    return sum(cell.weighted_exponent_sum(marker) for cell in table.row(n))
+    return sum(table_stat_total_by_last(table, n, marker).values())
 
 
 def table_stat_total_by_last(table: DistTable, n: int, marker: str) -> dict[int, int]:

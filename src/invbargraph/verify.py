@@ -283,10 +283,13 @@ def _random_rational(rng: random.Random) -> Fraction:
 
 
 def _draw(rng: random.Random, points: list[tuple], k: int, ok) -> list[tuple]:
-    """`points` filled up to k points: seeded draws, shaped as points[0], that `ok` accepts."""
+    """`points` filled up to k points: seeded draws, shaped as points[0], that `ok` accepts.
+
+    A draw already in the list is drawn again, so no point is checked twice.
+    """
     while len(points) < k:
         point = tuple(_random_rational(rng) for _ in points[0])
-        if ok(*point):
+        if ok(*point) and point not in points:
             points.append(point)
     return points
 

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -503,6 +504,7 @@ CORRUPT_STAYS_PASS = {
     "bijections": {("levels-to-cycles-roundtrip", ""), ("ascents-map-roundtrip", ""),
                    ("complement-transport", ""), ("bijection-injectivity", "")},
     "gf": {("area-ogf-recursion", "p=0"), ("area-ogf-closed", "p=0"),
+           ("area-ogf-closed", "p=0,y=-3/4"),
            ("lda-kernel-substitution", "p=0,q=1,r=2"), ("lda-kernel-unrolled", "p=0,q=1,r=2")},
 }
 
@@ -712,18 +714,18 @@ def test_sweep_suites_share_one_enumeration_in_process(capsys, monkeypatch, tmp_
 
 
 # sha256 of passing `verify --out` reports since the fixed lda points have
-# q != r; a speedup must reproduce them byte for byte.
+# q != r and no drawn point repeats; a speedup must reproduce them byte for byte.
 REPORT_PINS = [
-    ((), "5691500883791a52aa5867c5cf42cd1a029f430e40938a2b552425d1d78e209a"),
+    ((), "3aa87832ed2234d3be9887eb85d6f2af74fa0e03d74e621afab7eb31c936d44f"),
     (("--nmax", "9", "--order", "12", "--seed", "1"),
-     "ea34fe2cd8432608f6c57c0ab0f7e8bcf440356131d5f3942822c233826e0d1a"),
+     "bdd08cde1495e78257d640975555fb14d18390150d1b22bb3a558cdf5124c154"),
 ]
 # sha256 of `verify --corrupt --out` reports, from the same draw; the failing
 # reports must not change either.
 CORRUPT_REPORT_PINS = [
-    ((), "e6226457f94bf2ad0cf05ad8b5b15851dd2e03f90600694d8c983a41fc54e048"),
+    ((), "54914dbf33baa6f0c79e51515c9f539958e57e9e4299b65980e2762975fb5f38"),
     (("--nmax", "9", "--order", "12", "--seed", "1"),
-     "48e5819f8adaa12b6d2699ad88eaed75b018b2932ce797db18bce52995a2a6ba"),
+     "89bc2c01fa4b30e4d0ea17f19616c93a626d1314147ae53657092fd520359f6f"),
 ]
 PIN_IDS = ["defaults", "caps-seed-1"]
 
@@ -732,6 +734,15 @@ def _report_digest(tmp_path, capsys, argv, code):
     target = tmp_path / "report.json"
     assert run_cli(capsys, "verify", *argv, "--out", str(target))[0] == code
     return hashlib.sha256(target.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in REPORT_PINS], ids=PIN_IDS)
+def test_verify_report_checks_each_point_once(tmp_path, capsys, argv):
+    target = tmp_path / "report.json"
+    assert run_cli(capsys, "verify", *argv, "--out", str(target))[0] == 0
+    report = json.loads(target.read_text())
+    checked = Counter((entry["formula-id"], entry["parameter-point"]) for entry in report)
+    assert [case for case, times in checked.items() if times > 1] == []
 
 
 @pytest.mark.parametrize("argv,digest", REPORT_PINS, ids=PIN_IDS)
