@@ -49,16 +49,17 @@ BRUTE_MAX_PYTHON = 9
 # C kernel, Python 3.11 on the shared 2-core Xeon), with the sweep suites in a
 # forked child and, in brackets, on one CPU (`taskset -c 0`, all in process):
 # 0.4-0.6 s (0.4-0.6; 20 runs) at the defaults (nmax 7, order 8), where the
-# child has most of the work, and 0.4-1.0 s (0.6-0.9) at the caps.  Above
+# child has most of the work, and 0.4-0.6 s (0.5-0.9) at the caps.  Above
 # them, with the guards lifted: nmax 10 and 11 (order 12) 0.5-0.6 and 0.6-1.0 s
 # (0.6-1.0 and 0.9-1.2) and nmax 12 3.2-5.8 s (3.1-5.1; 6 runs), where brute
-# enumeration dominates; order 13, 14 and 16 (nmax 9) 0.4-0.7, 0.5-0.9 and
-# 1.0-1.7 s (0.6-1.0, 0.7-1.3 and 1.2-2.0), where the area/sper row functional
-# (`recur.check_an_functional`) dominates, not the table builds: at order 16,
-# in process, it took 0.39-0.47 s of the recurrences suite's 0.48-0.58 s, all
-# five table builds 0.16 s and the gf suite 0.20-0.25 s (3 runs).  On this
-# host two busy processes each run slower than one alone, so the child saves
-# less than the sweep suites' share.
+# enumeration dominates; order 13, 14 and 16 (nmax 9) 0.4-0.6, 0.4-0.6 and
+# 0.6-0.9 s (0.6-0.9, 0.6-0.9 and 1.0-1.2), where the gf suite and the table
+# builds dominate: at order 16, in process, the gf suite took 0.21-0.30 s,
+# the four lemma and three-term tables 0.12-0.17 s, and the recurrences
+# suite 0.23-0.26 s, of which the area/sper row functional
+# (`recur.check_an_functional`) took 0.08-0.11 s (3 runs).  On this host two
+# busy processes each run slower than one alone, so the child saves less
+# than the sweep suites' share.
 VERIFY_NMAX_MAX = 9
 VERIFY_ORDER_MAX = 12
 # Largest n whose five totals all print under `invseq.DIGITS_MAX`, Python's

@@ -21,7 +21,7 @@ import sys
 import zlib
 from collections.abc import Iterator
 
-from invbargraph import _kernel_py
+from invbargraph import _kernel_py, recur
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SOURCE = os.path.join(_HERE, "_kernel.c")
@@ -89,10 +89,11 @@ def _walk(walker, n: int, dim1: int, dim2: int) -> Iterator[tuple[int, int, int,
 def _area_sper_counts_c(n: int) -> dict[tuple[int, int, int], int]:
     """{(last, area, sper): multiplicity} over all inversion sequences of length n."""
     _kernel_py._guard(n)
-    adim = n * (n + 1) // 2 + 1
-    sdim = n + (1 + n * (n - 1) // 2 + n) // 2 + 2
+    # the walker writes only inside this box; it gets one sper slot more
+    area_max, sper_slots = recur._area_sper_box(n)
     return {(last, area, sper): c
-            for last, area, sper, c in _walk(_lib.area_sper_counts, n, adim, sdim)}
+            for last, area, sper, c in _walk(_lib.area_sper_counts, n, area_max + 1,
+                                             sper_slots + 1)}
 
 
 def _lda_counts_c(n: int) -> dict[tuple[int, int, int, int], int]:

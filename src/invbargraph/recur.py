@@ -9,15 +9,20 @@ polynomial a(n,i) in p (area) and q (sper) summed over length-n sequences
 ending in i; row polynomials attach y^i to cell (n, i).  The lda table b(n,i)
 uses p (levels), q (descents), r (ascents).
 
-Each recurrence is written once over a ring and runs on three of them (see
+The paper's row equations for A_n(y) and B_n(y) are engines too
+(`_a_direct`, `_b_direct`): each solves its equation for row n from row
+n - 1, dividing by 1 - yp and 1 - ypq, or by 1 - y, by synthetic division.
+`check_an_functional` and `verify`'s lda-direct-row-recurrence compare a
+table's rows with theirs.
+
+Each engine is written once over a ring and runs on three of them (see
 the comment above the engines).  Every symbolic table is built on packed
 ints, one int per cell (Kronecker substitution, `mpoly.Kronecker`), and each
 finished row is unpacked once into `MPoly` cells: the area/sper tables
-(`a_table_lemma`, `a_table_threeterm`) in p and q, the lda tables
-(`b_table_lemma`, `b_table_threeterm`) in p and q with r implied, and
-`bn_poly_recurrence`, the paper's row equation, on the lda packing too, its
-division by 1 - y done by synthetic division on the ints (`_b_direct`).
-`point_table` runs the same recurrences on the numbers of a parameter point,
+(`a_table_lemma`, `a_table_threeterm`, and the rows of `_a_direct`) in p and
+q, the lda tables (`b_table_lemma`, `b_table_threeterm`, and the rows of
+`_b_direct` and `bn_poly_recurrence`) in p and q with r implied.
+`point_table` runs the same engines on the numbers of a parameter point,
 so the generating-function checks can recur at the point instead of
 evaluating symbolic tables.
 """
@@ -30,7 +35,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator
 
-from invbargraph.mpoly import DIGITS_MAX, Kronecker, MPoly, P, Q, T, Y, lincomb
+from invbargraph.mpoly import DIGITS_MAX, Kronecker, MPoly, T, lincomb
 from invbargraph.reporting import CheckResult, check
 
 Rat = Fraction | int
@@ -170,15 +175,18 @@ def row_poly(table: DistTable, m: int) -> MPoly:
 # - `_packed_ring(packing)`: a value is one int, its polynomial packed by
 #   `mpoly.Kronecker` (see `_packed_table`); a multiplier is a tuple of
 #   (shift, coeff) terms, so `+` concatenates them, and `lin` is a few shifts
-#   and adds of ints.  Every symbolic table and `bn_poly_recurrence` is built
-#   on it, and each finished row is unpacked once into `MPoly` cells, which
-#   takes most of the time: at n = 20 about two thirds of an area/sper
-#   table, at n = 40 about three quarters of an lda table.
+#   and adds of ints.  Every symbolic table, both row-equation checks and
+#   `bn_poly_recurrence` are built on it, and each finished row is unpacked
+#   once into `MPoly` cells, which takes most of the time: at n = 20 about
+#   two thirds of an area/sper table, at n = 40 about three quarters of an
+#   lda table.
 #
-# Dividing by 1 - y is a running prefix sum over the y-coefficients
-# (synthetic division), so on the packed ring it is shifts and adds too
-# (after Harvey, "Faster polynomial multiplication via multipoint Kronecker
-# substitution", J. Symbolic Comput. 44, 2009).  Measured in process at
+# All six engines run on all three rings, the two row equations
+# (`_a_direct`, `_b_direct`) included.  Dividing by 1 - y, 1 - yp or 1 - ypq
+# is a running sum over the y-coefficients (synthetic division), so on the
+# packed ring it is shifts and adds too (after Harvey, "Faster polynomial
+# multiplication via multipoint Kronecker substitution", J. Symbolic
+# Comput. 44, 2009).  Measured in process at
 # n = 40 against the same engines on `MPoly` (C kernel, shared 2-core host,
 # 10 alternating runs each): `b_table_lemma` 0.23-0.32 s against 0.25-0.45 s,
 # `b_table_threeterm` 0.24-0.34 s against 0.27-0.48 s and
@@ -306,6 +314,60 @@ def _b_direct(n: int, ring: Ring) -> Iterator[tuple]:
         yield prev
 
 
+def _a_direct(n: int, ring: Ring) -> Iterator[tuple]:
+    """Row m is (a_1, ..., a_m), the y-coefficients of the paper's A_m(y).
+
+    The row equation is
+    (1-yp)(1-ypq) A_m(y) = ypq (1-ypq) (A_{m-1}(1) - A_{m-1}(yp))
+                         + ypq^2 (1-yp) (A_{m-1}(yp) - (ypq)^m A_{m-1}(1/q)).
+    With S = A_{m-1}(1), a_i the cells of row m - 1 and
+    T = p^m sum_i q^(m-i) a_i, so that (ypq)^m A_{m-1}(1/q) = y^m T, and the
+    two terms in A_{m-1}(yp) summed to ypq (q - 1) A_{m-1}(yp), the right
+    side has the y-coefficients N_1 = pq S, N_2 = -p^2 q^2 S,
+    N_(m+1) = -p q^2 T and N_(m+2) = p^2 q^2 T, and p^(i+1) q (q - 1) a_i
+    added to N_(i+1) for 1 <= i <= m - 1.  Synthetic division by 1 - yp is
+    the running sum c_k = N_k + p c_(k-1), and then by 1 - ypq the running
+    sum d_k = c_k + pq d_(k-1).  d_1..d_m are row m, and d_(m+1), d_(m+2)
+    are the remainder, which must be zero (NonDivisibleError otherwise).
+
+    On packed ints (`_packed_table`, at size n >= m) the cells d_1..d_m are
+    those of row m, in the packing's box, and an int of 0 is the zero
+    polynomial for the remainder too.  With s = sper_slots - 1 for m - 1
+    (`_area_sper_box(m - 1)`), a sequence of length m - 1 has sper in
+    [m, s], and so have the q-exponents of the cells of row m - 1.  Then
+    every term that N puts at y^k has q-exponent in [m + 1, k + s], and the
+    divisions keep that true, since they multiply by p and pq only.  So the
+    remainder's q-exponents lie in [m + 1, m + 2 + s]: at most s + 2 values,
+    no more than the box's q-slots at m, so at n.  Its p-exponents are
+    nonnegative, and p is the outer variable, so each of its monomials fills
+    a slot of its own.  If its coefficients lie below 2^(64 * words) in
+    size, a nonzero remainder then leaves a nonzero residue at its lowest
+    nonzero slot modulo that slot's power of two.
+    """
+    _check_size(n)
+    mono, lin = ring
+    one, p, pq = mono(1), mono(1, p=1), mono(1, p=1, q=1)
+    prev = (lin(((mono(1, p=1, q=2), 1),)),)
+    yield prev
+    for m in range(2, n + 1):
+        at_one = lin((one, cell) for cell in prev)
+        t = lin((mono(1, q=m - i), cell) for i, cell in enumerate(prev, 1))  # T / p^m
+        numer = [[(pq, at_one)], [(mono(-1, p=2, q=2), at_one)], *([] for _ in range(m))]
+        for i, cell in enumerate(prev, 1):
+            numer[i] += ((mono(1, p=i + 1, q=2), cell), (mono(-1, p=i + 1, q=1), cell))
+        numer[m].append((mono(-1, p=m + 1, q=2), t))
+        numer[m + 1].append((mono(1, p=m + 2, q=2), t))
+        row, c, d = [], lin(()), lin(())
+        for pairs in numer:
+            c = lin((*pairs, (p, c)))
+            d = lin(((one, c), (pq, d)))
+            row.append(d)
+        if row[m] or row[m + 1]:
+            raise NonDivisibleError(f"row {m}: (1 - yp)(1 - ypq) leaves a nonzero remainder")
+        prev = tuple(row[:m])
+        yield prev
+
+
 def _slot_words(n: int) -> int:
     """64-bit words per coefficient slot of a packed table value at size n.
 
@@ -317,15 +379,17 @@ def _slot_words(n: int) -> int:
     return -(-factorial(n - 1).bit_length() // 64)
 
 
-def _sper_slots(n: int) -> int:
-    """q-slots of a packed area/sper value at size n: one per sper 0..bound.
+def _area_sper_box(n: int) -> tuple[int, int]:
+    """(area_max, sper_slots): a sequence of length m <= n has area <= area_max, sper < sper_slots.
 
-    A bargraph of heights rho_1..rho_m has half-perimeter
+    Its area rho_1 + ... + rho_m is at most n(n+1)/2, since rho_k <= k.  A
+    bargraph of heights rho_1..rho_m has half-perimeter
     sper = m + (rho_1 + sum_k |rho_(k+1) - rho_k| + rho_m) / 2.  Here rho_1 = 1,
     rho_m <= m, and |rho_(k+1) - rho_k| <= k since both letters lie in
-    [1, k+1], so sper <= m + (1 + m(m-1)/2 + m) / 2, a bound that grows with m.
+    [1, k+1], so sper <= m + (1 + m(m-1)/2 + m) / 2, a bound that grows with m
+    by at least one per step.
     """
-    return n + (1 + n * (n - 1) // 2 + n) // 2 + 1
+    return n * (n + 1) // 2, n + (1 + n * (n - 1) // 2 + n) // 2 + 1
 
 
 def _packed_lin(pairs: Iterable[tuple[tuple[tuple[int, int], ...], int]]) -> int:
@@ -372,21 +436,20 @@ def _packed_table(engine: Callable[[int, Ring], Iterator[tuple]], n: int,
     """An engine's table, built on packed ints and unpacked row by row.
 
     The area/sper values are the ints of `mpoly.Kronecker` with p outer and
-    q inner, slots of `_slot_words(n)` words, `_sper_slots(n)` q-slots and
-    area up to n(n+1)/2; the lda values (`lda`) those of `_lda_packing(n)`,
+    q inner, slots of `_slot_words(n)` words, and area and q-slots from
+    `_area_sper_box(n)`; the lda values (`lda`) those of `_lda_packing(n)`,
     each cell of row m unpacked with the base monomial r^(m-1).  The
     unpacking is exact: packing is a ring map, so the int of a cell is the
     packing of the true cell whatever the signs of the intermediate sums,
     and every cell lies in the packing's box, where the map is one to one.
-    An area/sper cell's coefficients lie in [0, (n-1)!] (`_slot_words`), its
-    sper in [0, _sper_slots(n)) (`_sper_slots`), and its area, the number of
-    bargraph cells, in [0, n(n+1)/2] since rho_k <= k.
+    An area/sper cell's coefficients lie in [0, (n-1)!] (`_slot_words`), and
+    its area and sper in the ranges of `_area_sper_box(n)`.
     """
     _check_size(n)
     if lda:
         packing = _lda_packing(n)
     else:
-        packing = Kronecker("p", "q", n * (n + 1) // 2, _sper_slots(n), _slot_words(n))
+        packing = Kronecker("p", "q", *_area_sper_box(n), _slot_words(n))
 
     def unpacked(m: int, row: tuple[int, ...]) -> list[MPoly]:
         base = {"r": m - 1} if lda else {}
@@ -437,6 +500,7 @@ def b_table_threeterm(n: int) -> DistTable:
 _ENGINES = {
     "a_lemma": (_a_lemma, ("p", "q")),
     "a_threeterm": (_a_threeterm, ("p", "q")),
+    "a_direct": (_a_direct, ("p", "q")),
     "b_lemma": (_b_lemma, ("p", "q", "r")),
     "b_threeterm": (_b_threeterm, ("p", "q", "r")),
     "b_direct": (_b_direct, ("p", "q", "r")),
@@ -476,36 +540,32 @@ def point_table(engine: str, n: int, **values: Rat) -> DistTable:
 
 
 def check_an_functional(nmax: int, table: DistTable) -> CheckResult:
-    """Denominator-cleared row-polynomial identity for the area/sper table.
+    """The area/sper table against the paper's row equation for A_n(y).
 
-    For each n, with A_n(y) the row polynomial:
+    For each n >= 2, with A_n(y) the row polynomial:
       (1-yp)(1-ypq) A_n(y) = ypq (1-ypq) (A_{n-1}(1) - A_{n-1}(yp))
-                           + ypq^2 (1-yp) (A_{n-1}(yp) - (ypq)^n A_{n-1}(1/q))
-    checked as exact Laurent-polynomial equality.  Each side is one sum of
-    products: the right side is grouped by the three values of A_{n-1}, whose
-    multipliers ypq (1-ypq), ypq^2 (1-yp) - ypq (1-ypq) and -ypq^2 (1-yp)
-    (times (ypq)^n) are built once, and summed by one `lincomb`.
+                           + ypq^2 (1-yp) (A_{n-1}(yp) - (ypq)^n A_{n-1}(1/q)).
+    The equation determines row n from row n - 1, and `_a_direct` solves it
+    row by row from A_1(y) = pq^2 y, so rows 1..nmax of `table` must be the
+    rows of that engine (`_check_rows`).
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
+    return _check_rows("area-sper-row-functional", f"2<=n<={nmax}", "a_direct", nmax, table)
 
-    def cases():
-        yp, ypq = Y * P, Y * P * Q
-        left = (1 - yp) * (1 - ypq)
-        by_one = ypq * (1 - ypq)
-        by_qinv = -ypq * Q * (1 - yp)
-        by_yp = -by_qinv - by_one
-        q_inv = MPoly.monomial(1, q=-1)
-        a_prev = row_poly(table, 1)
-        for n in range(2, nmax + 1):
-            a_n = row_poly(table, n)
-            rhs = lincomb(((by_one, a_prev.substitute("y", 1)),
-                           (by_yp, a_prev.substitute("y", yp)),
-                           (by_qinv * ypq ** n, a_prev.substitute("y", q_inv))))
-            yield f"n={n}", left * a_n, rhs
-            a_prev = a_n
 
-    return check("area-sper-row-functional", f"2<=n<={nmax}", "", cases())
+def _check_rows(formula: str, n_range: str, engine: str, nmax: int,
+                table: DistTable) -> CheckResult:
+    """Rows 1..nmax of `table` against those of `engine` (one of ENGINES), built on packed ints.
+
+    Only a row that differs is turned into the two row polynomials (table,
+    engine), shown as the case `n=<row>`.
+    """
+    build, markers = _ENGINES[engine]
+    rows = _packed_table(build, nmax, lda="r" in markers)
+    return check(formula, n_range, "",
+                 ((f"n={m}", row_poly(table, m), row_poly(rows, m))
+                  for m in range(1, nmax + 1) if table.row(m) != rows.row(m)))
 
 
 def bn_poly_recurrence(nmax: int) -> list[MPoly]:

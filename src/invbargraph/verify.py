@@ -115,15 +115,13 @@ def _suite_recurrences(t: _Tables) -> list[CheckResult]:
     depth = max(t.nmax, t.order)
     a_three, b_three = recur.a_table_threeterm(depth), recur.b_table_threeterm(depth)
     a_brute, b_brute = invseq.brute_dist_area_sper(t.nmax), invseq.brute_dist_lda(t.nmax)
-    direct = recur.bn_poly_recurrence(depth)
     return [
         _compare_tables("area-sper-lemma-vs-threeterm", t.a_lemma, a_three, depth),
         _compare_tables("area-sper-lemma-vs-brute", t.a_lemma, a_brute, t.nmax),
         _compare_tables("lda-lemma-vs-threeterm", t.b_lemma, b_three, depth),
         _compare_tables("lda-lemma-vs-brute", t.b_lemma, b_brute, t.nmax),
-        check("lda-direct-row-recurrence", f"n<={depth}", "",
-              ((f"row {n} (direct, table)", direct[n - 1], recur.row_poly(t.b_lemma, n))
-               for n in range(1, depth + 1))),
+        recur._check_rows("lda-direct-row-recurrence", f"n<={depth}", "b_direct", depth,
+                          t.b_lemma),
         recur.check_an_functional(depth, t.a_lemma),
     ]
 
@@ -328,7 +326,7 @@ def _suite_gf(
         (Fraction(0), Fraction(1), Fraction(2)),
     ]
     if point is not None:
-        pqr_points.insert(0, point)
+        pqr_points = [point, *(fixed for fixed in pqr_points if fixed != point)]
     for p, q, r in _draw(rng, pqr_points, 8, lambda p, q, r: q != 0 and q != r):
         table = t.point_lemma("b_lemma", p=p, q=q, r=r)
         results.extend(gf.check_lda_kernel(p, q, r, order, table, b_sums))

@@ -723,9 +723,9 @@ REPORT_PINS = [
 # sha256 of `verify --corrupt --out` reports, from the same draw; the failing
 # reports must not change either.
 CORRUPT_REPORT_PINS = [
-    ((), "54914dbf33baa6f0c79e51515c9f539958e57e9e4299b65980e2762975fb5f38"),
+    ((), "f131cb3927c88db83e6721bbf5fb5c39f6535374c08317a4fbb88508e8195781"),
     (("--nmax", "9", "--order", "12", "--seed", "1"),
-     "89bc2c01fa4b30e4d0ea17f19616c93a626d1314147ae53657092fd520359f6f"),
+     "d2c59002025884f59b144491fb646f349e3333780994876155df94b11c0816f8"),
 ]
 PIN_IDS = ["defaults", "caps-seed-1"]
 
@@ -736,7 +736,11 @@ def _report_digest(tmp_path, capsys, argv, code):
     return hashlib.sha256(target.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in REPORT_PINS], ids=PIN_IDS)
+@pytest.mark.parametrize("argv", [
+    *(argv for argv, _ in REPORT_PINS),
+    # a point given on the command line that is also one of the fixed lda points
+    ("--suite", "gf", "--nmax", "4", "--order", "4", "--p", "1", "--q", "1", "--r", "2"),
+], ids=[*PIN_IDS, "fixed-lda-point"])
 def test_verify_report_checks_each_point_once(tmp_path, capsys, argv):
     target = tmp_path / "report.json"
     assert run_cli(capsys, "verify", *argv, "--out", str(target))[0] == 0

@@ -84,21 +84,28 @@ def test_an_functional_detects_corruption(a_lemma_8):
     assert result.status == "fail" and result.first_mismatch.startswith("n=4: ")
 
 
+def test_an_functional_reads_row_one(a_lemma_8):
+    """Row 2 is solved from row 1, so a wrong row 1 fails the check too."""
+    bad = a_lemma_8.with_cell(1, 1, a_lemma_8[1, 1] + MPoly.one())
+    result = check_an_functional(8, bad)
+    assert (result.formula, result.status) == ("area-sper-row-functional", "fail")
+    assert result.first_mismatch == "n=1: y + y*p*q^2 != y*p*q^2"
+
+
 # The area/sper tables are built on packed ints (recur._packed_table); the
 # same engines on MPoly are the reference.  Slots are one word up to n = 21
 # and two from n = 22.
 PACKED_NMAX = 22
+AREA_ENGINES = [recur._a_lemma, recur._a_threeterm, recur._a_direct]
 
 
 @pytest.fixture(scope="module")
 def symbolic_rows():
     """Rows 1..PACKED_NMAX of each area/sper engine on MPoly; rows 1..n are its table at n."""
-    return {engine: tuple(engine(PACKED_NMAX, recur._SYMBOLIC))
-            for engine in (recur._a_lemma, recur._a_threeterm)}
+    return {engine: tuple(engine(PACKED_NMAX, recur._SYMBOLIC)) for engine in AREA_ENGINES}
 
 
-@pytest.mark.parametrize("engine", [recur._a_lemma, recur._a_threeterm],
-                         ids=["a_lemma", "a_threeterm"])
+@pytest.mark.parametrize("engine", AREA_ENGINES, ids=["a_lemma", "a_threeterm", "a_direct"])
 @pytest.mark.parametrize("n", range(1, PACKED_NMAX + 1))
 def test_packed_engine_equals_the_symbolic_engine(symbolic_rows, engine, n):
     assert recur._packed_table(engine, n) == DistTable(symbolic_rows[engine][:n])
@@ -109,7 +116,8 @@ def test_unpack_refuses_a_value_outside_the_box(n):
     def one_bad_cell(value):
         return lambda n, ring: iter([(1,), (value, 0)])
 
-    area_max, sper_slots, bits = n * (n + 1) // 2, recur._sper_slots(n), 64 * recur._slot_words(n)
+    (area_max, sper_slots), bits = recur._area_sper_box(n), 64 * recur._slot_words(n)
+    assert area_max == n * (n + 1) // 2
     top = bits * sper_slots * (area_max + 1) - 1  # the last bit of the box still unpacks
     assert recur._packed_table(one_bad_cell(1 << top), n)[2, 1] == \
         MPoly.monomial(1 << (bits - 1), p=area_max, q=sper_slots - 1)
@@ -196,6 +204,39 @@ def test_direct_engine_without_q_at_one_leaves_a_remainder(build):
         build(_b_direct_without_q_at_one)
 
 
+def test_direct_area_engine_is_the_area_table(symbolic_rows):
+    assert DistTable(symbolic_rows[recur._a_direct]) == a_table_lemma(PACKED_NMAX)
+
+
+def _a_direct_without_t(n, ring):
+    """recur._a_direct with T, the sum that carries A_{m-1}(1/q), left zero.
+
+    Only T's multipliers are powers of q alone, so the ring drops every pair
+    with such a multiplier.
+    """
+    mono, lin = ring
+    dropped = object()
+
+    def mono_without_t(c, **exps):
+        return dropped if exps.keys() == {"q"} else mono(c, **exps)
+
+    return recur._a_direct(n, (mono_without_t, lambda pairs: lin(
+        (m, x) for m, x in pairs if m is not dropped)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda engine: recur._packed_table(engine, 6),
+    lambda engine: DistTable(engine(6, recur._SYMBOLIC)),
+    lambda engine: DistTable(engine(6, recur._at_point({"p": 2, "q": Fraction(-1, 3)}))),
+], ids=["packed", "symbolic", "point"])
+def test_direct_area_engine_without_t_leaves_a_remainder(build):
+    """Negative control: drop the A_{m-1}(1/q) term and (1 - yp)(1 - ypq) no longer divides."""
+    assert build(recur._a_direct).n == 6
+    with pytest.raises(NonDivisibleError,
+                       match=r"^row 2: \(1 - yp\)\(1 - ypq\) leaves a nonzero remainder$"):
+        build(_a_direct_without_t)
+
+
 @pytest.mark.parametrize("n", [3, 22])
 def test_lda_unpack_refuses_a_value_outside_the_box(n):
     """As for area/sper, with r implied: the last bit of the box reads r^(1 - 2(n - 1)) in row 2."""
@@ -249,7 +290,8 @@ def test_bn_poly_recurrence_matches_rows(b_lemma_9):
 def symbolic_10():
     return {"a_lemma": a_table_lemma(10), "a_threeterm": a_table_threeterm(10),
             "b_lemma": b_table_lemma(10), "b_threeterm": b_table_threeterm(10),
-            "b_direct": DistTable(recur._b_direct(10, recur._SYMBOLIC))}
+            "b_direct": DistTable(recur._b_direct(10, recur._SYMBOLIC)),
+            "a_direct": DistTable(recur._a_direct(10, recur._SYMBOLIC))}
 
 
 values = st.fractions(min_value=-3, max_value=3, max_denominator=5)
