@@ -1,8 +1,10 @@
-"""Pure-Python enumeration kernels.
+"""Pure-Python enumeration kernels, and the pure scan of a packed cell.
 
 These walk all n! inversion sequences of length n and accumulate joint
 statistic counts.  They are the reference implementation of the compiled
 walkers in ``_kernel.c``, and ``kernel`` returns the same dicts from both.
+``unpack_slots`` is likewise the reference of the compiled function of the
+same name, which ``mpoly.Kronecker.unpack`` calls through ``kernel``.
 
 Conventions (shared with the compiled kernel):
 
@@ -14,6 +16,10 @@ and levels/descents/ascents count adjacent equal/falling/rising pairs.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from itertools import compress
 
 # The one limit on n for both backends.  Both walks together take about
 # 2.3 s at n = 12 on the compiled kernel, and each step up multiplies the
@@ -76,3 +82,32 @@ def lda_counts(n: int) -> dict[tuple[int, int, int, int], int]:
 
     walk(1, 1, 0, 0, 0)
     return counts
+
+
+def unpack_slots(data: bytes, keys: list[int], words: int, offset: int) -> dict[int, int]:
+    """{keys[i] + offset: c_i} over the slots i whose value c_i is nonzero.
+
+    `data` holds whole slots, each of `words` little-endian 64-bit words,
+    and `keys` has at least one key per slot (ValueError otherwise).  With
+    offset 0 the dict shares the list's key objects.
+    """
+    slot_count, rest = divmod(len(data), 8 * words)
+    if rest:
+        raise ValueError(f"{len(data)} bytes are not whole slots of {words} words")
+    if slot_count > len(keys):
+        raise ValueError(f"{slot_count} slots but only {len(keys)} keys")
+    slots = array("Q", data)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    coeffs = slots[::words] if words > 1 else slots  # the low word of each slot
+    for j in range(1, words):
+        high = slots[j::words]
+        if any(high):  # word j is set in some slots: add it to theirs
+            coeffs = list(coeffs)
+            s = 64 * j
+            for i in compress(range(len(high)), high):
+                coeffs[i] |= high[i] << s
+    set_keys = compress(keys, coeffs)
+    if offset:
+        set_keys = map(offset.__add__, set_keys)
+    return dict(zip(set_keys, filter(None, coeffs)))

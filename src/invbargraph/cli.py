@@ -27,18 +27,18 @@ ENUMERATE_MAX = 10
 # Recurrence tables (`dist`), one cap per kind from a 2 s budget: the largest n
 # whose slowest engine and format stays under 2 s wall time, process start
 # included.  Ranges over fresh runs of both engines and both formats, C kernel,
-# Python 3.11 on a shared 2-core Xeon.  Area/sper, built on packed ints (10
-# runs of each engine and format at 19-21, 20 at 22, 3 at 23): 0.40-0.71 s at
-# 19, 0.54-1.10 s at 20, 0.67-1.33 s at 21, 1.17-1.96 s at 22 and 1.57-2.12 s
-# at 23.  From 22 on a coefficient slot takes two 64-bit words, which doubles
-# the packed ints.  Lda, also built on packed ints (10 runs of each engine and
-# format, alternating with the `MPoly` engines they replaced): 0.81-1.68 s at
-# 46 and 0.97-1.72 s at 47, against 0.85-2.00 s and 1.20-1.94 s on `MPoly`; 5
-# runs each at 48, in a quieter hour and without the alternation, took
-# 0.96-1.46 s, too few to move the cap past 47.  Csv and json take about as
-# long, and neither engine is always the slower.
+# Python 3.11 on a shared 2-core Xeon, with each cell unpacked by the compiled
+# `unpack_slots` (5 runs of each engine and format per n, alternating with the
+# pure-Python unpacking it replaced, which is in brackets).  Area/sper, built
+# on packed ints: 1.02-1.96 s at 22 (1.09-2.17 s), 1.19-2.45 s at 23
+# (1.38-2.72 s) and 1.72-3.41 s at 24 (1.85-3.58 s); from 22 on a coefficient
+# slot takes two 64-bit words, which doubles the packed ints.  Lda, also on
+# packed ints: 0.70-1.20 s at 47 (0.85-1.34 s), 0.83-1.44 s at 48
+# (0.97-1.90 s), 0.80-1.54 s at 49 (0.99-1.91 s) and 0.95-1.75 s at 50
+# (1.12-1.85 s).
+# Csv and json take about as long, and neither engine is always the slower.
 AREA_SPER_TABLE_MAX = 22
-LDA_TABLE_MAX = 47
+LDA_TABLE_MAX = 50
 # `--engine brute` on the pure-Python kernel, from the same budget: 7 fresh
 # runs each of csv and json per kind took 0.3-0.9 s at 9, but at 10 1.6-2.9 s
 # for area/sper and 1.4-2.2 s for lda; lda at 11 takes 17.8 s in process.  On

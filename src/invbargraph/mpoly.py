@@ -41,6 +41,15 @@ term map whose keys come from one table per packing.  A packing may also
 have one implied variable, packed as 1: on polynomials homogeneous of a
 known degree, such as the lda cells of one row, that loses nothing, and
 `unpack` restores it from a base monomial that multiplies every term.
+After its checks, `unpack` hands the cell's little-endian slot bytes, the
+key table and the key offset of the base's other variables to one call of
+`kernel.unpack_slots`: a C pass over the slots that skips the zero ones
+(about four in five of an area/sper cell's, two in three of an lda cell's)
+and builds the term dict directly, with the pure-Python scan of `_kernel_py`
+where the library cannot be built.  In process it unpacks the cells of
+`a_table_threeterm(20)` in 0.09-0.12 s against 0.14-0.16 s for the pure
+scan, and those of `b_table_threeterm(40)` in 0.07-0.10 s against
+0.13-0.21 s; most of what is left is inserting the terms into the dicts.
 
 The text forms are table-driven, because a monomial is one int: `to_text`
 and `to_json` read each key's monomial text from a bounded cache and add
@@ -65,12 +74,11 @@ from __future__ import annotations
 import json
 import operator
 import re
-import sys
-from array import array
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
 from typing import Iterable, Iterator, Mapping
+
+from invbargraph import kernel
 
 VARS = ("y", "p", "q", "r", "t")
 NVARS = len(VARS)
@@ -80,7 +88,7 @@ ExpVec = tuple[int, int, int, int, int]
 
 # Bits per exponent field.  Exponents span [-16384, 16383].  A full
 # `verify --nmax 9 --order 12` stays within [-11, 80] and `dist` at the CLI's
-# caps (area/sper n = 22, lda n = 47) within [0, 253], and an area/sper table
+# caps (area/sper n = 22, lda n = 50) within [0, 253], and an area/sper table
 # at n = 24, which takes about 1.5 s in process, has area exponents up to
 # n(n+1)/2 = 300: fifty times inside the range.
 W = 16
@@ -110,8 +118,8 @@ _TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
 # 0.30-0.44 s to 0.08-0.12 s in `to_csv`, 0.38-0.46 s to 0.18-0.26 s in
 # `from_csv` and 0.62-0.80 s to 0.10-0.13 s in `to_json` (3 runs each, C
 # kernel, shared 2-core host; the first, cold run included).  Each cache holds
-# at most this many entries: `dist` at the caps (area/sper n = 22, lda n = 47)
-# has 14,453 and 16,521 distinct monomials, and 65,536 entries hold about
+# at most this many entries: `dist` at the caps (area/sper n = 22, lda n = 50)
+# has 14,453 and 19,929 distinct monomials, and 65,536 entries hold about
 # 6.5 MB of text, 7.7 MB of JSON and 12 MB of parsed bodies (tracemalloc).
 _MONOMIAL_CACHE_MAX = 1 << 15
 _MONOMIAL_TEXT: dict[int, str] = {}
@@ -668,7 +676,8 @@ class Kronecker:
 
         A value outside the box is a ValueError naming `what`.  `base` has
         nonnegative exponents and, of the packed variables, only the implied
-        one (ValueError otherwise).
+        one (ValueError otherwise).  The slots are read by one call of
+        `kernel.unpack_slots`, with the base's other variables as a key offset.
         """
         size = value.bit_length()
         if value < 0 or size > self._bits * len(self._keys):
@@ -689,22 +698,8 @@ class Kronecker:
                     keys = self._keys_of_degree[degree] = [k + shift for k in self._keys]
             if base:
                 offset = _pack(_as_expvec(base)) - _ZERO_KEY
-        bits, w = self._bits, self._words
-        words = array("Q", value.to_bytes(-(-size // bits) * 8 * w, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        coeffs = words[::w] if w > 1 else words  # the low word of each slot
-        for j in range(1, w):
-            high = words[j::w]
-            if any(high):  # word j is set in some slots: add it to theirs
-                coeffs = list(coeffs)
-                s = 64 * j
-                for i in compress(range(len(high)), high):
-                    coeffs[i] |= high[i] << s
-        keys = compress(keys, coeffs)
-        if offset:
-            keys = map(offset.__add__, keys)
-        return _raw(dict(zip(keys, filter(None, coeffs))))
+        data = value.to_bytes(-(-size // self._bits) * 8 * self._words, "little")
+        return _raw(kernel.unpack_slots(data, keys, self._words, offset))
 
 
 Y = MPoly.var("y")

@@ -177,9 +177,13 @@ def row_poly(table: DistTable, m: int) -> MPoly:
 #   (shift, coeff) terms, so `+` concatenates them, and `lin` is a few shifts
 #   and adds of ints.  Every symbolic table, both row-equation checks and
 #   `bn_poly_recurrence` are built on it, and each finished row is unpacked
-#   once into `MPoly` cells, which takes most of the time: at n = 20 about
-#   two thirds of an area/sper table, at n = 40 about three quarters of an
-#   lda table.
+#   once into `MPoly` cells, one compiled pass per cell
+#   (`kernel.unpack_slots`).  That is still about half the time, building
+#   the term dicts: in process (C kernel, shared 2-core host, 6 runs
+#   alternating with the pure-Python scan, in brackets), 0.09-0.12 s of
+#   `a_table_threeterm(20)`'s 0.16-0.24 s (0.14-0.16 s of 0.22-0.24 s) and
+#   0.07-0.10 s of `b_table_threeterm(40)`'s 0.13-0.19 s (0.13-0.21 s of
+#   0.19-0.31 s).
 #
 # All six engines run on all three rings, the two row equations
 # (`_a_direct`, `_b_direct`) included.  Dividing by 1 - y, 1 - yp or 1 - ypq
@@ -559,10 +563,14 @@ def _check_rows(formula: str, n_range: str, engine: str, nmax: int,
     """Rows 1..nmax of `table` against those of `engine` (one of ENGINES), built on packed ints.
 
     Only a row that differs is turned into the two row polynomials (table,
-    engine), shown as the case `n=<row>`.
+    engine), shown as the case `n=<row>`.  An engine whose division leaves a
+    remainder fails the check, with the error's text as the mismatch.
     """
     build, markers = _ENGINES[engine]
-    rows = _packed_table(build, nmax, lda="r" in markers)
+    try:
+        rows = _packed_table(build, nmax, lda="r" in markers)
+    except NonDivisibleError as err:
+        return CheckResult(formula, n_range, "", "fail", str(err))
     return check(formula, n_range, "",
                  ((f"n={m}", row_poly(table, m), row_poly(rows, m))
                   for m in range(1, nmax + 1) if table.row(m) != rows.row(m)))

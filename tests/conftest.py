@@ -1,12 +1,13 @@
 import os
 import shutil
+import sysconfig
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 import invbargraph
-from invbargraph import invseq, recur
+from invbargraph import _kernel_py, invseq, kernel, recur
 
 settings.register_profile(
     "suite",
@@ -55,6 +56,23 @@ def forked(monkeypatch):
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
     return _verify_with_cpus(monkeypatch, 2)
+
+
+@pytest.fixture(scope="session")
+def unpack_scans():
+    """The scans of a packed cell that `kernel.unpack_slots` can be: the pure one, and the compiled.
+
+    The compiled scan is left out only where it cannot be built (no C
+    compiler, or no Python.h for this interpreter); anywhere else it must have
+    loaded.  A test runs its body once per scan, with `kernel.unpack_slots`
+    patched, so its ids are those of a single run.
+    """
+    scans = [_kernel_py.unpack_slots]
+    if shutil.which("cc") and os.path.exists(
+            os.path.join(sysconfig.get_path("include"), "Python.h")):
+        assert kernel._unpack is not None, "the compiled unpacking did not load"
+        scans.append(kernel._unpack)
+    return scans
 
 
 @pytest.fixture

@@ -531,6 +531,25 @@ def test_verify_corrupt_fails_every_suite(capsys, suite):
             for r in report if r["status"] == "pass"} == pinned
 
 
+@pytest.mark.parametrize("engine, formula", [
+    ("a_direct", "area-sper-row-functional"),
+    ("b_direct", "lda-direct-row-recurrence"),
+])
+def test_a_row_equation_remainder_fails_its_check(capsys, monkeypatch, engine, formula):
+    """A remainder in a row-equation engine is a failed check in the report, not a traceback."""
+    def leaves_a_remainder(n, ring):
+        raise recur.NonDivisibleError("row 2: the division leaves a nonzero remainder")
+        yield
+
+    monkeypatch.setitem(recur._ENGINES, engine, (leaves_a_remainder, recur._ENGINES[engine][1]))
+    code, out, err = run_cli(capsys, "verify", "--suite", "recurrences", "--nmax", "4",
+                             "--order", "4")
+    assert (code, err) == (1, "")
+    assert [(r["formula-id"], r["first-mismatch"]) for r in json.loads(out)
+            if r["status"] == "fail"] == \
+        [(formula, "row 2: the division leaves a nonzero remainder")]
+
+
 def _at_py_points(results):
     """The `area-ogf-closed` entries at a (p, y) point."""
     return [r for r in results if r.formula == "area-ogf-closed" and ",y=" in r.params]

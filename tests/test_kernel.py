@@ -73,32 +73,74 @@ def test_compiled_guard(monkeypatch):
         kernel.lda_counts(13)
 
 
+def test_unpack_slots_checks_its_input(unpack_scans):
+    """Every scan reads no slot without a key, and refuses alike what it cannot read."""
+    key = 1 << 80
+    for scan in unpack_scans:
+        assert scan(bytes(16), [key, 2], 1, 0) == {}
+        terms = scan((5).to_bytes(16, "little") + (7 << 64).to_bytes(16, "little"),
+                     [key, 2, 3], 2, 0)
+        assert terms == {key: 5, 2: 7 << 64} and next(iter(terms)) is key  # shared key
+        assert scan((1 << 128).to_bytes(24, "little"), [key], 3, 10) == {key + 10: 1 << 128}
+        with pytest.raises(ValueError, match="^3 slots but only 2 keys$"):
+            scan(bytes(24), [key, 2], 1, 0)
+        with pytest.raises(ValueError, match="^24 bytes are not whole slots of 2 words$"):
+            scan(bytes(24), [key, 2], 2, 0)
+
+
+@pytest.mark.skipif(kernel._unpack is None or shutil.which("nm") is None,
+                    reason="no compiled unpacking, or no nm")
+def test_compiled_unpacking_uses_only_the_public_c_api():
+    """The library refers to no private `_Py` symbol of the interpreter."""
+    proc = subprocess.run(["nm", "-u", kernel._lib._name], capture_output=True, text=True,
+                          check=True)
+    assert "PyDict_SetItem" in proc.stdout
+    assert [line for line in proc.stdout.splitlines() if "_Py" in line] == []
+
+
 _PROBE = """
-from invbargraph import _kernel_py, kernel
+from invbargraph import _kernel_py, kernel, recur
 assert kernel.area_sper_counts(7) == _kernel_py.area_sper_counts(7)
 assert kernel.lda_counts(7) == _kernel_py.lda_counts(7)
-print(kernel.BACKEND)
+compiled = kernel.unpack_slots is not _kernel_py.unpack_slots
+table = recur.b_table_lemma(24)
+kernel.unpack_slots = _kernel_py.unpack_slots
+assert table == recur.b_table_lemma(24)
+print(kernel.BACKEND, "compiled" if compiled else "pure")
 """
+_NO_CC = ("invbargraph: C kernel unavailable ([Errno 2] No such file or directory: 'cc'); "
+          "using the pure-Python kernel\n")
 
 
-@pytest.mark.parametrize("with_cc", [
-    pytest.param(True, marks=needs_c),
-    False,
-])
-def test_first_import_of_a_fresh_copy(tmp_path, fresh_copy, with_cc):
+@pytest.mark.parametrize("with_cc, headers, stdout, stderr", [
+    pytest.param(True, True, "c compiled\n", "", marks=needs_c),
+    pytest.param(True, False, "c pure\n", "invbargraph: compiled unpacking unavailable "
+                 "(no Python.h in {include}); using the C walkers and the pure-Python "
+                 "unpacking\n", marks=needs_c),
+    (False, True, "python pure\n", _NO_CC),
+], ids=["True", "no-headers", "False"])
+def test_first_import_of_a_fresh_copy(tmp_path, fresh_copy, with_cc, headers, stdout, stderr):
     """A copy with no built kernel compiles it on import, or falls back without a compiler.
 
-    The fallback says why in one stderr line.
+    With the interpreter's headers the library also unpacks packed cells;
+    without them (here: the copy looks for them in an empty directory) the
+    walkers stay compiled and only the unpacking falls back.  Each fallback
+    says why in one stderr line.
     """
+    include = tmp_path / "include"
+    if not headers:
+        include.mkdir()
+        source = tmp_path / "invbargraph" / "kernel.py"
+        text = source.read_text()
+        assert text.count('sysconfig.get_path("include")') == 1
+        source.write_text(text.replace('sysconfig.get_path("include")', repr(str(include))))
     proc = subprocess.run([sys.executable, "-c", _PROBE], env=fresh_copy(with_cc), cwd=tmp_path,
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == ("c\n" if with_cc else "python\n")
+    assert proc.stdout == stdout
     built = list((tmp_path / "invbargraph" / "__pycache__").glob("_kernel-*"))
     assert [p.suffix for p in built] == ([".so"] if with_cc else [])
-    fallback = ("invbargraph: C kernel unavailable ([Errno 2] No such file or directory: 'cc'); "
-                "using the pure-Python kernel\n")
-    assert proc.stderr == ("" if with_cc else fallback)
+    assert proc.stderr == stderr.format(include=include)
 
 
 @needs_c

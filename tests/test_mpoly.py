@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invbargraph import mpoly
+from invbargraph import kernel, mpoly
 from invbargraph.mpoly import (
     EXP_MAX,
     EXP_MIN,
@@ -654,7 +654,7 @@ def slot_coeffs(words):
 
 
 @given(st.integers(min_value=1, max_value=3), st.data())
-def test_kronecker_unpacks_every_polynomial_in_its_box(words, data):
+def test_kronecker_unpacks_every_polynomial_in_its_box(unpack_scans, words, data):
     """Slots of one to three words, coefficients that fill only the low word or any word."""
     outer_max, slots = 4, 3
     packing = Kronecker("p", "q", outer_max, slots, words)
@@ -662,7 +662,10 @@ def test_kronecker_unpacks_every_polynomial_in_its_box(words, data):
     terms = data.draw(st.dictionaries(
         st.tuples(st.integers(0, outer_max), st.integers(0, slots - 1)), coeffs, max_size=6))
     value = sum(c << packing.shift(p=a, q=b) for (a, b), c in terms.items())
-    assert packing.unpack(value, "v") == MPoly({(0, a, b, 0, 0): c for (a, b), c in terms.items()})
+    for scan in unpack_scans:
+        with mock.patch.object(kernel, "unpack_slots", scan):
+            assert packing.unpack(value, "v") == \
+                MPoly({(0, a, b, 0, 0): c for (a, b), c in terms.items()})
 
 
 def test_kronecker_shifts_only_nonnegative_powers_of_its_variables():
@@ -677,16 +680,21 @@ def test_kronecker_shifts_only_nonnegative_powers_of_its_variables():
 
 
 @given(st.integers(min_value=1, max_value=3), st.integers(0, 5), st.integers(0, 3), st.data())
-def test_kronecker_with_an_implied_variable_reads_back_homogeneous_polynomials(words, degree, k,
-                                                                              data):
-    """r packed as 1: a polynomial homogeneous of degree d comes back with r = d in the base."""
+def test_kronecker_with_an_implied_variable_reads_back_homogeneous_polynomials(
+        unpack_scans, words, degree, k, data):
+    """r packed as 1: a polynomial homogeneous of degree d comes back with r = d in the base.
+
+    y^k in the base is a key offset added to every term (none at k = 0).
+    """
     packing = Kronecker("p", "q", 5, 6, words, implied="r")
     exps = st.tuples(st.integers(0, degree), st.integers(0, degree)).filter(
         lambda e: sum(e) <= degree)
     terms = data.draw(st.dictionaries(exps, slot_coeffs(words), max_size=6))
     value = sum(c << packing.shift(p=a, q=b, r=degree - a - b) for (a, b), c in terms.items())
-    assert packing.unpack(value, "v", r=degree, y=k) == \
-        MPoly({(k, a, b, degree - a - b, 0): c for (a, b), c in terms.items()})
+    for scan in unpack_scans:
+        with mock.patch.object(kernel, "unpack_slots", scan):
+            assert packing.unpack(value, "v", r=degree, y=k) == \
+                MPoly({(k, a, b, degree - a - b, 0): c for (a, b), c in terms.items()})
 
 
 def test_kronecker_implied_variable_is_a_zero_shift():

@@ -3,12 +3,13 @@ import re
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invbargraph import invseq, recur
+from invbargraph import invseq, kernel, recur
 from invbargraph.mpoly import MPoly, P, Q, R, T, Y
 from invbargraph.recur import (
     ENGINES,
@@ -112,21 +113,25 @@ def test_packed_engine_equals_the_symbolic_engine(symbolic_rows, engine, n):
 
 
 @pytest.mark.parametrize("n", [3, 22])
-def test_unpack_refuses_a_value_outside_the_box(n):
+def test_unpack_refuses_a_value_outside_the_box(unpack_scans, n):
+    """One-word slots at n = 3, two-word slots at n = 22; the same under every scan."""
     def one_bad_cell(value):
         return lambda n, ring: iter([(1,), (value, 0)])
 
     (area_max, sper_slots), bits = recur._area_sper_box(n), 64 * recur._slot_words(n)
     assert area_max == n * (n + 1) // 2
+    assert bits == (64 if n == 3 else 128)
     top = bits * sper_slots * (area_max + 1) - 1  # the last bit of the box still unpacks
-    assert recur._packed_table(one_bad_cell(1 << top), n)[2, 1] == \
-        MPoly.monomial(1 << (bits - 1), p=area_max, q=sper_slots - 1)
-    with pytest.raises(ValueError, match=r"^cell \(2, 1\) is outside the packing's box: "
-                                         r"a negative int$"):
-        recur._packed_table(one_bad_cell(-1), n)
-    with pytest.raises(ValueError, match=rf"^cell \(2, 1\) is outside the packing's box: "
-                                         rf"bit {top + 1} is set$"):
-        recur._packed_table(one_bad_cell(1 << (top + 1)), n)
+    for scan in unpack_scans:
+        with mock.patch.object(kernel, "unpack_slots", scan):
+            assert recur._packed_table(one_bad_cell(1 << top), n)[2, 1] == \
+                MPoly.monomial(1 << (bits - 1), p=area_max, q=sper_slots - 1)
+            with pytest.raises(ValueError, match=r"^cell \(2, 1\) is outside the packing's box: "
+                                                 r"a negative int$"):
+                recur._packed_table(one_bad_cell(-1), n)
+            with pytest.raises(ValueError, match=rf"^cell \(2, 1\) is outside the packing's box: "
+                                                 rf"bit {top + 1} is set$"):
+                recur._packed_table(one_bad_cell(1 << (top + 1)), n)
 
 
 def _pq_off_by_one_slot(engine):
@@ -238,21 +243,33 @@ def test_direct_area_engine_without_t_leaves_a_remainder(build):
 
 
 @pytest.mark.parametrize("n", [3, 22])
-def test_lda_unpack_refuses_a_value_outside_the_box(n):
+def test_lda_unpack_refuses_a_value_outside_the_box(unpack_scans, n):
     """As for area/sper, with r implied: the last bit of the box reads r^(1 - 2(n - 1)) in row 2."""
     def one_bad_cell(value):
         return lambda n, ring: iter([(1,), (value, 0)])
 
     bits = 64 * recur._slot_words(n)
     top = bits * n * n - 1  # p^(n-1) q^(n-1), the last slot of the box
-    assert recur._packed_table(one_bad_cell(1 << top), n, lda=True)[2, 1] == \
-        MPoly.monomial(1 << (bits - 1), p=n - 1, q=n - 1, r=1 - 2 * (n - 1))
-    with pytest.raises(ValueError, match=r"^cell \(2, 1\) is outside the packing's box: "
-                                         r"a negative int$"):
-        recur._packed_table(one_bad_cell(-1), n, lda=True)
-    with pytest.raises(ValueError, match=rf"^cell \(2, 1\) is outside the packing's box: "
-                                         rf"bit {top + 1} is set$"):
-        recur._packed_table(one_bad_cell(1 << (top + 1)), n, lda=True)
+    for scan in unpack_scans:
+        with mock.patch.object(kernel, "unpack_slots", scan):
+            assert recur._packed_table(one_bad_cell(1 << top), n, lda=True)[2, 1] == \
+                MPoly.monomial(1 << (bits - 1), p=n - 1, q=n - 1, r=1 - 2 * (n - 1))
+            with pytest.raises(ValueError, match=r"^cell \(2, 1\) is outside the packing's box: "
+                                                 r"a negative int$"):
+                recur._packed_table(one_bad_cell(-1), n, lda=True)
+            with pytest.raises(ValueError, match=rf"^cell \(2, 1\) is outside the packing's box: "
+                                                 rf"bit {top + 1} is set$"):
+                recur._packed_table(one_bad_cell(1 << (top + 1)), n, lda=True)
+
+
+def test_tables_are_the_same_under_every_scan(unpack_scans):
+    """Two-word slots (area/sper at n = 23) and three-word slots (lda at n = 40) unpack alike."""
+    assert (recur._slot_words(23), recur._slot_words(40)) == (2, 3)
+    tables = []
+    for scan in unpack_scans:
+        with mock.patch.object(kernel, "unpack_slots", scan):
+            tables.append((a_table_lemma(23), b_table_lemma(40)))
+    assert tables[1:] == tables[:-1]
 
 
 def test_b_lemma_small_cells():
