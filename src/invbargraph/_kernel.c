@@ -9,9 +9,13 @@
  * of the recurrences it is checked against.
  *
  * One more function, unpack_slots (at the end), reads a packed table cell
- * (mpoly.Kronecker) into its term dict.  It uses the public CPython C API,
- * is called through ctypes.PyDLL (so with the GIL held) and is compiled only
- * where the interpreter's headers are found.
+ * (mpoly.Kronecker) into a term dict the caller passes.  It uses the public
+ * CPython C API, is called through ctypes.PyDLL (so with the GIL held) and
+ * is compiled only where the interpreter's headers are found.  A coefficient
+ * of one word is one PyLong_FromUnsignedLongLong; a wider one (two or three
+ * words for the lda tables from n = 22 and 36, which is 180 k of the 288 k
+ * coefficients of b_table_lemma(40)) is written as one hex string and read
+ * by one PyLong_FromString, instead of a shift and an or per word.
  */
 
 /* counts[(last * adim + area) * sdim + sper], where
@@ -93,49 +97,54 @@ static unsigned long long load_le64(const unsigned char *b)
 }
 
 /* The value of a slot whose highest nonzero word is word top > 0 (of 64
- * bits each, little-endian): shifts and ors of 64-bit ints. */
-static PyObject *slot_value(const unsigned char *slot, int top)
+ * bits each, little-endian): its bytes from the top down, written as two hex
+ * digits each into `hex` (room for 16 * (top + 1) digits and a NUL), and read
+ * back by one PyLong_FromString call.  Leading zero digits are left out,
+ * since the int is allocated for every digit of the string: with them, the
+ * lda table at n = 40 held about 1 MB more. */
+static PyObject *slot_value(const unsigned char *slot, int top, char *hex)
 {
-    PyObject *value = PyLong_FromUnsignedLongLong(load_le64(slot + 8 * top));
-    PyObject *shift = PyLong_FromLong(64), *next, *word;
-    int j;
+    static const char digits[] = "0123456789abcdef";
+    const unsigned char *byte = slot + 8 * top + 7;
+    char *out = hex;
 
-    if (!shift) {
-        Py_DecRef(value);
-        return NULL;
+    while (!*byte)
+        byte--;
+    if (*byte < 16)
+        *out++ = digits[*byte--];
+    for (; byte >= slot; byte--) {
+        *out++ = digits[*byte >> 4];
+        *out++ = digits[*byte & 15];
     }
-    for (j = top - 1; j >= 0 && value; j--) {
-        next = PyNumber_Lshift(value, shift);
-        Py_DecRef(value);
-        word = next ? PyLong_FromUnsignedLongLong(load_le64(slot + 8 * j)) : NULL;
-        value = word ? PyNumber_Or(next, word) : NULL;
-        Py_DecRef(next);
-        Py_DecRef(word);
-    }
-    Py_DecRef(shift);
-    return value;
+    *out = '\0';
+    return PyLong_FromString(hex, NULL, 16);
 }
 
-/* {keys[i] + offset: c_i} over the slots i whose value c_i is nonzero.
- * `data` holds the slots as bytes, each of `words` little-endian 64-bit
- * words; `keys` is a list with at least one key per slot, checked here;
- * `offset` is an int added to every key; when it is 0 the dict shares the
- * list's key objects. */
-PyObject *unpack_slots(PyObject *data, PyObject *keys, int words, PyObject *offset)
+/* Adds {keys[i] + offset: c_i} to the dict `terms` over the slots i whose
+ * value c_i is nonzero, and returns `terms`.  `data` holds the slots as
+ * bytes, each of `words` little-endian 64-bit words; `keys` is a list with
+ * at least one key per slot, checked here; `offset` is an int added to every
+ * key; when it is 0 the dict shares the list's key objects.  Every key must
+ * be new to `terms`: a key is new exactly when the dict's size grows by
+ * one, and otherwise (the value is overwritten then) a ValueError counts
+ * those that were not. */
+PyObject *unpack_slots(PyObject *data, PyObject *keys, int words, PyObject *offset,
+                       PyObject *terms)
 {
-    char *buf;
-    Py_ssize_t size, nslots, nkeys, i, stride;
-    PyObject *terms, *key, *value;
+    char *buf, *hex = NULL;
+    Py_ssize_t size, nslots, nkeys, i, stride, before, added = 0;
+    PyObject *key, *value;
     const unsigned char *slot;
     int top, ok, shifted;
 
     if (PyBytes_AsStringAndSize(data, &buf, &size) < 0)
         return NULL;
-    if (!PyList_Check(keys)) {
-        PyErr_SetString(PyExc_TypeError, "keys must be a list");
+    if (!PyList_Check(keys) || !PyDict_Check(terms)) {
+        PyErr_SetString(PyExc_TypeError, "keys must be a list and terms a dict");
         return NULL;
     }
-    if (words < 1 || size % (8 * (Py_ssize_t)words)) {
+    /* the bound on words keeps the hex buffer's 16 * words + 1 bytes in range */
+    if (words < 1 || words > PY_SSIZE_T_MAX / 16 || size % (8 * (Py_ssize_t)words)) {
         PyErr_Format(PyExc_ValueError, "%zd bytes are not whole slots of %d words",
                      size, words);
         return NULL;
@@ -147,15 +156,18 @@ PyObject *unpack_slots(PyObject *data, PyObject *keys, int words, PyObject *offs
         PyErr_Format(PyExc_ValueError, "%zd slots but only %zd keys", nslots, nkeys);
         return NULL;
     }
-    if ((shifted = PyObject_IsTrue(offset)) < 0 || !(terms = PyDict_New()))
+    if ((shifted = PyObject_IsTrue(offset)) < 0)
         return NULL;
+    if (words > 1 && nslots && !(hex = PyMem_Malloc(2 * stride + 1)))
+        return PyErr_NoMemory();
+    before = PyDict_Size(terms);
     for (i = 0; i < nslots; i++) {
         slot = (const unsigned char *)buf + stride * i;
         for (top = words - 1; top >= 0 && !load_le64(slot + 8 * top); top--)
             ;
         if (top < 0)
             continue;
-        if (!(value = top ? slot_value(slot, top)
+        if (!(value = top ? slot_value(slot, top, hex)
                           : PyLong_FromUnsignedLongLong(load_le64(slot))))
             goto fail;
         key = PyList_GetItem(keys, i);
@@ -169,10 +181,18 @@ PyObject *unpack_slots(PyObject *data, PyObject *keys, int words, PyObject *offs
         Py_DecRef(value);
         if (!ok)
             goto fail;
+        added++;
     }
+    PyMem_Free(hex);
+    if (PyDict_Size(terms) != before + added) {
+        PyErr_Format(PyExc_ValueError, "%zd of %zd keys are already in the term map",
+                     before + added - PyDict_Size(terms), added);
+        return NULL;
+    }
+    Py_IncRef(terms);
     return terms;
 fail:
-    Py_DecRef(terms);
+    PyMem_Free(hex);
     return NULL;
 }
 #endif

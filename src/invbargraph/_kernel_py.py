@@ -84,12 +84,16 @@ def lda_counts(n: int) -> dict[tuple[int, int, int, int], int]:
     return counts
 
 
-def unpack_slots(data: bytes, keys: list[int], words: int, offset: int) -> dict[int, int]:
-    """{keys[i] + offset: c_i} over the slots i whose value c_i is nonzero.
+def unpack_slots(data: bytes, keys: list[int], words: int, offset: int,
+                 terms: dict[int, int]) -> dict[int, int]:
+    """Add {keys[i] + offset: c_i} to `terms` over the slots i whose value c_i is nonzero.
 
     `data` holds whole slots, each of `words` little-endian 64-bit words,
     and `keys` has at least one key per slot (ValueError otherwise).  With
-    offset 0 the dict shares the list's key objects.
+    offset 0 the dict shares the list's key objects.  Every key must be new
+    to `terms`: they all are exactly when its size grows by one per set
+    slot, and otherwise (values are overwritten then) a ValueError counts
+    those that were not.  Returns `terms`.
     """
     slot_count, rest = divmod(len(data), 8 * words)
     if rest:
@@ -110,4 +114,10 @@ def unpack_slots(data: bytes, keys: list[int], words: int, offset: int) -> dict[
     set_keys = compress(keys, coeffs)
     if offset:
         set_keys = map(offset.__add__, set_keys)
-    return dict(zip(set_keys, filter(None, coeffs)))
+    before = len(terms)
+    added = len(coeffs) - coeffs.count(0)
+    terms.update(zip(set_keys, filter(None, coeffs)))
+    if len(terms) != before + added:
+        raise ValueError(f"{before + added - len(terms)} of {added} keys are already in the "
+                         "term map")
+    return terms

@@ -26,19 +26,20 @@ from invbargraph.invseq import InversionSequence, Permutation
 ENUMERATE_MAX = 10
 # Recurrence tables (`dist`), one cap per kind from a 2 s budget: the largest n
 # whose slowest engine and format stays under 2 s wall time, process start
-# included.  Ranges over fresh runs of both engines and both formats, C kernel,
-# Python 3.11 on a shared 2-core Xeon, with each cell unpacked by the compiled
-# `unpack_slots` (5 runs of each engine and format per n, alternating with the
-# pure-Python unpacking it replaced, which is in brackets).  Area/sper, built
-# on packed ints: 1.02-1.96 s at 22 (1.09-2.17 s), 1.19-2.45 s at 23
-# (1.38-2.72 s) and 1.72-3.41 s at 24 (1.85-3.58 s); from 22 on a coefficient
-# slot takes two 64-bit words, which doubles the packed ints.  Lda, also on
-# packed ints: 0.70-1.20 s at 47 (0.85-1.34 s), 0.83-1.44 s at 48
-# (0.97-1.90 s), 0.80-1.54 s at 49 (0.99-1.91 s) and 0.95-1.75 s at 50
-# (1.12-1.85 s).
+# included.  Fresh runs of both engines and both formats, C kernel, Python
+# 3.11 on a shared 2-core Xeon whose load moves these times by a fifth or
+# more, alternating with the code before packed sums stopped copying ints
+# and wide coefficients were read from one hex string (in brackets); each
+# range is 20 runs, 5 per engine and format, or 40 over two batches.
+# Area/sper: 0.91-1.48 s at 22 (0.94-1.62 s) and 1.22-2.44 s at 23
+# (1.19-2.26 s); from 22 on a coefficient slot takes two 64-bit words, which
+# doubles the packed ints.  Lda: 0.84-1.45 s at 50 (0.89-1.44 s), 0.92-1.69 s
+# at 51 (0.99-1.87 s), 1.00-1.87 s at 52 (1.05-1.93 s), 1.23-2.07 s at 53
+# (1.21-2.19 s), 1.16-1.92 s at 54 (1.46-2.28 s) and 1.36-2.14 s at 55
+# (1.44-2.42 s).
 # Csv and json take about as long, and neither engine is always the slower.
 AREA_SPER_TABLE_MAX = 22
-LDA_TABLE_MAX = 50
+LDA_TABLE_MAX = 52
 # `--engine brute` on the pure-Python kernel, from the same budget: 7 fresh
 # runs each of csv and json per kind took 0.3-0.9 s at 9, but at 10 1.6-2.9 s
 # for area/sper and 1.4-2.2 s for lda; lda at 11 takes 17.8 s in process.  On

@@ -59,6 +59,29 @@ def _compile(target: str) -> None:
             os.unlink(tmp)
 
 
+def _remove_other_libraries(target: str) -> None:
+    """Delete every library in the cache but `target`, which this process built and loaded.
+
+    Each edit of the source or change of the command leaves a library under
+    another checksum, so without this a checkout collects them.  Removal is
+    best effort: a file that cannot be removed stays, and the import goes on.
+    Another interpreter sharing the directory builds its own library (the
+    command holds its header directory), so two of them take turns
+    rebuilding.
+    """
+    try:
+        names = os.listdir(_CACHE)
+    except OSError:
+        return
+    for name in names:
+        path = os.path.join(_CACHE, name)
+        if name.startswith("_kernel-") and name.endswith(".so") and path != target:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+
+
 def _load() -> tuple[ctypes.CDLL | None, Callable[..., dict[int, int]] | None]:
     """The compiled walkers and unpacking function, each None if it cannot be built or loaded."""
     try:
@@ -68,7 +91,8 @@ def _load() -> tuple[ctypes.CDLL | None, Callable[..., dict[int, int]] | None]:
             key = f"{' '.join(_CC)} {os.path.exists(os.path.join(_INCLUDE, 'Python.h'))}"
             crc = zlib.crc32(key.encode(), zlib.crc32(fh.read()))
         target = os.path.join(_CACHE, f"_kernel-{crc:08x}.so")
-        if not os.path.exists(target):
+        built = not os.path.exists(target)
+        if built:
             _compile(target)
         lib = ctypes.CDLL(target)
     except OSError as err:
@@ -76,6 +100,8 @@ def _load() -> tuple[ctypes.CDLL | None, Callable[..., dict[int, int]] | None]:
         print(f"invbargraph: C kernel unavailable ({reason}); using the pure-Python kernel",
               file=sys.stderr)
         return None, None
+    if built:
+        _remove_other_libraries(target)
     for fn in (lib.area_sper_counts, lib.lda_counts):
         fn.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_int,
                        ctypes.POINTER(ctypes.c_longlong))
@@ -86,7 +112,8 @@ def _load() -> tuple[ctypes.CDLL | None, Callable[..., dict[int, int]] | None]:
         print(f"invbargraph: compiled unpacking unavailable (no Python.h in {_INCLUDE}); "
               "using the C walkers and the pure-Python unpacking", file=sys.stderr)
         return lib, None
-    unpack.argtypes = (ctypes.py_object, ctypes.py_object, ctypes.c_int, ctypes.py_object)
+    unpack.argtypes = (ctypes.py_object, ctypes.py_object, ctypes.c_int, ctypes.py_object,
+                       ctypes.py_object)
     unpack.restype = ctypes.py_object
     return lib, unpack
 

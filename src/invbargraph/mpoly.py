@@ -45,11 +45,15 @@ After its checks, `unpack` hands the cell's little-endian slot bytes, the
 key table and the key offset of the base's other variables to one call of
 `kernel.unpack_slots`: a C pass over the slots that skips the zero ones
 (about four in five of an area/sper cell's, two in three of an lda cell's)
-and builds the term dict directly, with the pure-Python scan of `_kernel_py`
-where the library cannot be built.  In process it unpacks the cells of
-`a_table_threeterm(20)` in 0.09-0.12 s against 0.14-0.16 s for the pure
-scan, and those of `b_table_threeterm(40)` in 0.07-0.10 s against
-0.13-0.21 s; most of what is left is inserting the terms into the dicts.
+and adds the terms to the term dict it is given, reading a coefficient of
+two or three 64-bit words from one hex string, with the pure-Python scan of
+`_kernel_py` where the library cannot be built.  Both scans refuse a key
+already in the dict, so the cells of one B_n row (`recur.bn_poly_recurrence`)
+go into one dict with no merge and no term overwritten.  In process (best
+of 3 runs in each of 3 fresh processes) it unpacks the cells of
+`a_table_threeterm(20)` in 0.085-0.099 s against 0.16-0.18 s for the pure
+scan, and those of `b_table_threeterm(40)` in 0.07-0.09 s against
+0.14-0.16 s; most of that is inserting the terms into the dicts.
 
 The text forms are table-driven, because a monomial is one int: `to_text`
 and `to_json` read each key's monomial text from a bounded cache and add
@@ -569,12 +573,9 @@ def lincomb(pairs: Iterable[tuple["MPoly | int", "MPoly | int"]]) -> MPoly:
     collide), and every other row merges into that dict in place by one
     loop, tuned for no engine: the tables are built on packed ints, and only
     the tests' reference ring (`recur._SYMBOLIC`) runs the table recurrences
-    here.  The one exception is a row with c = 1 and no shift whose keys are
-    all new, as when `recur.bn_poly_recurrence` sums the unpacked cells of a
-    row polynomial: it is copied in with one dict update.  Zero sums are
-    deleted as they appear, and one guard-bit scan at the end catches any
-    exponent that left the range (none can when no row shifts).  No pairs,
-    or only zero products, give zero.
+    here.  Zero sums are deleted as they appear, and one guard-bit scan at
+    the end catches any exponent that left the range (none can when no row
+    shifts).  No pairs, or only zero products, give zero.
     """
     rows: list[tuple[int, int, dict[int, int]]] = []
     most = seed = shifted = 0
@@ -595,9 +596,6 @@ def lincomb(pairs: Iterable[tuple["MPoly | int", "MPoly | int"]]) -> MPoly:
     out = {kb + shift: c * cb for kb, cb in b.items()}
     get = out.get
     for shift, c, b in rows[1:]:
-        if not shift and c == 1 and out.keys().isdisjoint(b):
-            out.update(b)
-            continue
         for kb, cb in b.items():
             k = kb + shift
             s = get(k, 0) + c * cb
@@ -679,27 +677,40 @@ class Kronecker:
         one (ValueError otherwise).  The slots are read by one call of
         `kernel.unpack_slots`, with the base's other variables as a key offset.
         """
-        size = value.bit_length()
-        if value < 0 or size > self._bits * len(self._keys):
-            raise ValueError(f"{what} is outside the packing's box: "
-                             f"{'a negative int' if value < 0 else f'bit {size - 1} is set'}")
-        keys, offset = self._keys, 0
-        if base:
-            outer, inner, implied = self._vars
-            if base.keys() & {outer, inner} or min(base.values()) < 0:
-                raise ValueError(f"bad base monomial {base} for a packing in {outer} and {inner}")
-            degree = base.pop(implied, 0) if implied else 0
-            if degree:
-                keys = self._keys_of_degree.get(degree)
-                if keys is None:
-                    if degree > EXP_MAX:
-                        raise _overflow(f"{implied}^{degree}")
-                    shift = degree << _VAR_SHIFT[implied]
-                    keys = self._keys_of_degree[degree] = [k + shift for k in self._keys]
+        return self._unpack_all(((value, what, base),))
+
+    def _unpack_all(self, cells: Iterable[tuple[int, str, dict[str, int]]]) -> MPoly:
+        """The sum of `unpack(value, what, **base)` over the cells, filled into one term map.
+
+        No two cells may share a monomial: `kernel.unpack_slots` refuses a key
+        already in the map (ValueError), so none is overwritten.
+        """
+        terms: dict[int, int] = {}
+        for value, what, base in cells:
+            size = value.bit_length()
+            if value < 0 or size > self._bits * len(self._keys):
+                raise ValueError(f"{what} is outside the packing's box: "
+                                 f"{'a negative int' if value < 0 else f'bit {size - 1} is set'}")
+            keys, offset = self._keys, 0
             if base:
-                offset = _pack(_as_expvec(base)) - _ZERO_KEY
-        data = value.to_bytes(-(-size // self._bits) * 8 * self._words, "little")
-        return _raw(kernel.unpack_slots(data, keys, self._words, offset))
+                outer, inner, implied = self._vars
+                if base.keys() & {outer, inner} or min(base.values()) < 0:
+                    raise ValueError(f"bad base monomial {base} for a packing in {outer} "
+                                     f"and {inner}")
+                base = dict(base)
+                degree = base.pop(implied, 0) if implied else 0
+                if degree:
+                    keys = self._keys_of_degree.get(degree)
+                    if keys is None:
+                        if degree > EXP_MAX:
+                            raise _overflow(f"{implied}^{degree}")
+                        shift = degree << _VAR_SHIFT[implied]
+                        keys = self._keys_of_degree[degree] = [k + shift for k in self._keys]
+                if base:
+                    offset = _pack(_as_expvec(base)) - _ZERO_KEY
+            data = value.to_bytes(-(-size // self._bits) * 8 * self._words, "little")
+            kernel.unpack_slots(data, keys, self._words, offset, terms)
+        return _raw(terms)
 
 
 Y = MPoly.var("y")

@@ -175,15 +175,19 @@ def row_poly(table: DistTable, m: int) -> MPoly:
 # - `_packed_ring(packing)`: a value is one int, its polynomial packed by
 #   `mpoly.Kronecker` (see `_packed_table`); a multiplier is a tuple of
 #   (shift, coeff) terms, so `+` concatenates them, and `lin` is a few shifts
-#   and adds of ints.  Every symbolic table, both row-equation checks and
-#   `bn_poly_recurrence` are built on it, and each finished row is unpacked
-#   once into `MPoly` cells, one compiled pass per cell
-#   (`kernel.unpack_slots`).  That is still about half the time, building
-#   the term dicts: in process (C kernel, shared 2-core host, 6 runs
-#   alternating with the pure-Python scan, in brackets), 0.09-0.12 s of
-#   `a_table_threeterm(20)`'s 0.16-0.24 s (0.14-0.16 s of 0.22-0.24 s) and
-#   0.07-0.10 s of `b_table_threeterm(40)`'s 0.13-0.19 s (0.13-0.21 s of
-#   0.19-0.31 s).
+#   and adds of ints (`_packed_lin`, which copies no int for nothing).  Every
+#   symbolic table, both row-equation checks and `bn_poly_recurrence` are
+#   built on it, and each finished row is unpacked once into `MPoly` cells,
+#   one compiled pass per cell (`kernel.unpack_slots`).  The engines alone
+#   take little: in process (C kernel, shared 2-core host, medians of 7,
+#   3 fresh processes), `_a_lemma(20)` 34-35 ms, `_a_threeterm(20)`
+#   66-69 ms, `_b_lemma(40)` 29-31 ms, `_b_threeterm(40)` 40-45 ms and
+#   `_b_direct(40)` 32-50 ms.  Building the term dicts is still about half
+#   of each table: the best of 3 runs in each of 3 fresh processes,
+#   alternating with the pure-Python scan (in brackets), spent 0.085-0.099 s
+#   of `a_table_threeterm(20)`'s 0.15-0.19 s unpacking (0.16-0.18 s of
+#   0.23-0.26 s), and 0.07-0.09 s of `b_table_threeterm(40)`'s 0.11-0.16 s
+#   (0.14-0.16 s of 0.18-0.21 s).
 #
 # All six engines run on all three rings, the two row equations
 # (`_a_direct`, `_b_direct`) included.  Dividing by 1 - y, 1 - yp or 1 - ypq
@@ -397,16 +401,28 @@ def _area_sper_box(n: int) -> tuple[int, int]:
 
 
 def _packed_lin(pairs: Iterable[tuple[tuple[tuple[int, int], ...], int]]) -> int:
-    total = 0
+    """The sum of c * (x << shift) over the (shift, c) terms of each (multiplier, x) pair.
+
+    Every product or sum of big ints is a fresh int, so the total starts as
+    the first product, not 0 + it, and a shift of 0 uses x itself: both
+    would copy every word of x for nothing, and on a 100 KB int `0 + x` and
+    `x << 0` each took 36-37 us, as long as a real add or shift (28-32 us;
+    Python 3.11, shared 2-core host, best of 7).  `total is None` marks no
+    term yet, so a total that cancels to 0 on the way is still added to.
+    """
+    total = None
     for terms, x in pairs:
         for shift, c in terms:
-            if c == 1:
-                total += x << shift
+            v = x << shift if shift else x
+            if total is None:
+                total = v if c == 1 else c * v
+            elif c == 1:
+                total += v
             elif c == -1:
-                total -= x << shift
+                total -= v
             else:
-                total += c * (x << shift)
-    return total
+                total += c * v
+    return 0 if total is None else total
 
 
 def _packed_ring(packing: Kronecker) -> Ring:
@@ -592,14 +608,16 @@ def bn_poly_recurrence(nmax: int) -> list[MPoly]:
     homogeneous of degree n - 1, like the cells, so r -> 1 loses nothing, and
     an int of 0 is the zero polynomial whenever the coefficients lie below
     2^(64 * words) in size: the lowest nonzero slot of a nonzero one would
-    leave a nonzero residue modulo its slot's power of two.  Each row is
-    unpacked into one polynomial, its cell k with the base r^(n-1) y^k.
+    leave a nonzero residue modulo its slot's power of two.  The cells of a
+    row are unpacked into one term map, cell k with the base r^(n-1) y^k;
+    their monomials differ in y, so no term is overwritten (the unpacking
+    refuses one that would be).
     """
     if nmax < 1:
         raise ValueError(f"nmax must be positive, got {nmax}")
     packing = _lda_packing(nmax)
-    return [lincomb((1, packing.unpack(cell, f"row {m}, y^{k}", r=m - 1, y=k))
-                    for k, cell in enumerate(row, 1))
+    return [packing._unpack_all((cell, f"row {m}, y^{k}", {"r": m - 1, "y": k})
+                                for k, cell in enumerate(row, 1))
             for m, row in enumerate(_b_direct(nmax, _packed_ring(packing)), 1)]
 
 

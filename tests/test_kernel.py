@@ -73,19 +73,62 @@ def test_compiled_guard(monkeypatch):
         kernel.lda_counts(13)
 
 
+def _filled(scan, *args, terms=None):
+    """The term map `scan` fills: `terms`, or a fresh one."""
+    terms = {} if terms is None else terms
+    assert scan(*args, terms) is terms
+    return terms
+
+
 def test_unpack_slots_checks_its_input(unpack_scans):
     """Every scan reads no slot without a key, and refuses alike what it cannot read."""
     key = 1 << 80
     for scan in unpack_scans:
-        assert scan(bytes(16), [key, 2], 1, 0) == {}
-        terms = scan((5).to_bytes(16, "little") + (7 << 64).to_bytes(16, "little"),
-                     [key, 2, 3], 2, 0)
+        assert _filled(scan, bytes(16), [key, 2], 1, 0) == {}
+        terms = _filled(scan, (5).to_bytes(16, "little") + (7 << 64).to_bytes(16, "little"),
+                        [key, 2, 3], 2, 0)
         assert terms == {key: 5, 2: 7 << 64} and next(iter(terms)) is key  # shared key
-        assert scan((1 << 128).to_bytes(24, "little"), [key], 3, 10) == {key + 10: 1 << 128}
+        assert _filled(scan, (1 << 128).to_bytes(24, "little"), [key], 3, 10) == \
+            {key + 10: 1 << 128}
         with pytest.raises(ValueError, match="^3 slots but only 2 keys$"):
-            scan(bytes(24), [key, 2], 1, 0)
+            scan(bytes(24), [key, 2], 1, 0, {})
         with pytest.raises(ValueError, match="^24 bytes are not whole slots of 2 words$"):
-            scan(bytes(24), [key, 2], 2, 0)
+            scan(bytes(24), [key, 2], 2, 0, {})
+
+
+def test_unpack_slots_fills_the_callers_map(unpack_scans):
+    """The terms join those already in the map; a zero slot adds nothing."""
+    data = b"".join(c.to_bytes(8, "little") for c in (3, 0, 9))
+    for scan in unpack_scans:
+        terms = {1: 4}
+        _filled(scan, data, [10, 20, 30], 1, 0, terms=terms)
+        assert terms == {1: 4, 10: 3, 30: 9}
+        _filled(scan, data, [10, 20, 30], 1, 100, terms=terms)
+        assert terms == {1: 4, 10: 3, 30: 9, 110: 3, 130: 9}
+
+
+@pytest.mark.parametrize("keys, offset, before, message", [
+    ([10, 20, 30], 0, {30: 1}, "1 of 2 keys are already in the term map"),
+    ([10, 20, 30], 20, {30: 1, 50: 1}, "2 of 2 keys are already in the term map"),
+    ([10, 20, 10], 0, {}, "1 of 2 keys are already in the term map"),
+], ids=["in-the-map", "after-the-offset", "twice-in-one-cell"])
+def test_unpack_slots_refuses_a_key_already_in_the_map(unpack_scans, keys, offset, before,
+                                                        message):
+    """A key is new exactly when the map grows by one; both scans refuse one that is not alike."""
+    data = b"".join(c.to_bytes(8, "little") for c in (3, 0, 9))
+    for scan in unpack_scans:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scan(data, keys, 1, offset, dict(before))
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_unpack_slots_reads_every_word(unpack_scans, words):
+    """An all-ones slot, and a slot with only its top word set, each beside a one-word value."""
+    top = 64 * (words - 1)
+    values = [(1 << 64 * words) - 1, 5, 0xDEADBEEF << top, 1 << top, (1 << 64) - 1 << top]
+    data = b"".join(c.to_bytes(8 * words, "little") for c in values)
+    for scan in unpack_scans:
+        assert _filled(scan, data, list(range(len(values))), words, 0) == dict(enumerate(values))
 
 
 @pytest.mark.skipif(kernel._unpack is None or shutil.which("nm") is None,
@@ -141,6 +184,37 @@ def test_first_import_of_a_fresh_copy(tmp_path, fresh_copy, with_cc, headers, st
     built = list((tmp_path / "invbargraph" / "__pycache__").glob("_kernel-*"))
     assert [p.suffix for p in built] == ([".so"] if with_cc else [])
     assert proc.stderr == stderr.format(include=include)
+
+
+@needs_c
+def test_a_rebuild_removes_the_old_library(tmp_path, fresh_copy):
+    """After an edit of the source the next import builds a new library and removes the old one.
+
+    A library it cannot remove (here a directory of that name) stays, and the
+    import still succeeds.
+    """
+    cache = tmp_path / "invbargraph" / "__pycache__"
+    probe = [sys.executable, "-c", "from invbargraph import kernel; print(kernel.BACKEND)"]
+
+    def run():
+        proc = subprocess.run(probe, env=fresh_copy(True), cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "c\n", "")
+        return sorted(p.name for p in cache.glob("_kernel-*"))
+
+    def edit():
+        source = tmp_path / "invbargraph" / "_kernel.c"
+        source.write_text(source.read_text() + "/* edited */\n")
+
+    [first] = run()
+    assert run() == [first]  # nothing built, nothing removed
+    edit()
+    [second] = run()
+    assert second != first
+    (cache / "_kernel-stuck.so").mkdir()
+    edit()
+    [third, stuck] = run()
+    assert third not in (first, second) and stuck == "_kernel-stuck.so"
 
 
 @needs_c

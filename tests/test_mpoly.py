@@ -599,7 +599,7 @@ def test_lincomb_edge_cases():
     # the seed is the largest product, wherever it sits among the pairs
     big = (P + Q + Y + 1) * (P + Q + Y + 1) * (P + Q + Y + 1)
     assert lincomb([(Q, P), (Y, big), (-1, Y * big)]) == P * Q
-    # unit rows whose keys are all new are copied in whole; later rows still merge
+    # unit rows whose keys are all new, then a row that cancels the first
     assert lincomb([(1, big), (1, Q ** 5), (1, R ** 4 - big)]) == Q ** 5 + R ** 4
 
 

@@ -263,13 +263,59 @@ def test_lda_unpack_refuses_a_value_outside_the_box(unpack_scans, n):
 
 
 def test_tables_are_the_same_under_every_scan(unpack_scans):
-    """Two-word slots (area/sper at n = 23) and three-word slots (lda at n = 40) unpack alike."""
+    """Two-word slots (area/sper at n = 23) and three-word slots (lda at n = 40) unpack alike.
+
+    So do the B_n rows, each filled into one term map, which are the lda
+    table's row polynomials.
+    """
     assert (recur._slot_words(23), recur._slot_words(40)) == (2, 3)
     tables = []
     for scan in unpack_scans:
         with mock.patch.object(kernel, "unpack_slots", scan):
-            tables.append((a_table_lemma(23), b_table_lemma(40)))
+            tables.append((a_table_lemma(23), b_table_lemma(40), bn_poly_recurrence(40)))
     assert tables[1:] == tables[:-1]
+    _, lda, rows = tables[0]
+    assert len(rows) == 40
+    for m, poly in enumerate(rows, 1):
+        assert poly == row_poly(lda, m)
+
+
+def test_cells_that_share_a_monomial_are_refused(unpack_scans):
+    """Cells filled into one term map may not overwrite each other's terms."""
+    packing = recur._lda_packing(3)
+    cell = 1 << packing.shift(p=1)
+    for scan in unpack_scans:
+        with mock.patch.object(kernel, "unpack_slots", scan):
+            assert packing._unpack_all([(cell, "a", {"r": 1, "y": 1}),
+                                        (cell, "b", {"r": 1, "y": 2})]) == \
+                MPoly.monomial(1, y=1, p=1) + MPoly.monomial(1, y=2, p=1)
+            with pytest.raises(ValueError, match="^1 of 1 keys are already in the term map$"):
+                packing._unpack_all([(cell, "a", {"r": 1, "y": 1}),
+                                     (cell, "b", {"r": 1, "y": 1})])
+
+
+def _naive_lin(pairs):
+    return sum(c * (x << shift) for terms, x in pairs for shift, c in terms)
+
+
+_lin_pairs = st.lists(st.tuples(
+    st.lists(st.tuples(st.sampled_from([0, 0, 1, 64, 130]), st.sampled_from([1, -1, 2, -3])),
+             min_size=1, max_size=3).map(tuple),
+    st.one_of(st.integers(-3, 3), st.integers(-(2 ** 200), 2 ** 200))), max_size=5)
+
+
+@given(_lin_pairs, _lin_pairs)
+def test_packed_lin_is_the_plain_sum(before, after):
+    """Zero shifts, multipliers +-1, 2 and -3, and a running total that cancels to 0 on the way.
+
+    `before` is followed by the one term that cancels it, so the total is 0
+    there and the terms of `after` must still all count.
+    """
+    assert recur._packed_lin(before) == _naive_lin(before)
+    assert recur._packed_lin(after) == _naive_lin(after)
+    cancelled = [*before, (((0, -1),), _naive_lin(before)), *after]
+    assert recur._packed_lin(cancelled) == _naive_lin(after)
+    assert recur._packed_lin(iter(cancelled)) == _naive_lin(after)
 
 
 def test_b_lemma_small_cells():
