@@ -13,6 +13,9 @@ Conventions (shared with the compiled kernel):
 
 where area = sum of entries, sper = n + (rho_1 + sum |steps| + rho_n)/2,
 and levels/descents/ascents count adjacent equal/falling/rising pairs.
+``area_sper_box(n)`` bounds area and sper; the compiled walker writes only
+inside that box, and ``recur`` packs area/sper cells into it.  This module
+imports only the standard library.
 """
 
 from __future__ import annotations
@@ -31,6 +34,19 @@ MAX_N = 12
 def _guard(n: int) -> None:
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+
+
+def area_sper_box(n: int) -> tuple[int, int]:
+    """(area_max, sper_slots): a sequence of length m <= n has area <= area_max, sper < sper_slots.
+
+    Its area rho_1 + ... + rho_m is at most n(n+1)/2, since rho_k <= k.  A
+    bargraph of heights rho_1..rho_m has half-perimeter
+    sper = m + (rho_1 + sum_k |rho_(k+1) - rho_k| + rho_m) / 2.  Here rho_1 = 1,
+    rho_m <= m, and |rho_(k+1) - rho_k| <= k since both letters lie in
+    [1, k+1], so sper <= m + (1 + m(m-1)/2 + m) / 2, a bound that grows with m
+    by at least one per step.
+    """
+    return n * (n + 1) // 2, n + (1 + n * (n - 1) // 2 + n) // 2 + 1
 
 
 def area_sper_counts(n: int) -> dict[tuple[int, int, int], int]:

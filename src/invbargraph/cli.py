@@ -63,13 +63,23 @@ BRUTE_MAX_PYTHON = 9
 # than the sweep suites' share.
 VERIFY_NMAX_MAX = 9
 VERIFY_ORDER_MAX = 12
+# `series --order`, apart from verify's cap.  At 30-digit points (fresh runs
+# with the cap lifted, 5 per order and series, random numerators and
+# denominators of both signs with all 30 digits, C kernel, Python 3.11 on the
+# shared 2-core Xeon) the 4300-digit print limit binds before the 2 s budget:
+# the longest number `series A` printed had 2672 digits at 12 (0.37-0.42 s),
+# 3520 at 14 and 4007 at 15 (0.98-1.04 s), and at 16 every run was too long
+# to print (1.3-1.5 s); `A1` had 2335 digits at 12 (0.17-0.19 s) and was too
+# long to print at 17; `area-gf` stayed under 0.1 s and 601 digits up to 20.
+# At 12 every number keeps about a third of the print limit in hand.
+SERIES_ORDER_MAX = 12
 # Largest n whose five totals all print under `invseq.DIGITS_MAX`, Python's
 # default 4300-digit int->str limit (total_area and total_sper have 4299
 # digits at 1556 and more than 4300 at 1557).  A totals call costs about
 # 0.02 s at that size, so the digit limit, not time, is what binds.  The same
 # limit bounds every integer the CLI reads (`invseq.INTEGER`); a `series`
 # coefficient past it would be reported as too long to print, though none is
-# at the caps below.
+# at `SERIES_ORDER_MAX` and `RATIONAL_DIGITS_MAX`.
 TOTALS_MAX = 1556
 # Digits of each numerator and denominator of a rational parameter (`series`
 # and `verify`), from the same 2 s budget: exact arithmetic at the point grows
@@ -245,8 +255,8 @@ SERIES = {  # name: (closed form, the flags of its parameters, in order)
 
 def _cmd_series(args: argparse.Namespace) -> int:
     order = args.order
-    if not 1 <= order <= VERIFY_ORDER_MAX:
-        raise UsageError(f"order must be in 1..{VERIFY_ORDER_MAX}")
+    if not 1 <= order <= SERIES_ORDER_MAX:
+        raise UsageError(f"order must be in 1..{SERIES_ORDER_MAX}")
 
     def need(flag: str) -> Fraction:
         value = getattr(args, flag)
@@ -280,10 +290,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.p is None or args.q is None or args.r is None:
             raise UsageError("--p, --q and --r must be given together")
         point = (parse_rational(args.p), parse_rational(args.q), parse_rational(args.r))
-        if point[1] == 0:
-            raise UsageError("q must be nonzero for the kernel identity")
-        if point[1] == point[2]:  # rho = 1 there: both identities would hold for any series
-            raise UsageError("q and r must differ for the kernel identity")
+        gf.refuse(gf.lda_kernel_refusal(*point))  # a ValueError: one `error:` line, exit 2
     if args.out:
         _emit("", args.out)  # an unwritable path fails before the suites run
     results, ok = verify.run_verify(

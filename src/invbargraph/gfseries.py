@@ -14,6 +14,13 @@ The area and lda series checks read point tables (`recur.point_table`: the
 recurrence run on the numbers of the point).  Each of them also links that
 data to the symbolic table: the symbolic rows it is given, evaluated at the
 same point, must equal the point table's rows.
+
+This module owns the rules that refuse a parameter point (`area_singular`,
+`area_refusal`, `lda_kernel_refusal`): where a closed form is singular, and
+where a check is vacuous, holding for any table, so that a pass would show
+nothing.  Each check raises `SingularParameterError` at a point its rules
+refuse, and `verify` and the CLI draw and refuse points through the same
+functions; the closed forms behind `series` refuse only singular points.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ class NonzeroConstantInnerError(ValueError):
 
 
 class SingularParameterError(ValueError):
-    """A closed form is singular at the requested parameter point."""
+    """A closed form is singular, or a check vacuous, at the requested parameter point."""
 
 
 class RationalSeries:
@@ -229,18 +236,48 @@ def _link_cases(data: RationalSeries, link: Sequence[MPoly], assignment: dict[st
             for n, poly in enumerate(link, start=1))
 
 
-def _nonsingular(x: Rat, order: int, singular: str) -> Fraction:
-    """x as a Fraction, once x != 1 (else SingularParameterError(singular)) and order >= 1."""
-    x = Fraction(x)
-    if x == 1:
-        raise SingularParameterError(singular)
+# -- the points each check refuses ------------------------------------------------
+
+
+def area_singular(p: Rat, y: Rat | None = None) -> str | None:
+    """Why the area OGF (joint with the last letter when y is given) is singular at p, or None."""
+    if p == 1:
+        return "p = 1 is singular for the area OGF"
+    return "y p = 1 is singular for the area/last OGF" if y is not None and y * p == 1 else None
+
+
+def area_refusal(p: Rat, y: Rat | None = None) -> str | None:
+    """Why the area checks refuse the point, or None: `area_singular`, then y = 0.
+
+    At y = 0 every row polynomial vanishes (each cell carries y^i, i >= 1),
+    so the (p, y) check would compare 0 with 0 whatever the table.
+    """
+    return area_singular(p, y) or ("y = 0 is vacuous for the area/last OGF" if y == 0 else None)
+
+
+def lda_kernel_refusal(p: Rat, q: Rat, r: Rat) -> str | None:
+    """Why the lda kernel checks refuse the point, or None.
+
+    Both divide by q.  At q = r, rho(u) = (1 - (p-q)u)/(1 - (p-r)u) = 1, and
+    both identities hold for any series.
+    """
+    if q == 0:
+        return "q must be nonzero for the kernel identity"
+    return "q and r must differ for the kernel identity" if q == r else None
+
+
+def refuse(refusal: str | None, order: int = 1) -> None:
+    """SingularParameterError(refusal) unless refusal is None, then ValueError unless order >= 1."""
+    if refusal is not None:
+        raise SingularParameterError(refusal)
     if order < 1:
         raise ValueError("order must be at least 1")
-    return x
 
 
-_AREA_SINGULAR = "p = 1 is singular for the area OGF"
-_TOTAL_SINGULAR = "y = 1 is singular in this evaluation"
+def _total_point(y: Rat, order: int) -> Fraction:
+    """y as a Fraction, once y != 1 (SingularParameterError) and order >= 1 (ValueError)."""
+    refuse("y = 1 is singular in this evaluation" if y == 1 else None, order)
+    return Fraction(y)
 
 
 # -- closed-form expansions: area / semi-perimeter ------------------------------
@@ -270,7 +307,8 @@ def expand_area_ogf(p: Rat, order: int) -> RationalSeries:
     / prod_{i=0}^{j} (1 - p - x p^(i+1)); coefficient of x^n is the area
     generating polynomial of all length-n sequences evaluated at p.
     """
-    p = _nonsingular(p, order, _AREA_SINGULAR)
+    p = Fraction(p)
+    refuse(area_singular(p), order)
     shifted = RationalSeries([0, 1 - p], order)
     return shifted * _area_sum_series(p, order)
 
@@ -282,9 +320,7 @@ def expand_area_last_ogf(p: Rat, y: Rat, order: int) -> RationalSeries:
     two iterated sums of expand_area_ogf shape.
     """
     p, y = Fraction(p), Fraction(y)
-    if y * p == 1 and p != 1:  # p = 1 is reported first, by the shared guard
-        raise SingularParameterError("y p = 1 is singular for the area/last OGF")
-    p = _nonsingular(p, order, _AREA_SINGULAR)
+    refuse(area_singular(p, y), order)
     s1 = _area_sum_series(p, order)
     s2 = _area_sum_series(p, order, z=y * p)
     bracket = s1 - s2.scale(y * y * p * p)
@@ -306,7 +342,8 @@ def check_area_ogf_recursion(
     `table` is the area/sper point table at (p, q=1); `link` holds the
     symbolic row sums A_n(1) for n = 1..len(link) <= order.
     """
-    p = _nonsingular(p, order, _AREA_SINGULAR)
+    p = Fraction(p)
+    refuse(area_refusal(p), order)
     data = series_from_table(table, order)
     scaled = RationalSeries(
         [c * p ** n for n, c in enumerate(data.coeffs)], order
@@ -326,9 +363,11 @@ def check_area_ogf_closed(
 
     `table` is the area/sper point table at (p, q=1); `link` holds the
     symbolic rows for n = 1..len(link) <= order: row sums when y is None,
-    row polynomials otherwise.
+    row polynomials otherwise.  A point `area_refusal` refuses is a
+    SingularParameterError.
     """
     p = Fraction(p)
+    refuse(area_refusal(p, y))
     if y is None:
         series = expand_area_ogf(p, order)
         assignment = {"p": p, "q": 1}
@@ -346,16 +385,10 @@ def check_area_ogf_closed(
 # -- kernel-method identity for the lda distribution ----------------------------
 
 
-def _linear_at(c: Fraction, arg: RationalSeries, order: int) -> RationalSeries:
-    """1 - c * arg(x) for a series argument with arg(0) = 0."""
-    return RationalSeries.one(order) - arg.scale(c)
-
-
-def _rho_at(
-    p: Fraction, q: Fraction, r: Fraction, arg: RationalSeries, order: int
-) -> RationalSeries:
-    """rho(arg) where rho(u) = (1 - (p-q)u)/(1 - (p-r)u)."""
-    return _linear_at(p - q, arg, order) * _linear_at(p - r, arg, order).inv()
+def _rho_at(p: Fraction, q: Fraction, r: Fraction, arg: RationalSeries) -> RationalSeries:
+    """rho(arg) where rho(u) = (1 - (p-q)u)/(1 - (p-r)u), for a series argument with arg(0) = 0."""
+    one = RationalSeries.one(arg.order)
+    return (one - arg.scale(p - q)) * (one - arg.scale(p - r)).inv()
 
 
 def check_lda_kernel(
@@ -370,16 +403,16 @@ def check_lda_kernel(
               + (r/q)^(J+1) v_0..v_J B(x_{J+1}),
     where x_0 = x, v_j = rho(x_j) and x_{j+1} = x_j v_j.  `table` is the lda
     point table at (p, q, r); `link` holds the symbolic row sums B_n(1) for
-    n = 1..len(link) <= order, checked in both entries.
+    n = 1..len(link) <= order, checked in both entries.  A point
+    `lda_kernel_refusal` refuses is a SingularParameterError.
     """
     p, q, r = Fraction(p), Fraction(q), Fraction(r)
-    if q == 0:
-        raise SingularParameterError("q = 0 is singular for the kernel identity")
+    refuse(lda_kernel_refusal(p, q, r))
     data = series_from_table(table, order)
     links = list(_link_cases(data, link, {"p": p, "q": q, "r": r}))
     params = f"p={p},q={q},r={r}"
 
-    rho = _rho_at(p, q, r, RationalSeries.x(order), order)
+    rho = _rho_at(p, q, r, RationalSeries.x(order))
     inner = RationalSeries.x(order) * rho
     rhs = (rho - RationalSeries.one(order)).scale(1 / q) + rho.scale(r / q) * data.compose(inner)
 
@@ -388,7 +421,7 @@ def check_lda_kernel(
     xj = RationalSeries.x(order)
     ratio_power = Fraction(1)
     for j in range(order + 1):
-        vj = _rho_at(p, q, r, xj, order)
+        vj = _rho_at(p, q, r, xj)
         term = (v_product * (vj - RationalSeries.one(order))).scale(ratio_power / q)
         total = total + term
         v_product = v_product * vj
@@ -413,7 +446,7 @@ def total_area_gf(y: Rat, order: int) -> RationalSeries:
     n! times the x^n coefficient equals sum_j (total area over length-n
     sequences ending in j) y^j.
     """
-    y = _nonsingular(y, order, _TOTAL_SINGULAR)
+    y = _total_point(y, order)
     part1 = log_ratio(y, order).scale(y * (1 + y) / (2 * (1 - y) ** 2))
     num = RationalSeries(
         [0, y * (2 - 6 * y), y * (5 * y ** 2 + 8 * y - 1),
@@ -428,7 +461,7 @@ def total_area_gf(y: Rat, order: int) -> RationalSeries:
 
 def total_levels_gf(y: Rat, order: int) -> RationalSeries:
     """Exponential GF of per-last-letter level totals at fixed y."""
-    y = _nonsingular(y, order, _TOTAL_SINGULAR)
+    y = _total_point(y, order)
     ln_y = log_one_minus(y, order)
     ln_1 = log_one_minus(1, order)
     bracket = (
@@ -441,7 +474,7 @@ def total_levels_gf(y: Rat, order: int) -> RationalSeries:
 
 def total_descents_gf(y: Rat, order: int) -> RationalSeries:
     """Exponential GF of per-last-letter descent totals at fixed y."""
-    y = _nonsingular(y, order, _TOTAL_SINGULAR)
+    y = _total_point(y, order)
     ln_y = log_one_minus(y, order)
     ln_1 = log_one_minus(1, order)
     part_a = (
@@ -461,7 +494,7 @@ def total_descents_gf(y: Rat, order: int) -> RationalSeries:
 
 def total_ascents_gf(y: Rat, order: int) -> RationalSeries:
     """Exponential GF of per-last-letter ascent totals at fixed y."""
-    y = _nonsingular(y, order, _TOTAL_SINGULAR)
+    y = _total_point(y, order)
     part_a = (
         RationalSeries([0, y], order)
         * (

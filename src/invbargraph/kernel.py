@@ -135,11 +135,9 @@ def _walk(walker, n: int, dim1: int, dim2: int) -> Iterator[tuple[int, int, int,
 
 def _area_sper_counts_c(n: int) -> dict[tuple[int, int, int], int]:
     """{(last, area, sper): multiplicity} over all inversion sequences of length n."""
-    from invbargraph import recur  # here, because recur imports mpoly, which imports kernel
-
     _kernel_py._guard(n)
     # the walker writes only inside this box; it gets one sper slot more
-    area_max, sper_slots = recur._area_sper_box(n)
+    area_max, sper_slots = _kernel_py.area_sper_box(n)
     return {(last, area, sper): c
             for last, area, sper, c in _walk(_lib.area_sper_counts, n, area_max + 1,
                                              sper_slots + 1)}

@@ -12,8 +12,11 @@ uses p (levels), q (descents), r (ascents).
 The paper's row equations for A_n(y) and B_n(y) are engines too
 (`_a_direct`, `_b_direct`): each solves its equation for row n from row
 n - 1, dividing by 1 - yp and 1 - ypq, or by 1 - y, by synthetic division.
-`check_an_functional` and `verify`'s lda-direct-row-recurrence compare a
-table's rows with theirs.
+`check_row_equation` compares a table with theirs: `check_an_functional`
+for A_n(y), and `verify`'s lda-direct-row-recurrence for B_n(y).
+`compare_tables` is the one cell-by-cell comparison of two tables, for cells
+of any ring; the row-equation checks and `verify`'s engine-against-engine
+entries all go through it.
 
 Each engine is written once over a ring and runs on three of them (see
 the comment above the engines).  Every symbolic table is built on packed
@@ -35,6 +38,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator
 
+from invbargraph._kernel_py import area_sper_box
 from invbargraph.mpoly import DIGITS_MAX, Kronecker, MPoly, T, lincomb
 from invbargraph.reporting import CheckResult, check
 
@@ -195,10 +199,12 @@ def row_poly(table: DistTable, m: int) -> MPoly:
 # packed ring it is shifts and adds too (after Harvey, "Faster polynomial
 # multiplication via multipoint Kronecker substitution", J. Symbolic
 # Comput. 44, 2009).  Measured in process at
-# n = 40 against the same engines on `MPoly` (C kernel, shared 2-core host,
-# 10 alternating runs each): `b_table_lemma` 0.23-0.32 s against 0.25-0.45 s,
-# `b_table_threeterm` 0.24-0.34 s against 0.27-0.48 s and
-# `bn_poly_recurrence` 0.25-0.44 s against 0.43-0.69 s.
+# n = 40 against the same engines on `MPoly` (C kernel, Python 3.11, shared
+# 2-core host, 10 alternating runs each in 3 fresh processes):
+# `b_table_lemma` 0.09-0.15 s against 0.34-0.52 s, `b_table_threeterm`
+# 0.10-0.16 s against 0.31-0.55 s and `bn_poly_recurrence` 0.11-0.15 s
+# against 0.39-0.53 s (the `MPoly` rows of `_b_direct`, each summed into
+# its row polynomial by one `lincomb`).
 
 Ring = tuple[Callable[..., Any], Callable[[Iterable[tuple[Any, Any]]], Any]]
 _SYMBOLIC: Ring = (MPoly.monomial, lincomb)
@@ -341,7 +347,7 @@ def _a_direct(n: int, ring: Ring) -> Iterator[tuple]:
     On packed ints (`_packed_table`, at size n >= m) the cells d_1..d_m are
     those of row m, in the packing's box, and an int of 0 is the zero
     polynomial for the remainder too.  With s = sper_slots - 1 for m - 1
-    (`_area_sper_box(m - 1)`), a sequence of length m - 1 has sper in
+    (`area_sper_box(m - 1)`), a sequence of length m - 1 has sper in
     [m, s], and so have the q-exponents of the cells of row m - 1.  Then
     every term that N puts at y^k has q-exponent in [m + 1, k + s], and the
     divisions keep that true, since they multiply by p and pq only.  So the
@@ -385,19 +391,6 @@ def _slot_words(n: int) -> int:
     word up to n = 21, two from n = 22, three from n = 36.
     """
     return -(-factorial(n - 1).bit_length() // 64)
-
-
-def _area_sper_box(n: int) -> tuple[int, int]:
-    """(area_max, sper_slots): a sequence of length m <= n has area <= area_max, sper < sper_slots.
-
-    Its area rho_1 + ... + rho_m is at most n(n+1)/2, since rho_k <= k.  A
-    bargraph of heights rho_1..rho_m has half-perimeter
-    sper = m + (rho_1 + sum_k |rho_(k+1) - rho_k| + rho_m) / 2.  Here rho_1 = 1,
-    rho_m <= m, and |rho_(k+1) - rho_k| <= k since both letters lie in
-    [1, k+1], so sper <= m + (1 + m(m-1)/2 + m) / 2, a bound that grows with m
-    by at least one per step.
-    """
-    return n * (n + 1) // 2, n + (1 + n * (n - 1) // 2 + n) // 2 + 1
 
 
 def _packed_lin(pairs: Iterable[tuple[tuple[tuple[int, int], ...], int]]) -> int:
@@ -457,19 +450,19 @@ def _packed_table(engine: Callable[[int, Ring], Iterator[tuple]], n: int,
 
     The area/sper values are the ints of `mpoly.Kronecker` with p outer and
     q inner, slots of `_slot_words(n)` words, and area and q-slots from
-    `_area_sper_box(n)`; the lda values (`lda`) those of `_lda_packing(n)`,
+    `area_sper_box(n)`; the lda values (`lda`) those of `_lda_packing(n)`,
     each cell of row m unpacked with the base monomial r^(m-1).  The
     unpacking is exact: packing is a ring map, so the int of a cell is the
     packing of the true cell whatever the signs of the intermediate sums,
     and every cell lies in the packing's box, where the map is one to one.
     An area/sper cell's coefficients lie in [0, (n-1)!] (`_slot_words`), and
-    its area and sper in the ranges of `_area_sper_box(n)`.
+    its area and sper in the ranges of `area_sper_box(n)`.
     """
     _check_size(n)
     if lda:
         packing = _lda_packing(n)
     else:
-        packing = Kronecker("p", "q", *_area_sper_box(n), _slot_words(n))
+        packing = Kronecker("p", "q", *area_sper_box(n), _slot_words(n))
 
     def unpacked(m: int, row: tuple[int, ...]) -> list[MPoly]:
         base = {"r": m - 1} if lda else {}
@@ -567,29 +560,38 @@ def check_an_functional(nmax: int, table: DistTable) -> CheckResult:
                            + ypq^2 (1-yp) (A_{n-1}(yp) - (ypq)^n A_{n-1}(1/q)).
     The equation determines row n from row n - 1, and `_a_direct` solves it
     row by row from A_1(y) = pq^2 y, so rows 1..nmax of `table` must be the
-    rows of that engine (`_check_rows`).
+    rows of that engine, cell by cell (`check_row_equation`).
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
-    return _check_rows("area-sper-row-functional", f"2<=n<={nmax}", "a_direct", nmax, table)
+    return check_row_equation("area-sper-row-functional", f"2<=n<={nmax}", "a_direct", nmax, table)
 
 
-def _check_rows(formula: str, n_range: str, engine: str, nmax: int,
-                table: DistTable) -> CheckResult:
-    """Rows 1..nmax of `table` against those of `engine` (one of ENGINES), built on packed ints.
+def check_row_equation(formula: str, n_range: str, engine: str, nmax: int,
+                       table: DistTable) -> CheckResult:
+    """Rows 1..nmax of `table` against the table of a row-equation engine, built on packed ints.
 
-    Only a row that differs is turned into the two row polynomials (table,
-    engine), shown as the case `n=<row>`.  An engine whose division leaves a
-    remainder fails the check, with the error's text as the mismatch.
+    `engine` is "a_direct" or "b_direct" (one of ENGINES), compared by
+    `compare_tables`.  An engine whose division leaves a remainder fails the
+    check, with the error's text as the mismatch.
     """
     build, markers = _ENGINES[engine]
     try:
         rows = _packed_table(build, nmax, lda="r" in markers)
     except NonDivisibleError as err:
         return CheckResult(formula, n_range, "", "fail", str(err))
+    return compare_tables(formula, n_range, table, rows, nmax)
+
+
+def compare_tables(formula: str, n_range: str, left: DistTable, right: DistTable,
+                   nmax: int) -> CheckResult:
+    """Rows 1..nmax of two tables, cell by cell: cells of any ring, symbolic or at a point.
+
+    The first cell that differs is the mismatch, shown as `cell (m,i)`.
+    """
     return check(formula, n_range, "",
-                 ((f"n={m}", row_poly(table, m), row_poly(rows, m))
-                  for m in range(1, nmax + 1) if table.row(m) != rows.row(m)))
+                 ((f"cell ({m},{i})", left[m, i], right[m, i])
+                  for m in range(1, nmax + 1) for i in range(1, m + 1)))
 
 
 def bn_poly_recurrence(nmax: int) -> list[MPoly]:

@@ -9,6 +9,11 @@ report is the same on either path.
 Random rational parameter points are drawn from a seeded generator so runs
 are reproducible; `corrupt=True` perturbs cell (3,1) of each lemma table
 (symbolic and point) first, as a negative control that must make the run fail.
+
+The checks own their rules, and this module restates none of them: a point
+is drawn, or a given one refused, through the rules of `gfseries` that the
+check itself raises on (`area_refusal`, `lda_kernel_refusal`), and tables
+are compared by `recur.compare_tables` and `recur.check_row_equation`.
 """
 
 from __future__ import annotations
@@ -51,16 +56,17 @@ def _corrupted(table: DistTable, term: MPoly | Fraction | int) -> DistTable:
 class _Tables:
     """The lemma tables every suite reads, built once, and the sweeps' enumeration.
 
-    The recurrences suite builds the other tables.
+    The lemma tables reach `depth`, max(nmax, order); the recurrences suite
+    builds the other tables.
     """
 
     def __init__(self, nmax: int, order: int, corrupt: bool):
-        depth = max(nmax, order)
         self.nmax = nmax
         self.order = order
+        self.depth = max(nmax, order)
         self.corrupt = corrupt
-        self.a_lemma = recur.a_table_lemma(depth)
-        self.b_lemma = recur.b_table_lemma(depth)
+        self.a_lemma = recur.a_table_lemma(self.depth)
+        self.b_lemma = recur.b_table_lemma(self.depth)
         if corrupt:
             # p*q and p*q*r move every weighted-exponent total, which a
             # constant would not, so the totals suite sees them too
@@ -103,25 +109,17 @@ class _Sweep:
         return images, list(map(self.position.get, images))
 
 
-def _compare_tables(
-    name: str, left: DistTable, right: DistTable, depth: int
-) -> CheckResult:
-    return check(name, f"n<={depth}", "",
-                 ((f"cell ({m},{i})", left[m, i], right[m, i])
-                  for m in range(1, depth + 1) for i in range(1, m + 1)))
-
-
 def _suite_recurrences(t: _Tables) -> list[CheckResult]:
-    depth = max(t.nmax, t.order)
+    depth, to_depth, to_nmax = t.depth, f"n<={t.depth}", f"n<={t.nmax}"
     a_three, b_three = recur.a_table_threeterm(depth), recur.b_table_threeterm(depth)
     a_brute, b_brute = invseq.brute_dist_area_sper(t.nmax), invseq.brute_dist_lda(t.nmax)
     return [
-        _compare_tables("area-sper-lemma-vs-threeterm", t.a_lemma, a_three, depth),
-        _compare_tables("area-sper-lemma-vs-brute", t.a_lemma, a_brute, t.nmax),
-        _compare_tables("lda-lemma-vs-threeterm", t.b_lemma, b_three, depth),
-        _compare_tables("lda-lemma-vs-brute", t.b_lemma, b_brute, t.nmax),
-        recur._check_rows("lda-direct-row-recurrence", f"n<={depth}", "b_direct", depth,
-                          t.b_lemma),
+        recur.compare_tables("area-sper-lemma-vs-threeterm", to_depth, t.a_lemma, a_three, depth),
+        recur.compare_tables("area-sper-lemma-vs-brute", to_nmax, t.a_lemma, a_brute, t.nmax),
+        recur.compare_tables("lda-lemma-vs-threeterm", to_depth, t.b_lemma, b_three, depth),
+        recur.compare_tables("lda-lemma-vs-brute", to_nmax, t.b_lemma, b_brute, t.nmax),
+        recur.check_row_equation("lda-direct-row-recurrence", to_depth, "b_direct", depth,
+                                 t.b_lemma),
         recur.check_an_functional(depth, t.a_lemma),
     ]
 
@@ -276,18 +274,17 @@ def _suite_bijections(t: _Tables) -> list[CheckResult]:
     ]
 
 
-def _random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+def _draw(rng: random.Random, points: list[tuple], k: int, refusal: Callable) -> list[tuple]:
+    """`points` filled up to k points: seeded draws, shaped as points[0], that `refusal` accepts.
 
-
-def _draw(rng: random.Random, points: list[tuple], k: int, ok) -> list[tuple]:
-    """`points` filled up to k points: seeded draws, shaped as points[0], that `ok` accepts.
-
-    A draw already in the list is drawn again, so no point is checked twice.
+    Each coordinate is drawn as a / b with a in -3..3 and b in 1..4.
+    `refusal` is the check's rule in `gfseries`, which gives None for a point
+    it accepts.  A draw already in the list is drawn again, so no point is
+    checked twice.
     """
     while len(points) < k:
-        point = tuple(_random_rational(rng) for _ in points[0])
-        if ok(*point) and point not in points:
+        point = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in points[0])
+        if refusal(*point) is None and point not in points:
             points.append(point)
     return points
 
@@ -299,27 +296,23 @@ def _suite_gf(
 ) -> list[CheckResult]:
     order = t.order
     rng = random.Random(seed)
-    results = [gf.check_last_letter_uniformity(max(t.nmax, order), t.a_lemma)]
+    results = [gf.check_last_letter_uniformity(t.depth, t.a_lemma)]
     # symbolic rows that every point table is linked to
     link = range(1, min(t.nmax, order) + 1)
     a_sums = [t.a_lemma.row_sum(n) for n in link]
     a_rows = [recur.row_poly(t.a_lemma, n) for n in link]
     b_sums = [t.b_lemma.row_sum(n) for n in link]
 
-    for (p,) in _draw(rng, [(Fraction(1, 2),)], 6, lambda p: p != 1):
+    for (p,) in _draw(rng, [(Fraction(1, 2),)], 6, gf.area_refusal):
         table = t.point_lemma("a_lemma", p=p, q=1)
         results.append(gf.check_area_ogf_recursion(p, order, table, a_sums))
         results.append(gf.check_area_ogf_closed(p, None, order, table, a_sums))
 
-    # at y = 0 every row polynomial vanishes (each cell carries y^i, i >= 1),
-    # so the check would compare 0 with 0
     py_points = [(Fraction(1, 2), Fraction(1, 3))]
-    for p, y in _draw(rng, py_points, 6, lambda p, y: p != 1 and p * y != 1 and y != 0):
+    for p, y in _draw(rng, py_points, 6, gf.area_refusal):
         table = t.point_lemma("a_lemma", p=p, q=1)
         results.append(gf.check_area_ogf_closed(p, y, order, table, a_rows))
 
-    # at q = r, rho(u) = (1 - (p-q)u)/(1 - (p-r)u) = 1 and both kernel
-    # identities hold for any series, so no fixed or drawn point has q = r
     pqr_points = [
         (Fraction(1), Fraction(1), Fraction(2)),
         (Fraction(1, 3), Fraction(1, 2), Fraction(1, 5)),
@@ -327,7 +320,7 @@ def _suite_gf(
     ]
     if point is not None:
         pqr_points = [point, *(fixed for fixed in pqr_points if fixed != point)]
-    for p, q, r in _draw(rng, pqr_points, 8, lambda p, q, r: q != 0 and q != r):
+    for p, q, r in _draw(rng, pqr_points, 8, gf.lda_kernel_refusal):
         table = t.point_lemma("b_lemma", p=p, q=q, r=r)
         results.extend(gf.check_lda_kernel(p, q, r, order, table, b_sums))
 
@@ -410,12 +403,16 @@ def run_verify(
     """Run the selected suites; returns (results, all_passed).
 
     The results are in `SUITES` order, whichever process ran each suite.
-    A name outside `SUITES`, or no name at all, is a ValueError.
+    A name outside `SUITES`, or no name at all, is a ValueError; so is a
+    `point` that `gfseries.lda_kernel_refusal` refuses (SingularParameterError),
+    before any table is built.
     """
     unknown = [name for name in suites if name not in SUITES]
     if unknown or not suites:
         problem = f"unknown suites {unknown}" if unknown else "no suite selected"
         raise ValueError(f"{problem} (the suites are {', '.join(SUITES)})")
+    if point is not None:
+        gf.refuse(gf.lda_kernel_refusal(*point))
     tables = _Tables(nmax, order, corrupt)
     runs = {
         "recurrences": lambda: _suite_recurrences(tables),

@@ -156,17 +156,25 @@ def test_criterion_7_gf_identities():
     for p, y in py_points:
         point = recur.point_table("a_lemma", 8, p=p, q=1)
         ok &= gf.check_area_ogf_closed(p, y, 8, point, a_rows).status == "pass"
-    pqr_points = [(F(1), F(1), F(1)), (F(1, 3), F(1, 2), F(1, 5)), (F(0), F(1), F(1)),
+    # q != r: at q = r both identities hold for any series, and the check refuses
+    pqr_points = [(F(1), F(1), F(3)), (F(1, 3), F(1, 2), F(1, 5)), (F(0), F(2), F(1)),
                   (F(2), F(-1, 2), F(1, 7)), (F(-1, 3), F(3), F(0))]
     for p, q, r in pqr_points:
         point = recur.point_table("b_lemma", 8, p=p, q=q, r=r)
         ok &= all(res.status == "pass"
                   for res in gf.check_lda_kernel(p, q, r, 8, point, b_sums))
+    for p, q, r in [(F(1), F(1), F(1)), (F(0), F(1), F(1))]:
+        point = recur.point_table("b_lemma", 8, p=p, q=q, r=r)
+        try:
+            gf.check_lda_kernel(p, q, r, 8, point, b_sums)
+            ok = False
+        except gf.SingularParameterError:
+            pass
     elapsed = time.monotonic() - start
     _record(
         "7-gf-identities",
         ok and elapsed < 10.0,
-        f"5 p-points, 5 (p,y), 5 (p,q,r) mod x^9, {elapsed:.2f}s",
+        f"5 p-points, 5 (p,y), 5 (p,q,r) mod x^9, 2 with q = r refused, {elapsed:.2f}s",
     )
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invbargraph import cli, invseq, kernel, recur, verify
+from invbargraph import gfseries as gf
 from invbargraph.invseq import InversionSequence, Permutation
 from invbargraph.mpoly import MPoly
 from invbargraph.recur import (
@@ -739,12 +740,13 @@ REPORT_PINS = [
     (("--nmax", "9", "--order", "12", "--seed", "1"),
      "bdd08cde1495e78257d640975555fb14d18390150d1b22bb3a558cdf5124c154"),
 ]
-# sha256 of `verify --corrupt --out` reports, from the same draw; the failing
-# reports must not change either.
+# sha256 of `verify --corrupt --out` reports, from the same draw, since the
+# row-equation entries name the first differing cell; the failing reports must
+# not change either.
 CORRUPT_REPORT_PINS = [
-    ((), "f131cb3927c88db83e6721bbf5fb5c39f6535374c08317a4fbb88508e8195781"),
+    ((), "a7cf8e6c0beadb98d56aaf297fe4346c20255c0819d76f8bae9f404d8079a36d"),
     (("--nmax", "9", "--order", "12", "--seed", "1"),
-     "d2c59002025884f59b144491fb646f349e3333780994876155df94b11c0816f8"),
+     "c20f7e5e5c491047c5d45843a09141a476fcbbe60430216b424833ad21210480"),
 ]
 PIN_IDS = ["defaults", "caps-seed-1"]
 
@@ -892,6 +894,38 @@ def test_verify_refuses_a_kernel_point_with_q_equal_to_r(capsys, q, r):
                    "--r", r) == (2, "", "error: q and r must differ for the kernel identity\n")
     assert run_cli(capsys, "verify", "--suite", "gf", "--corrupt", "--order", "3",
                    "--p", "1", "--q", q, "--r", "3")[0] == 1
+
+
+@pytest.mark.parametrize("q,r", [("0", "0"), ("2", "2")])
+def test_verify_refuses_a_kernel_point_with_the_checks_message(capsys, tmp_path, q, r):
+    """The CLI's error line is the message the kernel check itself raises."""
+    point = (Fraction(1), Fraction(q), Fraction(r))
+    with pytest.raises(gf.SingularParameterError) as refused:
+        gf.check_lda_kernel(*point, 4, recur.point_table("b_lemma", 4, p=1, q=2, r=3), [])
+    target = tmp_path / "report.json"
+    assert run_cli(capsys, "verify", "--suite", "totals", "--p", "1", "--q", q, "--r", r,
+                   "--out", str(target)) == (2, "", f"error: {refused.value}\n")
+    assert not target.exists()  # refused before --out is touched
+
+
+@pytest.mark.parametrize("point", [(1, 2, 2), (Fraction(1, 2), 0, 1)])
+def test_run_verify_refuses_a_kernel_point_before_building_a_table(monkeypatch, point):
+    """At q = r a corrupted table would pass both kernel entries; q = 0 is singular."""
+    def unused(*args, **kwargs):
+        raise AssertionError("a refused point builds no table")
+
+    for name in ("a_table_lemma", "b_table_lemma", "point_table"):
+        monkeypatch.setattr(recur, name, unused)
+    with pytest.raises(gf.SingularParameterError, match="^q (and r must differ|must be nonzero)"):
+        verify.run_verify(["gf"], nmax=4, order=4, point=point, corrupt=True)
+
+
+def test_series_order_cap_is_its_own(capsys, monkeypatch):
+    """Raising verify's order cap leaves the series cap where it is."""
+    monkeypatch.setattr(cli, "VERIFY_ORDER_MAX", 16)
+    assert run_cli(capsys, "series", "A", "--p", "1/2", "--y", "1/3", "--order", "13") == (
+        2, "", f"error: order must be in 1..{cli.SERIES_ORDER_MAX}\n")
+    assert cli.SERIES_ORDER_MAX == 12
 
 
 def test_out_flag(tmp_path, capsys):

@@ -204,6 +204,16 @@ def test_area_ogf_singular_guard():
         expand_area_ogf(1, 6)
     with pytest.raises(SingularParameterError):
         expand_area_last_ogf(F(1, 2), 2, 6)
+    # the checks raise the closed forms' messages, p = 1 before y = 0
+    table = a_point(F(1, 2))
+    for check, refusal in [
+        (lambda: check_area_ogf_recursion(1, 8, table, []), "p = 1 is singular for the area OGF"),
+        (lambda: check_area_ogf_closed(1, 0, 8, table, []), "p = 1 is singular for the area OGF"),
+        (lambda: check_area_ogf_closed(F(1, 2), 2, 8, table, []),
+         "y p = 1 is singular for the area/last OGF"),
+    ]:
+        with pytest.raises(SingularParameterError, match=f"^{refusal}$"):
+            check()
 
 
 def a_point(p, order=8):
@@ -277,23 +287,49 @@ def test_link_detects_a_symbolic_corruption(a_lemma_8, y):
 
 
 @pytest.mark.parametrize(
-    "point",
+    "point,refusal",
     [
-        (F(1), F(1), F(1)),  # rho(x) = 1: a fixed point of the substitution
-        (F(1, 3), F(1, 2), F(1, 5)),
-        (F(0), F(1), F(1)),
-        (F(2), F(-1, 2), F(1, 7)),
-        (F(-1, 3), F(3), F(0)),
+        # q = r: rho(x) = 1, so both identities hold for any series
+        ((F(1), F(1), F(1)), "q and r must differ for the kernel identity"),
+        ((F(1, 3), F(1, 2), F(1, 5)), None),
+        ((F(0), F(1), F(1)), "q and r must differ for the kernel identity"),
+        ((F(2), F(-1, 2), F(1, 7)), None),
+        ((F(-1, 3), F(3), F(0)), None),
     ],
+    ids=[f"point{k}" for k in range(5)],
 )
-def test_lda_kernel_points(b_lemma_9, point):
-    results = check_lda_kernel(*point, 8, b_point(*point), sums(b_lemma_9))
-    assert [r.status for r in results] == ["pass", "pass"]
+def test_lda_kernel_points(b_lemma_9, point, refusal):
+    args = (*point, 8, b_point(*point), sums(b_lemma_9))
+    if refusal is None:
+        assert [r.status for r in check_lda_kernel(*args)] == ["pass", "pass"]
+    else:
+        with pytest.raises(SingularParameterError, match=f"^{refusal}$"):
+            check_lda_kernel(*args)
 
 
 def test_lda_kernel_q_zero_guard(b_lemma_9):
-    with pytest.raises(SingularParameterError):
+    with pytest.raises(SingularParameterError,
+                       match="^q must be nonzero for the kernel identity$"):
         check_lda_kernel(1, 0, 1, 4, b_point(1, 0, 1, 4), sums(b_lemma_9, 4))
+
+
+def test_lda_kernel_refuses_q_equal_to_r_on_a_corrupted_table(b_lemma_9):
+    """At q = r both identities hold for any series, so a corrupted table would pass."""
+    point = b_point(1, 2, 2)
+    bad = point.with_cell(3, 1, point[3, 1] + 1)
+    with pytest.raises(SingularParameterError,
+                       match="^q and r must differ for the kernel identity$"):
+        check_lda_kernel(1, 2, 2, 8, bad, sums(b_lemma_9))
+
+
+def test_area_ogf_closed_refuses_y_zero_on_a_corrupted_table(a_lemma_8):
+    """At y = 0 every row polynomial vanishes, so a corrupted table would pass."""
+    point = a_point(F(1, 2))
+    bad = point.with_cell(3, 1, point[3, 1] + 1)
+    with pytest.raises(SingularParameterError, match="^y = 0 is vacuous"):
+        check_area_ogf_closed(F(1, 2), 0, 8, bad, rows(a_lemma_8))
+    # the closed form itself is not singular there
+    assert expand_area_last_ogf(F(1, 2), 0, 8) == RationalSeries.zero(8)
 
 
 def test_lda_kernel_detects_corruption(b_lemma_9):

@@ -1,3 +1,4 @@
+import ast
 import os
 import shutil
 import subprocess
@@ -215,6 +216,20 @@ def test_a_rebuild_removes_the_old_library(tmp_path, fresh_copy):
     edit()
     [third, stuck] = run()
     assert third not in (first, second) and stuck == "_kernel-stuck.so"
+
+
+def test_the_kernel_modules_import_no_recur():
+    """recur imports mpoly, which imports kernel: an import of recur here would be a cycle."""
+    for module in (kernel, _kernel_py):
+        tree = ast.parse(Path(module.__file__).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names.add(node.module or "")
+                names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        assert [name for name in names if "recur" in name.split(".")] == [], module.__name__
 
 
 @needs_c

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invbargraph import invseq, kernel, recur
+from invbargraph import _kernel_py, invseq, kernel, recur
 from invbargraph.mpoly import MPoly, P, Q, R, T, Y
 from invbargraph.recur import (
     ENGINES,
@@ -82,7 +82,7 @@ def test_an_functional_identity(a_lemma_8):
 def test_an_functional_detects_corruption(a_lemma_8):
     bad = a_lemma_8.with_cell(4, 2, a_lemma_8[4, 2] + MPoly.one())
     result = check_an_functional(8, bad)
-    assert result.status == "fail" and result.first_mismatch.startswith("n=4: ")
+    assert result.status == "fail" and result.first_mismatch.startswith("cell (4,2): 1 + ")
 
 
 def test_an_functional_reads_row_one(a_lemma_8):
@@ -90,7 +90,22 @@ def test_an_functional_reads_row_one(a_lemma_8):
     bad = a_lemma_8.with_cell(1, 1, a_lemma_8[1, 1] + MPoly.one())
     result = check_an_functional(8, bad)
     assert (result.formula, result.status) == ("area-sper-row-functional", "fail")
-    assert result.first_mismatch == "n=1: y + y*p*q^2 != y*p*q^2"
+    assert result.first_mismatch == "cell (1,1): 1 + p*q^2 != p*q^2"
+
+
+@pytest.mark.parametrize("engine,values", [
+    ("a_lemma", {"p": Fraction(1, 2), "q": Fraction(-2, 3)}),
+    ("b_lemma", {"p": Fraction(1, 3), "q": Fraction(1, 2), "r": Fraction(1, 5)}),
+])
+def test_compare_tables_reads_point_tables(engine, values):
+    table = recur.point_table(engine, 6, **values)
+    bad = table.with_cell(5, 3, table[5, 3] + 1)
+    assert recur.compare_tables("rows", "n<=6", table, table, 6).status == "pass"
+    result = recur.compare_tables("rows", "n<=6", bad, table, 6)
+    assert (result.status, result.first_mismatch) == (
+        "fail", f"cell (5,3): {bad[5, 3]} != {table[5, 3]}")
+    # rows past nmax are not read
+    assert recur.compare_tables("rows", "n<=4", bad, table, 4).status == "pass"
 
 
 # The area/sper tables are built on packed ints (recur._packed_table); the
@@ -118,7 +133,7 @@ def test_unpack_refuses_a_value_outside_the_box(unpack_scans, n):
     def one_bad_cell(value):
         return lambda n, ring: iter([(1,), (value, 0)])
 
-    (area_max, sper_slots), bits = recur._area_sper_box(n), 64 * recur._slot_words(n)
+    (area_max, sper_slots), bits = _kernel_py.area_sper_box(n), 64 * recur._slot_words(n)
     assert area_max == n * (n + 1) // 2
     assert bits == (64 if n == 3 else 128)
     top = bits * sper_slots * (area_max + 1) - 1  # the last bit of the box still unpacks
