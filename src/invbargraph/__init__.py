@@ -39,13 +39,13 @@ from invbargraph.kernel import BACKEND as KERNEL_BACKEND
 from invbargraph.mpoly import MPoly
 from invbargraph.recur import (
     DistTable,
-    HarmonicInteger,
     a_table_lemma,
     a_table_threeterm,
     b_table_lemma,
     b_table_threeterm,
     bn_poly_recurrence,
     eulerian,
+    harmonic_integer,
     row_poly,
     stirling_first,
     total_area,
@@ -58,7 +58,6 @@ from invbargraph.recur import (
 __all__ = [
     "CycleForm",
     "DistTable",
-    "HarmonicInteger",
     "InversionSequence",
     "KERNEL_BACKEND",
     "MPoly",
@@ -83,6 +82,7 @@ __all__ = [
     "from_permutation",
     "g_ascents",
     "g_inverse",
+    "harmonic_integer",
     "levels_involution",
     "row_poly",
     "sper_involution",

@@ -9,10 +9,11 @@ ascent count is preserved (`g_ascents`).
 
 from __future__ import annotations
 
-from operator import index, lt
+from itertools import compress, count
+from operator import gt, index, lt, sub
 from typing import Iterable
 
-from invbargraph.invseq import InversionSequence, Permutation, parse_ints
+from invbargraph.invseq import InversionSequence, OutOfRangeError, Permutation, parse_ints
 
 
 class TooShortError(ValueError):
@@ -72,7 +73,18 @@ class CycleForm(Permutation):
         return len(self._letters)
 
     def cycle_count(self) -> int:
-        return len(self.cycles)
+        """len(self.cycles), counted by walking each cycle once over a visited array."""
+        succ = self._letters
+        seen = bytearray(len(succ) + 1)
+        cycles = 0
+        for start in range(1, len(succ) + 1):
+            if not seen[start]:
+                cycles += 1
+                v = start
+                while not seen[v]:
+                    seen[v] = 1
+                    v = succ[v - 1]
+        return cycles
 
     def __repr__(self) -> str:
         return f"CycleForm({self.to_text()!r})"
@@ -108,14 +120,20 @@ def complement(rho: InversionSequence) -> InversionSequence:
     An involution; it swaps the ascent count with the combined level+descent
     count.
     """
-    return InversionSequence(i + 1 - v for i, v in enumerate(rho, start=1))
+    return InversionSequence(map(sub, range(2, len(rho) + 2), rho.entries))
 
 
 def _with_entry(rho: InversionSequence, i: int, v: int) -> InversionSequence:
-    """rho with its entry at 0-based index i replaced by v."""
-    entries = list(rho)
-    entries[i] = v
-    return InversionSequence(entries)
+    """rho with its entry at 0-based index i replaced by v.
+
+    Only v is checked: the other letters come from a validated sequence.
+    """
+    if not 1 <= v <= i + 1:
+        raise OutOfRangeError(i + 1, v)
+    e = rho.entries
+    out = object.__new__(InversionSequence)
+    object.__setattr__(out, "_letters", e[:i] + (v,) + e[i + 1:])
+    return out
 
 
 def area_flip(rho: InversionSequence) -> InversionSequence:
@@ -133,11 +151,12 @@ def sper_involution(rho: InversionSequence) -> InversionSequence | None:
     k-1.  Returns None when no such k exists: exactly the 2^(n-1) sequences
     with every rho_i in {i-1, i}.
     """
-    # rho_i <= i, so rho_i is outside {i-1, i} exactly when it is below i-1
-    k = next((i for i, v in enumerate(rho, start=1) if v < i - 1), None)
+    # rho_i <= i, so rho_i is outside {i-1, i} exactly when i - 1 > rho_i
+    e = rho.entries
+    k = next(compress(count(1), map(gt, range(len(e)), e)), None)
     if k is None:
         return None
-    return _with_entry(rho, k - 2, 2 * k - 3 - rho[k - 2])
+    return _with_entry(rho, k - 2, 2 * k - 3 - e[k - 2])
 
 
 def levels_involution(rho: InversionSequence) -> InversionSequence | None:
@@ -146,10 +165,11 @@ def levels_involution(rho: InversionSequence) -> InversionSequence | None:
     With j the first position carrying a letter > 2 (necessarily j >= 3),
     toggles rho_{j-1} between 1 and 2.  Returns None on binary sequences.
     """
-    j = next((i for i, v in enumerate(rho, start=1) if v > 2), None)
+    e = rho.entries
+    j = next(compress(count(1), map((2).__lt__, e)), None)
     if j is None:
         return None
-    return _with_entry(rho, j - 2, 3 - rho[j - 2])
+    return _with_entry(rho, j - 2, 3 - e[j - 2])
 
 
 # -- levels-to-cycles bijection ---------------------------------------------------
@@ -211,7 +231,8 @@ def g_ascents(rho: InversionSequence) -> Permutation:
     """
     free = list(range(1, len(rho) + 1))
     word = [free.pop(v - 1) for v in reversed(rho.entries)]  # letters n..1
-    return Permutation(reversed(word))
+    word.reverse()
+    return Permutation(word)
 
 
 def g_inverse(pi: Permutation) -> InversionSequence:
@@ -219,9 +240,11 @@ def g_inverse(pi: Permutation) -> InversionSequence:
     free = list(range(1, len(pi) + 1))
     entries = []
     for v in reversed(pi.oneline):
-        entries.append(1 + free.index(v))
-        free.remove(v)
-    return InversionSequence(reversed(entries))
+        k = free.index(v)
+        entries.append(k + 1)
+        del free[k]
+    entries.reverse()
+    return InversionSequence(entries)
 
 
 # -- permutation statistics ----------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import asdict, dataclass
 from itertools import count, product
-from operator import eq, gt, index, le, sub
+from operator import index, le, sub
 from typing import Callable, Iterable, Iterator
 
 from invbargraph import kernel
@@ -176,12 +176,12 @@ def stats(rho: InversionSequence) -> StatRecord:
     """All five bargraph statistics of a sequence."""
     e = rho.entries
     n = len(e)
-    tail = e[1:]  # e[i] is followed by tail[i]
-    boundary = e[0] + sum(map(abs, map(sub, tail, e))) + e[-1]
+    steps = list(map(sub, e[1:], e))  # steps[i] = rho_{i+2} - rho_{i+1}
+    levels = steps.count(0)
+    ascents = sum(map((0).__lt__, steps))
     # boundary is even: the step sum telescopes to rho_n - rho_1 mod 2
-    levels = sum(map(eq, e, tail))
-    descents = sum(map(gt, e, tail))
-    return StatRecord(sum(e), n + boundary // 2, levels, descents, n - 1 - levels - descents)
+    boundary = e[0] + sum(map(abs, steps)) + e[-1]
+    return StatRecord(sum(e), n + boundary // 2, levels, n - 1 - levels - ascents, ascents)
 
 
 def _brute_table(n: int, counts: Callable[[int], dict], pad: tuple[int, ...]) -> DistTable:

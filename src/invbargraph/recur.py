@@ -33,7 +33,6 @@ evaluating symbolic tables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Any, Callable, Iterable, Iterator
@@ -626,18 +625,11 @@ def bn_poly_recurrence(nmax: int) -> list[MPoly]:
 # -- closed-form totals --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HarmonicInteger:
+def harmonic_integer(n: int) -> int:
     """The exact integer n! * H_n = sum_{i=1}^n n!/i."""
-
-    n: int
-    value: int
-
-    @classmethod
-    def of(cls, n: int) -> "HarmonicInteger":
-        _check_size(n)
-        fact = factorial(n)
-        return cls(n, sum(fact // i for i in range(1, n + 1)))
+    _check_size(n)
+    fact = factorial(n)
+    return sum(fact // i for i in range(1, n + 1))
 
 
 def total_area(n: int) -> int:
@@ -661,7 +653,7 @@ def total_sper(n: int) -> int:
 def total_levels(n: int) -> int:
     """Total number of levels over all length-n sequences: n!(H_n - 1)."""
     _check_size(n)
-    return HarmonicInteger.of(n).value - factorial(n)
+    return harmonic_integer(n) - factorial(n)
 
 
 def total_descents(n: int) -> int:
@@ -669,7 +661,7 @@ def total_descents(n: int) -> int:
     _check_size(n)
     q, rem = divmod(factorial(n + 1), 2)
     assert rem == 0
-    return q - HarmonicInteger.of(n).value
+    return q - harmonic_integer(n)
 
 
 def total_ascents(n: int) -> int:
@@ -766,6 +758,12 @@ def check_sign_balance(nmax: int, a_table: DistTable, b_table: DistTable) -> lis
 
     For n >= 3: A_n(y; p=-1, q=1) = 0 and A_n(y; p=1, q=-1) = 2^(n-2) y^(n-1) (y-1).
     For n >= 2: B_n(y; p=-t, q=t, r=t) = (-1)^n 2^(n-2) t^(n-1) (y-1) y.
+
+    `sper-sign-balance` sees only the first power of 1 + q: at y = 1 its row
+    vanishes at q = -1.  Observed, not proved: (1 + q)^floor(n/2) divides the
+    sper marginal A_n(1; 1, q), and no higher power does, for every n <= 28
+    (repeated division of the lemma table's row sums at p = 1 by 1 + q).  No
+    check reads this.
     """
     if nmax < 3:
         raise ValueError("nmax must be at least 3")

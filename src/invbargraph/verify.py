@@ -42,9 +42,11 @@ DEFAULT_SEED = 12345
 DEFAULT_NMAX = 7
 DEFAULT_ORDER = 8
 # Largest n for the exhaustive per-sequence sweeps.  Both sweep suites together
-# take 0.54 s of CPU at 7 and 3.9 s at 8 (in process, --nmax 9, C kernel,
-# Python 3.11 on a 2-core Xeon); 8 alone would take longer than all of
-# `verify --nmax 9 --order 12` does at 7.
+# take 0.18 s of CPU at 7 and 1.53-1.58 s at 8 (the two suites in process on
+# lemma tables already built, --nmax 9 --order 12, 3 fresh processes per cap,
+# C kernel, Python 3.11 on the shared 2-core Xeon).  All of
+# `verify --nmax 9 --order 12` then takes 0.34-0.47 s wall at 7 and
+# 1.86-2.45 s at 8 (5 fresh runs each): 8 would not fit the 2 s budget.
 EXHAUSTIVE_CAP = 7
 
 

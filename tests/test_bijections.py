@@ -1,11 +1,13 @@
 import re
 from collections import Counter
+from itertools import permutations as all_permutations
 from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from invbargraph import bijections
 from invbargraph.bijections import (
     CycleForm,
     MalformedCyclesError,
@@ -21,7 +23,13 @@ from invbargraph.bijections import (
     levels_involution,
     sper_involution,
 )
-from invbargraph.invseq import InversionSequence, Permutation, enumerate_sequences, stats
+from invbargraph.invseq import (
+    InversionSequence,
+    OutOfRangeError,
+    Permutation,
+    enumerate_sequences,
+    stats,
+)
 from invbargraph.recur import eulerian, stirling_first
 
 IS = InversionSequence
@@ -275,3 +283,44 @@ def test_cycle_and_ascent_counts():
     assert ascent_count(Permutation(range(1, 7))) == 5
     assert cycle_count(Permutation((5, 2, 4, 6, 1, 3))) == 3
     assert ascent_count(Permutation((4, 6, 1, 7, 2, 5, 8, 3))) == 4
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cycle_count_is_the_number_of_cycles(n):
+    for oneline in all_permutations(range(1, n + 1)):
+        cf = CycleForm.from_permutation(Permutation(oneline))
+        assert cf.cycle_count() == len(cf.cycles), oneline
+
+
+# -- every word a map returns is a checked sequence --------------------------------
+
+
+def _forged(entries):
+    """A sequence object whose letters skipped the constructor's check."""
+    rho = object.__new__(IS)
+    object.__setattr__(rho, "_letters", tuple(entries))
+    return rho
+
+
+@pytest.mark.parametrize("name, position, value", [
+    ("complement", 2, -2),
+    ("area_flip", 2, -2),
+    ("sper_involution", 2, -2),
+    ("levels_involution", 1, 2),
+])
+def test_maps_refuse_the_letter_they_write_out_of_range(name, position, value):
+    """On the forged word (1, 5, 1) each map writes one letter outside its range."""
+    with pytest.raises(OutOfRangeError) as err:
+        getattr(bijections, name)(_forged((1, 5, 1)))
+    assert (err.value.index, err.value.value) == (position, value)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_with_entry_checks_the_letter_it_writes(i):
+    rho = IS((1, 2, 1, 4))
+    for v in (0, i + 2):
+        with pytest.raises(OutOfRangeError) as err:
+            bijections._with_entry(rho, i, v)
+        assert (err.value.index, err.value.value) == (i + 1, v)
+    for v in range(1, i + 2):
+        assert bijections._with_entry(rho, i, v) == IS((*rho.entries[:i], v, *rho.entries[i + 1:]))

@@ -1,3 +1,4 @@
+import random
 from math import factorial
 
 import pytest
@@ -153,6 +154,39 @@ def test_stats_invariants(n):
         e = rho.entries
         boundary = e[0] + sum(abs(a - b) for a, b in zip(e, e[1:])) + e[-1]
         assert boundary % 2 == 0
+
+
+def _stats_by_definition(e):
+    """The five statistics counted index by index, as the module docstring defines them."""
+    n = len(e)
+    want = {"area": 0, "sper": 0, "levels": 0, "descents": 0, "ascents": 0}
+    boundary = e[0] + e[-1]
+    for i in range(n):
+        want["area"] += e[i]
+        if i + 1 < n:
+            boundary += abs(e[i + 1] - e[i])
+            if e[i] == e[i + 1]:
+                want["levels"] += 1
+            elif e[i] > e[i + 1]:
+                want["descents"] += 1
+            else:
+                want["ascents"] += 1
+    assert boundary % 2 == 0
+    want["sper"] = n + boundary // 2
+    return want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stats_match_their_definitions(n):
+    for rho in enumerate_sequences(n):
+        assert stats(rho).to_json_obj() == _stats_by_definition(rho.entries), rho
+
+
+def test_stats_match_their_definitions_on_long_words():
+    rng = random.Random(40)
+    for _ in range(500):
+        entries = [rng.randint(1, i) for i in range(1, 41)]
+        assert stats(InversionSequence(entries)).to_json_obj() == _stats_by_definition(entries)
 
 
 def test_brute_area_sper_small_cells():

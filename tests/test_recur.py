@@ -14,7 +14,6 @@ from invbargraph.mpoly import MPoly, P, Q, R, T, Y
 from invbargraph.recur import (
     ENGINES,
     DistTable,
-    HarmonicInteger,
     NonDivisibleError,
     a_table_lemma,
     a_table_threeterm,
@@ -25,6 +24,7 @@ from invbargraph.recur import (
     check_sign_balance,
     check_stirling_eulerian,
     eulerian,
+    harmonic_integer,
     point_table,
     row_poly,
     stirling_first,
@@ -463,10 +463,10 @@ def test_per_last_letter_totals_sum(a_lemma_8):
 
 
 def test_harmonic_integer():
-    assert HarmonicInteger.of(1).value == 1
-    assert HarmonicInteger.of(3).value == 11  # 6 + 3 + 2
+    assert harmonic_integer(1) == 1
+    assert harmonic_integer(3) == 11  # 6 + 3 + 2
     for n in range(1, 10):
-        assert HarmonicInteger.of(n).value == sum(factorial(n) // i for i in range(1, n + 1))
+        assert harmonic_integer(n) == sum(factorial(n) // i for i in range(1, n + 1))
 
 
 # -- Stirling / Eulerian oracles ------------------------------------------------------
