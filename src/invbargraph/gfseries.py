@@ -333,18 +333,23 @@ def _coeff_cases(got: RationalSeries, want: RationalSeries):
     return ((f"x^{k}", a, b) for k, (a, b) in enumerate(zip(got.coeffs, want.coeffs)))
 
 
-def check_area_ogf_recursion(
+def check_area_ogf(
     p: Rat, order: int, table: DistTable, link: Sequence[MPoly]
-) -> CheckResult:
-    """Self-substitution identity for the area OGF built from recurrence data.
+) -> list[CheckResult]:
+    """The area OGF A(x) built from recurrence data, against both of its forms at p.
 
-    A(x) = x p (1-p)/(1-p-xp) - x p^2/(1-p-xp) * A(xp), checked mod x^(order+1).
+    Checks, mod x^(order+1):
+      1. the self-substitution A(x) = x p (1-p)/(1-p-xp) - x p^2/(1-p-xp) * A(xp);
+      2. the closed form `expand_area_ogf`.
     `table` is the area/sper point table at (p, q=1); `link` holds the
-    symbolic row sums A_n(1) for n = 1..len(link) <= order.
+    symbolic row sums A_n(1) for n = 1..len(link) <= order, checked in both
+    entries.  A point `area_refusal` refuses is a SingularParameterError.
     """
     p = Fraction(p)
     refuse(area_refusal(p), order)
     data = series_from_table(table, order)
+    links = list(_link_cases(data, link, {"p": p, "q": 1}))
+    params = f"p={p}"
     scaled = RationalSeries(
         [c * p ** n for n, c in enumerate(data.coeffs)], order
     )
@@ -352,34 +357,30 @@ def check_area_ogf_recursion(
     rhs = RationalSeries([0, p * (1 - p)], order) * den_inv - (
         RationalSeries([0, p * p], order) * den_inv * scaled
     )
-    return check("area-ogf-recursion", f"order={order}", f"p={p}",
-                 chain(_coeff_cases(rhs, data), _link_cases(data, link, {"p": p, "q": 1})))
+    return [
+        check("area-ogf-recursion", f"order={order}", params,
+              chain(_coeff_cases(rhs, data), links)),
+        check("area-ogf-closed", f"order={order}", params,
+              chain(_coeff_cases(expand_area_ogf(p, order), data), links)),
+    ]
 
 
 def check_area_ogf_closed(
-    p: Rat, y: Rat | None, order: int, table: DistTable, link: Sequence[MPoly]
+    p: Rat, y: Rat, order: int, table: DistTable, link: Sequence[MPoly]
 ) -> CheckResult:
-    """Closed-form area OGF (optionally joint with last letter) vs recurrence data.
+    """Closed-form area OGF joint with the last letter vs recurrence data at (p, y).
 
     `table` is the area/sper point table at (p, q=1); `link` holds the
-    symbolic rows for n = 1..len(link) <= order: row sums when y is None,
-    row polynomials otherwise.  A point `area_refusal` refuses is a
-    SingularParameterError.
+    symbolic row polynomials for n = 1..len(link) <= order.  A point
+    `area_refusal` refuses is a SingularParameterError.
     """
-    p = Fraction(p)
+    p, y = Fraction(p), Fraction(y)
     refuse(area_refusal(p, y))
-    if y is None:
-        series = expand_area_ogf(p, order)
-        assignment = {"p": p, "q": 1}
-        params = f"p={p}"
-    else:
-        y = Fraction(y)
-        series = expand_area_last_ogf(p, y, order)
-        assignment = {"y": y, "p": p, "q": 1}
-        params = f"p={p},y={y}"
+    series = expand_area_last_ogf(p, y, order)
     data = series_from_table(table, order, y)
-    return check("area-ogf-closed", f"order={order}", params,
-                 chain(_coeff_cases(series, data), _link_cases(data, link, assignment)))
+    return check("area-ogf-closed", f"order={order}", f"p={p},y={y}",
+                 chain(_coeff_cases(series, data),
+                       _link_cases(data, link, {"y": y, "p": p, "q": 1})))
 
 
 # -- kernel-method identity for the lda distribution ----------------------------

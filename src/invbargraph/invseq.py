@@ -15,10 +15,9 @@ StatRecord(area=15, sper=12, levels=0, descents=2, ascents=3)
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
 from itertools import count, product
 from operator import index, le, sub
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from invbargraph import kernel
 from invbargraph.mpoly import DIGITS_MAX, MPoly
@@ -130,8 +129,7 @@ class Permutation(_Word):
         return self._letters
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(NamedTuple):
     area: int
     sper: int
     levels: int
@@ -139,7 +137,7 @@ class StatRecord:
     ascents: int
 
     def to_json_obj(self) -> dict[str, int]:
-        return asdict(self)
+        return self._asdict()
 
 
 def validate(raw: Iterable[int]) -> InversionSequence:

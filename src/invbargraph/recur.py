@@ -395,25 +395,25 @@ def _slot_words(n: int) -> int:
 def _packed_lin(pairs: Iterable[tuple[tuple[tuple[int, int], ...], int]]) -> int:
     """The sum of c * (x << shift) over the (shift, c) terms of each (multiplier, x) pair.
 
-    Every product or sum of big ints is a fresh int, so the total starts as
-    the first product, not 0 + it, and a shift of 0 uses x itself: both
-    would copy every word of x for nothing, and on a 100 KB int `0 + x` and
-    `x << 0` each took 36-37 us, as long as a real add or shift (28-32 us;
-    Python 3.11, shared 2-core host, best of 7).  `total is None` marks no
-    term yet, so a total that cancels to 0 on the way is still added to.
+    Each c is 1 or -1 (`_packed_ring` refuses any other), so a term is only
+    added or subtracted.  Every sum or shift of big ints is a fresh int, so
+    the total starts as the first term, not 0 + it, and a shift of 0 uses x
+    itself: both would copy every word of x for nothing, and on a 100 KB
+    int `0 + x` and `x << 0` each took 36-37 us, as long as a real add or
+    shift (28-32 us; Python 3.11, shared 2-core host, best of 7).
+    `total is None` marks no term yet, so a total that cancels to 0 on the
+    way is still added to.
     """
     total = None
     for terms, x in pairs:
         for shift, c in terms:
             v = x << shift if shift else x
             if total is None:
-                total = v if c == 1 else c * v
+                total = v if c == 1 else -v
             elif c == 1:
                 total += v
-            elif c == -1:
-                total -= v
             else:
-                total += c * v
+                total -= v
     return 0 if total is None else total
 
 
@@ -421,6 +421,8 @@ def _packed_ring(packing: Kronecker) -> Ring:
     shift = packing.shift
 
     def mono(coeff: int, **exps: int) -> tuple[tuple[int, int], ...]:
+        if coeff not in (1, -1):
+            raise ValueError(f"a packed multiplier's coefficient must be 1 or -1, not {coeff}")
         return ((shift(**exps), coeff),)
 
     return mono, _packed_lin

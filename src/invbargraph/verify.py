@@ -24,7 +24,7 @@ import threading
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, prod
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from invbargraph import bijections as bj
 from invbargraph import gfseries as gf
@@ -87,7 +87,8 @@ class _Tables:
     def sweeps(self) -> dict[int, _Sweep]:
         """The exhaustive enumeration for n <= min(nmax, EXHAUSTIVE_CAP), built on first use.
 
-        Both sweep suites read it, and no other suite.
+        Both sweep suites read it, and no other suite; each reads the top of
+        its n-range from the keys.
         """
         return {n: _Sweep(list(invseq.enumerate_sequences(n)))
                 for n in range(1, min(self.nmax, EXHAUSTIVE_CAP) + 1)}
@@ -101,14 +102,20 @@ class _Sweep:
         self.stats = [invseq.stats(rho) for rho in seqs]
         self.position = {rho: k for k, rho in enumerate(seqs)}
 
-    def images(self, f: Callable) -> tuple[list, list[int | None]]:
-        """f of each sequence, and the image's position (None if it is not a sequence here).
+    def pairs(self, f: Callable) -> Iterator[tuple]:
+        """(rho, its statistics, f(rho), the image's statistics, whether f sends the image back).
 
-        An involution is applied once: its second application and the image's
-        statistics are read at that position.
+        The last two are None when f(rho) is None or not a sequence here.  An
+        involution is applied once: its second application and the image's
+        statistics are read at the image's position.
         """
         images = list(map(f, self.seqs))
-        return images, list(map(self.position.get, images))
+        for rho, st, image in zip(self.seqs, self.stats, images):
+            j = self.position.get(image)
+            if j is None:
+                yield rho, st, image, None, None
+            else:
+                yield rho, st, image, self.stats[j], images[j] == rho
 
 
 def _suite_recurrences(t: _Tables) -> list[CheckResult]:
@@ -171,27 +178,24 @@ def _outside(want: _Named) -> _Named:
 
 def _suite_signbalance(t: _Tables) -> list[CheckResult]:
     results = recur.check_sign_balance(t.nmax, t.a_lemma, t.b_lemma)
-    cap = min(t.nmax, EXHAUSTIVE_CAP)
-    n_range = f"2<=n<={cap}"
-    sweeps = [t.sweeps[n] for n in range(2, cap + 1)]
+    n_range = f"2<=n<={max(t.sweeps)}"
+    sweeps = {n: sweep for n, sweep in t.sweeps.items() if n >= 2}
 
     def area_flip_cases():
         want = _Named(involution=True, area_change=1)
-        for sweep in sweeps:
-            _, at = sweep.images(bj.area_flip)
-            for k, (rho, st, j) in enumerate(zip(sweep.seqs, sweep.stats, at)):
-                got = _outside(want) if j is None else _Named(
-                    involution=at[j] == k, area_change=abs(sweep.stats[j].area - st.area))
+        for sweep in sweeps.values():
+            for rho, st, _, image_st, back in sweep.pairs(bj.area_flip):
+                got = _outside(want) if back is None else _Named(
+                    involution=back, area_change=abs(image_st.area - st.area))
                 yield rho, got, want
 
     def sper_cases():
         want_outside = _Named(weakly_increasing=True, ends_in_n_or_n_minus_1=True,
                               sper_is_n_plus_last=True)
         want_inside = _Named(moves=True, involution=True, sper_change=1)
-        for n, sweep in enumerate(sweeps, start=2):
-            mates, at = sweep.images(bj.sper_involution)
+        for n, sweep in sweeps.items():
             undefined = 0
-            for k, (rho, st, mate, j) in enumerate(zip(sweep.seqs, sweep.stats, mates, at)):
+            for rho, st, mate, mate_st, back in sweep.pairs(bj.sper_involution):
                 if mate is None:  # outside the domain
                     undefined += 1
                     e = rho.entries
@@ -199,27 +203,26 @@ def _suite_signbalance(t: _Tables) -> list[CheckResult]:
                                  ends_in_n_or_n_minus_1=e[-1] in (n - 1, n),
                                  sper_is_n_plus_last=st.sper == n + e[-1])
                     yield rho, got, want_outside
-                elif j is None:
+                elif back is None:
                     yield rho, _outside(want_inside), want_inside
                 else:
-                    got = _Named(moves=j != k, involution=at[j] == k,
-                                 sper_change=abs(sweep.stats[j].sper - st.sper))
+                    got = _Named(moves=mate != rho, involution=back,
+                                 sper_change=abs(mate_st.sper - st.sper))
                     yield rho, got, want_inside
             yield f"n={n} undefined count", undefined, 2 * 2 ** (n - 2)
 
     def levels_cases():
         want = _Named(moves=True, involution=True, levels_parity_change=1, same_last=True)
-        for n, sweep in enumerate(sweeps, start=2):
-            mates, at = sweep.images(bj.levels_involution)
+        for n, sweep in sweeps.items():
             undefined = {1: 0, 2: 0}
-            for k, (rho, st, mate, j) in enumerate(zip(sweep.seqs, sweep.stats, mates, at)):
+            for rho, st, mate, mate_st, back in sweep.pairs(bj.levels_involution):
                 if mate is None:
                     undefined[rho.entries[-1]] += 1
-                elif j is None:
+                elif back is None:
                     yield rho, _outside(want), want
                 else:
-                    got = _Named(moves=j != k, involution=at[j] == k,
-                                 levels_parity_change=(sweep.stats[j].levels - st.levels) % 2,
+                    got = _Named(moves=mate != rho, involution=back,
+                                 levels_parity_change=(mate_st.levels - st.levels) % 2,
                                  same_last=mate.entries[-1] == rho.entries[-1])
                     yield rho, got, want
             yield (f"n={n} undefined count by last letter", undefined,
@@ -234,20 +237,18 @@ def _suite_signbalance(t: _Tables) -> list[CheckResult]:
 
 def _suite_bijections(t: _Tables) -> list[CheckResult]:
     results = recur.check_stirling_eulerian(t.nmax, t.b_lemma)
-    cap = min(t.nmax, EXHAUSTIVE_CAP)
-    n_range = f"n<={cap}"
-    sweeps = [t.sweeps[n] for n in range(1, cap + 1)]
+    n_range = f"n<={max(t.sweeps)}"
+    sweeps = list(t.sweeps.values())
     # the two bijections are not involutions: their images are permutations
     cycle_forms = [list(map(bj.f_levels_to_cycles, sweep.seqs)) for sweep in sweeps]
     perms = [list(map(bj.g_ascents, sweep.seqs)) for sweep in sweeps]
 
     def complement_cases():
         for sweep in sweeps:
-            _, at = sweep.images(bj.complement)
-            for k, (rho, st, j) in enumerate(zip(sweep.seqs, sweep.stats, at)):
+            for rho, st, _, image_st, back in sweep.pairs(bj.complement):
                 want = _Named(involution=True, ascents=st.levels + st.descents)
-                got = _outside(want) if j is None else _Named(
-                    involution=at[j] == k, ascents=sweep.stats[j].ascents)
+                got = _outside(want) if back is None else _Named(
+                    involution=back, ascents=image_st.ascents)
                 yield rho, got, want
 
     def roundtrip_cases():
@@ -263,7 +264,7 @@ def _suite_bijections(t: _Tables) -> list[CheckResult]:
                 yield rho, got, _Named(ascents=st.ascents, roundtrip=True)
 
     def injectivity_cases():
-        for n, (cfs, pis) in enumerate(zip(cycle_forms, perms), start=1):
+        for n, cfs, pis in zip(t.sweeps, cycle_forms, perms):
             got = _Named(cycle_images=len(set(cfs)), permutation_images=len(set(pis)))
             yield f"n={n}", got, _Named(cycle_images=factorial(n),
                                         permutation_images=factorial(n))
@@ -307,8 +308,7 @@ def _suite_gf(
 
     for (p,) in _draw(rng, [(Fraction(1, 2),)], 6, gf.area_refusal):
         table = t.point_lemma("a_lemma", p=p, q=1)
-        results.append(gf.check_area_ogf_recursion(p, order, table, a_sums))
-        results.append(gf.check_area_ogf_closed(p, None, order, table, a_sums))
+        results.extend(gf.check_area_ogf(p, order, table, a_sums))
 
     py_points = [(Fraction(1, 2), Fraction(1, 3))]
     for p, y in _draw(rng, py_points, 6, gf.area_refusal):

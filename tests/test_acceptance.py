@@ -149,8 +149,7 @@ def test_criterion_7_gf_identities():
     p_points = [F(1, 2), F(-1, 2), F(2), F(1, 3), F(-3, 4)]
     for p in p_points:
         point = recur.point_table("a_lemma", 8, p=p, q=1)
-        ok &= gf.check_area_ogf_recursion(p, 8, point, a_sums).status == "pass"
-        ok &= gf.check_area_ogf_closed(p, None, 8, point, a_sums).status == "pass"
+        ok &= all(res.status == "pass" for res in gf.check_area_ogf(p, 8, point, a_sums))
     py_points = [(F(1, 2), F(1, 3)), (F(-1, 2), F(2)), (F(1, 4), F(-2, 3)),
                  (F(3, 2), F(1, 5)), (F(-2, 3), F(-1, 2))]
     for p, y in py_points:

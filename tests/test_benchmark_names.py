@@ -10,7 +10,6 @@ run, and each name it reads must exist.  Nothing under perfbench/ is changed.
 """
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -64,11 +63,6 @@ def package_classes():
     return classes
 
 
-def attributes(cls):
-    fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
-    return set(dir(cls)) | {field.name for field in fields}
-
-
 def test_every_name_the_workloads_read_exists():
     tree = ast.parse(WORKLOADS.read_text())
     package, others = {}, set()  # names bound by imports from the package, and by other imports
@@ -84,7 +78,7 @@ def test_every_name_the_workloads_read_exists():
                   and isinstance(node.iter, ast.Tuple)}
     # an attribute of anything else, a table or a record, must be one that a package
     # class, or a list, dict, path or random generator, provides
-    provided = set().union(*map(attributes, [*package_classes(), list, dict, Path, random.Random]))
+    provided = set().union(*map(dir, [*package_classes(), list, dict, Path, random.Random]))
     reads, missing = 0, []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):

@@ -10,6 +10,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from invbargraph.recur import (
     total_sper,
 )
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 SCI_NOTATION = re.compile(r"\d[eE][+-]?\d")
 NOT_A_RATIONAL = "error: not a rational (use num or num/den, at most 30 digits each): "
 
@@ -161,6 +163,12 @@ def test_dist_table_caps(capsys, kind, cap):
     assert (code, err) == (0, "") and len(out.splitlines()) == cap * (cap + 1) // 2
     assert run_cli(capsys, "dist", kind, "-n", str(cap + 1), "--engine", "threeterm") == (
         2, "", f"error: {kind} tables are limited to n <= {cap}\n")
+
+
+def test_readme_states_the_dist_caps():
+    text = " ".join(README.read_text().split())
+    stated = {kind: int(n) for n, kind in re.findall(r"n <= (\d+) for `(area-sper|lda)`", text)}
+    assert stated == {"area-sper": cli.AREA_SPER_TABLE_MAX, "lda": cli.LDA_TABLE_MAX}
 
 
 def test_totals(capsys):

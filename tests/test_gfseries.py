@@ -11,8 +11,8 @@ from invbargraph.gfseries import (
     NonzeroConstantInnerError,
     RationalSeries,
     SingularParameterError,
+    check_area_ogf,
     check_area_ogf_closed,
-    check_area_ogf_recursion,
     check_last_letter_uniformity,
     check_lda_kernel,
     check_total_gfs,
@@ -207,7 +207,7 @@ def test_area_ogf_singular_guard():
     # the checks raise the closed forms' messages, p = 1 before y = 0
     table = a_point(F(1, 2))
     for check, refusal in [
-        (lambda: check_area_ogf_recursion(1, 8, table, []), "p = 1 is singular for the area OGF"),
+        (lambda: check_area_ogf(1, 8, table, []), "p = 1 is singular for the area OGF"),
         (lambda: check_area_ogf_closed(1, 0, 8, table, []), "p = 1 is singular for the area OGF"),
         (lambda: check_area_ogf_closed(F(1, 2), 2, 8, table, []),
          "y p = 1 is singular for the area/last OGF"),
@@ -263,14 +263,24 @@ def test_area_last_ogf_matches_table(a_lemma_8, p, y):
 
 @pytest.mark.parametrize("p", [F(1, 2), F(-1, 2), F(0), F(2), F(3, 4)])
 def test_area_ogf_recursion(a_lemma_8, p):
-    assert check_area_ogf_recursion(p, 8, a_point(p), sums(a_lemma_8)).status == "pass"
+    results = check_area_ogf(p, 8, a_point(p), sums(a_lemma_8))
+    assert [(r.formula, r.status) for r in results] == [
+        ("area-ogf-recursion", "pass"), ("area-ogf-closed", "pass")]
 
 
 def test_area_ogf_recursion_detects_corruption(a_lemma_8):
     point = a_point(F(1, 2))
     bad = point.with_cell(5, 3, point[5, 3] + 1)
-    result = check_area_ogf_recursion(F(1, 2), 8, bad, sums(a_lemma_8))
-    assert result.status == "fail" and result.first_mismatch.startswith("x^5: ")
+    results = check_area_ogf(F(1, 2), 8, bad, sums(a_lemma_8))
+    assert [r.status for r in results] == ["fail", "fail"]
+    assert all(r.first_mismatch.startswith("x^5: ") for r in results)
+
+
+def area_checks(p, y, table, link):
+    """The entries of the area OGF checks at p (both forms), or at (p, y)."""
+    if y is None:
+        return check_area_ogf(p, 8, table, link)
+    return [check_area_ogf_closed(p, y, 8, table, link)]
 
 
 @pytest.mark.parametrize("y", [None, F(1, 3)])
@@ -278,9 +288,9 @@ def test_link_detects_a_symbolic_corruption(a_lemma_8, y):
     # the point data still satisfies the identity; only the link sees the change
     bad = a_lemma_8.with_cell(5, 3, a_lemma_8[5, 3] + MPoly.one())
     link = sums(bad) if y is None else rows(bad)
-    result = check_area_ogf_closed(F(1, 2), y, 8, a_point(F(1, 2)), link)
-    assert result.status == "fail" and result.first_mismatch.startswith("link n=5: ")
-    assert check_area_ogf_closed(F(1, 2), y, 8, a_point(F(1, 2)), link[:4]).status == "pass"
+    results = area_checks(F(1, 2), y, a_point(F(1, 2)), link)
+    assert all(r.status == "fail" and r.first_mismatch.startswith("link n=5: ") for r in results)
+    assert all(r.status == "pass" for r in area_checks(F(1, 2), y, a_point(F(1, 2)), link[:4]))
 
 
 # -- kernel identities -----------------------------------------------------------------
