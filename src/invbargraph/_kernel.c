@@ -16,6 +16,14 @@
  * words for the lda tables from n = 22 and 36, which is 180 k of the 288 k
  * coefficients of b_table_lemma(40)) is written as one hex string and read
  * by one PyLong_FromString, instead of a shift and an or per word.
+ *
+ * Two more, format_terms and parse_terms (after it), write and read the
+ * canonical text of an mpoly.MPoly term map, with the same API and loading.
+ * The reader takes only text exactly in the writer's form and gives None
+ * for any other, so MPoly.from_text's loop stays the one definition of the
+ * accepted forms and of every error.  Every read is bounded by the text's
+ * UTF-8 length, no array is sized at run time on the stack, and the
+ * writer's buffer grows with an overflow check.
  */
 
 /* counts[(last * adim + area) * sdim + sper], where
@@ -82,11 +90,14 @@ void lda_counts(int n, int ldim, int ddim, long long *counts)
 
 #if defined(__has_include)
 #if __has_include(<Python.h>)
-#define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <string.h>
 
 /* References are released with Py_DecRef, the function form of Py_XDECREF
- * (NULL is allowed), so the library refers to no private (_Py) symbol. */
+ * (NULL is allowed), and None is returned as Py_BuildValue(""), so the
+ * library refers to no private (_Py) symbol.  PY_SSIZE_T_CLEAN is left
+ * undefined: it would rename Py_BuildValue to a private function, and no
+ * format here has a '#'. */
 
 static unsigned long long load_le64(const unsigned char *b)
 {
@@ -143,8 +154,10 @@ PyObject *unpack_slots(PyObject *data, PyObject *keys, int words, PyObject *offs
         PyErr_SetString(PyExc_TypeError, "keys must be a list and terms a dict");
         return NULL;
     }
-    /* the bound on words keeps the hex buffer's 16 * words + 1 bytes in range */
-    if (words < 1 || words > PY_SSIZE_T_MAX / 16 || size % (8 * (Py_ssize_t)words)) {
+    /* the bound on words keeps the hex buffer's 16 * words + 1 bytes in range
+     * (a size_t comparison: where Py_ssize_t is wider than int it cannot fail) */
+    if (words < 1 || (size_t)words > (size_t)PY_SSIZE_T_MAX / 16
+        || size % (8 * (Py_ssize_t)words)) {
         PyErr_Format(PyExc_ValueError, "%zd bytes are not whole slots of %d words",
                      size, words);
         return NULL;
@@ -194,6 +207,365 @@ PyObject *unpack_slots(PyObject *data, PyObject *keys, int words, PyObject *offs
 fail:
     PyMem_Free(hex);
     return NULL;
+}
+
+/* The canonical text form of mpoly.MPoly, written and read in one pass.
+ *
+ * format_terms writes the text of a term map, keys sorted; parse_terms
+ * reads back a text that is exactly in the form the writer gives and
+ * returns None for any other, which MPoly.from_text then reads (or refuses)
+ * with its own loop.  A digit run the reader converts itself is at most
+ * LL_DIGITS long, so it fits a long long; a longer one is copied to the
+ * heap and read by PyLong_FromString. */
+#define LL_DIGITS 18
+
+/* A growable output buffer; `cap` bytes at `data`, `len` of them used. */
+struct text_buf {
+    char *data;
+    size_t len, cap;
+};
+
+/* Room for `more` bytes after the used ones, doubling the capacity; -1 with
+ * MemoryError set if the text would not fit in memory or in a Py_ssize_t. */
+static int buf_reserve(struct text_buf *b, size_t more)
+{
+    size_t need, cap;
+    char *data;
+
+    if (more <= b->cap - b->len)
+        return 0;
+    if (more > (size_t)PY_SSIZE_T_MAX - b->len) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    need = b->len + more;
+    for (cap = b->cap ? b->cap : 256; cap < need; )
+        cap = cap <= (size_t)PY_SSIZE_T_MAX / 2 ? 2 * cap : (size_t)PY_SSIZE_T_MAX;
+    if (!(data = PyMem_Realloc(b->data, cap))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    b->data = data;
+    b->cap = cap;
+    return 0;
+}
+
+static int buf_add(struct text_buf *b, const char *src, size_t n)
+{
+    if (buf_reserve(b, n) < 0)
+        return -1;
+    memcpy(b->data + b->len, src, n);
+    b->len += n;
+    return 0;
+}
+
+/* Appends one term: its sign (" + " or " - ", "" or "-" for the first),
+ * then the coefficient's absolute value `a` (of `alen` digits) and the
+ * monomial text `mono` as MPoly.to_text writes them: a alone for the
+ * constant, the monomial alone for a = 1, "a*monomial" otherwise. */
+static int add_term(struct text_buf *b, int first, int negative, const char *a,
+                    size_t alen, const char *mono, size_t mlen)
+{
+    const char *sign = first ? (negative ? "-" : "") : (negative ? " - " : " + ");
+
+    if (buf_add(b, sign, strlen(sign)) < 0)
+        return -1;
+    if (!mlen)
+        return buf_add(b, a, alen);
+    if (!(alen == 1 && a[0] == '1'))
+        if (buf_add(b, a, alen) < 0 || buf_add(b, "*", 1) < 0)
+            return -1;
+    return buf_add(b, mono, mlen);
+}
+
+/* The canonical text of the term dict `terms` (packed key -> nonzero int),
+ * terms in ascending key order: the str that _kernel_py.format_terms
+ * returns, byte for byte.  The monomial text of a key is read from the dict
+ * `texts`, or on a miss from monomial_text(key), which fills that cache. */
+PyObject *format_terms(PyObject *terms, PyObject *texts, PyObject *monomial_text)
+{
+    struct text_buf b = {NULL, 0, 0};
+    PyObject *keys, *key, *mono, *coeff, *digits = NULL, *out = NULL;
+    Py_ssize_t i, nkeys, mlen, dlen;
+    const char *mtext, *a;
+    char small[24], *w;
+    unsigned long long u;
+    long long v;
+    int overflow, negative, ok;
+
+    if (!PyDict_Check(terms) || !PyDict_Check(texts)) {
+        PyErr_SetString(PyExc_TypeError, "terms and texts must be dicts");
+        return NULL;
+    }
+    if (!PyDict_Size(terms))
+        return PyUnicode_FromString("0");
+    if (!(keys = PyDict_Keys(terms)) || PyList_Sort(keys) < 0)
+        goto done;
+    nkeys = PyList_Size(keys);
+    for (i = 0; i < nkeys; i++) {
+        key = PyList_GetItem(keys, i);
+        if ((mono = PyDict_GetItemWithError(texts, key)))
+            Py_IncRef(mono);
+        else if (PyErr_Occurred()
+                 || !(mono = PyObject_CallFunctionObjArgs(monomial_text, key, NULL)))
+            goto done;
+        if (!(mtext = PyUnicode_AsUTF8AndSize(mono, &mlen))) {
+            Py_DecRef(mono);
+            goto done;
+        }
+        if (!(coeff = PyDict_GetItemWithError(terms, key))) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_RuntimeError, "the term map changed while written");
+            Py_DecRef(mono);
+            goto done;
+        }
+        v = PyLong_AsLongLongAndOverflow(coeff, &overflow);
+        if (v == -1 && PyErr_Occurred()) {
+            Py_DecRef(mono);
+            goto done;
+        }
+        if (!overflow) {  /* one conversion of |v| into the end of `small` */
+            negative = v <= 0;
+            u = negative ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+            w = small + sizeof small;
+            do {
+                *--w = (char)('0' + u % 10);
+                u /= 10;
+            } while (u);
+            a = w;
+            dlen = small + sizeof small - w;
+        } else {  /* beyond a long long: str(coeff), without its minus */
+            negative = overflow < 0;
+            if (!(digits = PyObject_Str(coeff)) || !(a = PyUnicode_AsUTF8AndSize(digits, &dlen))) {
+                Py_DecRef(mono);
+                goto done;
+            }
+            a += negative;
+            dlen -= negative;
+        }
+        ok = add_term(&b, i == 0, negative, a, (size_t)dlen, mtext, (size_t)mlen) == 0;
+        Py_DecRef(digits);
+        digits = NULL;
+        Py_DecRef(mono);
+        if (!ok)
+            goto done;
+    }
+    out = PyUnicode_FromStringAndSize(b.data, (Py_ssize_t)b.len);
+done:
+    Py_DecRef(keys);
+    PyMem_Free(b.data);
+    return out;
+}
+
+/* The end of the term that starts at `p`: the first byte from `p` on that is
+ * not printable ASCII other than space. */
+static const unsigned char *term_end(const unsigned char *p, const unsigned char *end)
+{
+    while (p < end && *p > ' ' && *p < 0x7f)
+        p++;
+    return p;
+}
+
+/* Whether the `len` bytes at `s` are in the writer's form: terms of
+ * printable ASCII without spaces, joined by " + " or " - ", the first led by
+ * at most one "-". */
+static int writer_form(const unsigned char *s, Py_ssize_t len)
+{
+    const unsigned char *end = s + len, *p = s, *q;
+
+    if (p < end && *p == '-')
+        p++;
+    for (;;) {
+        q = term_end(p, end);
+        if (q == p)
+            return 0;
+        if (q == end)
+            return 1;
+        if (end - q < 4 || q[0] != ' ' || (q[1] != '+' && q[1] != '-') || q[2] != ' ')
+            return 0;
+        p = q + 3;
+    }
+}
+
+/* The signed value of the ASCII digit run at `p` (`n` > 0 digits, at most
+ * `digits_max`) as a new int, or NULL with no error set if it cannot be
+ * read (the Python loop then reports why).  A run of up to LL_DIGITS digits
+ * is converted here; a longer one is copied, NUL-ended, to the heap. */
+static PyObject *digit_run(const unsigned char *p, Py_ssize_t n, int sign)
+{
+    PyObject *value, *negated;
+    long long v = 0;
+    char *copy;
+    Py_ssize_t i;
+
+    if (n <= LL_DIGITS) {
+        for (i = 0; i < n; i++)
+            v = 10 * v + (p[i] - '0');
+        return PyLong_FromLongLong(sign * v);
+    }
+    if (!(copy = PyMem_Malloc((size_t)n + 1)))
+        return PyErr_NoMemory();
+    memcpy(copy, p, (size_t)n);
+    copy[n] = '\0';
+    value = PyLong_FromString(copy, NULL, 10);
+    PyMem_Free(copy);
+    if (!value) {
+        PyErr_Clear();
+        return NULL;
+    }
+    if (sign > 0)
+        return value;
+    negated = PyNumber_Negative(value);
+    Py_DecRef(value);
+    return negated;
+}
+
+/* Adds coeff * factor to terms[key], deleting a sum of zero, as the loop of
+ * MPoly.from_text does; `one` is the int 1. */
+static int add_to_terms(PyObject *terms, PyObject *key, PyObject *coeff, PyObject *factor,
+                        PyObject *one)
+{
+    PyObject *old, *prod, *total;
+    int nonzero, ok;
+
+    old = PyDict_GetItemWithError(terms, key);
+    if (!old && PyErr_Occurred())
+        return -1;
+    if (!old && factor == one) {  /* the usual case: one new term */
+        if ((nonzero = PyObject_IsTrue(coeff)) <= 0)
+            return nonzero;
+        return PyDict_SetItem(terms, key, coeff);
+    }
+    if (!(prod = PyNumber_Multiply(coeff, factor)))
+        return -1;
+    total = old ? PyNumber_Add(old, prod) : prod;
+    if (old)
+        Py_DecRef(prod);
+    if (!total)
+        return -1;
+    if ((nonzero = PyObject_IsTrue(total)) < 0)
+        ok = -1;
+    else if (nonzero)
+        ok = PyDict_SetItem(terms, key, total);
+    else
+        ok = old ? PyDict_DelItem(terms, key) : 0;
+    Py_DecRef(total);
+    return ok;
+}
+
+/* The term dict {packed key: coefficient} of `text` if it is in the
+ * writer's form (see writer_form), or None.  Each term is digits,
+ * digits*body or body.  A body is looked up in the dict `bodies`; on a miss,
+ * parse_monomial(rest, body, text) gives its (factor, key) and fills that
+ * cache, as in the loop of MPoly.from_text.  A digit-only term is
+ * `constant` times its digits.  None is also returned, with no error set,
+ * when a digit run is longer than `digits_max`, when parse_monomial raises
+ * and when the text has no UTF-8 form: the loop then raises its own error.
+ * Other errors (such as MemoryError) propagate. */
+PyObject *parse_terms(PyObject *text, PyObject *bodies, PyObject *parse_monomial,
+                      PyObject *constant, PyObject *digits_max)
+{
+    const unsigned char *s, *end, *p, *q, *star;
+    PyObject *terms = NULL, *rest = NULL, *body = NULL, *parsed = NULL, *coeff = NULL;
+    PyObject *one = NULL, *factor, *key;
+    Py_ssize_t len, limit, nhead;
+    int sign = 1;
+
+    if (!PyUnicode_Check(text))
+        return Py_BuildValue("");
+    if (!PyDict_Check(bodies)) {
+        PyErr_SetString(PyExc_TypeError, "bodies must be a dict");
+        return NULL;
+    }
+    if ((limit = PyLong_AsSsize_t(digits_max)) == -1 && PyErr_Occurred())
+        return NULL;
+    s = (const unsigned char *)PyUnicode_AsUTF8AndSize(text, &len);
+    if (!s)  /* a lone surrogate, say: not the writer's form either */
+        PyErr_Clear();
+    /* the whole form is checked before any term is read, so that the caches
+     * see only the calls the loop would make on the same text */
+    if (!s || !writer_form(s, len))
+        return Py_BuildValue("");
+    if (!(terms = PyDict_New()) || !(one = PyLong_FromLong(1)))
+        goto fail;
+    end = s + len;
+    p = s;
+    if (*p == '-') {
+        sign = -1;
+        p++;
+    }
+    for (;;) {
+        q = term_end(p, end);
+        for (star = p; star < q && *star >= '0' && *star <= '9'; star++)
+            ;
+        nhead = star - p;
+        if (nhead && (star == q || *star == '*')) {  /* a leading coefficient */
+            if (nhead > limit)
+                goto refuse;
+            if (!(coeff = digit_run(p, nhead, sign)))
+                goto refuse_or_fail;
+            if (star == q) {
+                parsed = constant;
+                Py_IncRef(parsed);
+            } else {
+                star++;
+            }
+        } else {
+            if (!(coeff = PyLong_FromLong(sign)))
+                goto fail;
+            star = p;
+        }
+        if (!parsed) {
+            if (!(rest = PyUnicode_FromStringAndSize((const char *)star, q - star)))
+                goto fail;
+            if ((parsed = PyDict_GetItemWithError(bodies, rest))) {
+                Py_IncRef(parsed);
+            } else {
+                if (PyErr_Occurred()
+                    || !(body = PyUnicode_FromStringAndSize((const char *)p, q - p)))
+                    goto fail;
+                if (!(parsed = PyObject_CallFunctionObjArgs(parse_monomial, rest, body, text,
+                                                             NULL))) {
+                    PyErr_Clear();
+                    goto refuse;
+                }
+            }
+        }
+        if (!PyTuple_Check(parsed) || PyTuple_Size(parsed) != 2)
+            goto refuse;
+        factor = PyTuple_GetItem(parsed, 0);
+        key = PyTuple_GetItem(parsed, 1);
+        if (add_to_terms(terms, key, coeff, factor, one) < 0)
+            goto fail;
+        Py_DecRef(parsed);
+        Py_DecRef(coeff);
+        Py_DecRef(rest);
+        Py_DecRef(body);
+        parsed = coeff = rest = body = NULL;
+        if (q == end)
+            break;
+        sign = q[1] == '+' ? 1 : -1;
+        p = q + 3;
+    }
+    Py_DecRef(one);
+    return terms;
+refuse_or_fail:
+    if (PyErr_Occurred())
+        goto fail;
+refuse:
+    Py_DecRef(terms);
+    terms = Py_BuildValue("");
+    goto done;
+fail:
+    Py_DecRef(terms);
+    terms = NULL;
+done:
+    Py_DecRef(parsed);
+    Py_DecRef(coeff);
+    Py_DecRef(rest);
+    Py_DecRef(body);
+    Py_DecRef(one);
+    return terms;
 }
 #endif
 #endif

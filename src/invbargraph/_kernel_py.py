@@ -1,10 +1,13 @@
-"""Pure-Python enumeration kernels, and the pure scan of a packed cell.
+"""Pure-Python enumeration kernels, the pure scan of a packed cell, and the text codec.
 
 These walk all n! inversion sequences of length n and accumulate joint
 statistic counts.  They are the reference implementation of the compiled
 walkers in ``_kernel.c``, and ``kernel`` returns the same dicts from both.
 ``unpack_slots`` is likewise the reference of the compiled function of the
-same name, which ``mpoly.Kronecker.unpack`` calls through ``kernel``.
+same name, which ``mpoly.Kronecker.unpack`` calls through ``kernel``, and
+``format_terms`` that of the compiled writer behind ``mpoly.MPoly.to_text``.
+``parse_terms`` reads nothing: without the compiled reader, the loop of
+``mpoly.MPoly.from_text`` reads every text.
 
 Conventions (shared with the compiled kernel):
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Callable
 from itertools import compress
 
 # The one limit on n for both backends.  Both walks together take about
@@ -137,3 +141,46 @@ def unpack_slots(data: bytes, keys: list[int], words: int, offset: int,
         raise ValueError(f"{before + added - len(terms)} of {added} keys are already in the "
                          "term map")
     return terms
+
+
+def format_terms(terms: dict[int, int], texts: dict[int, str],
+                 monomial_text: Callable[[int], str]) -> str:
+    """The canonical text of a term map {packed key: nonzero int}, keys in ascending order.
+
+    A key's monomial text ("" for the constant) is read from `texts`, or on
+    a miss from `monomial_text(key)`, which fills that cache.  A term is
+    written "c*monomial", "monomial" for c = 1 and "c" for the constant;
+    the terms are joined by " + " or " - ", and the first keeps only a
+    minus sign.  The empty map is "0".
+    """
+    if not terms:
+        return "0"
+    cached = texts.get
+    parts: list[str] = []
+    for k in sorted(terms):
+        c = terms[k]
+        monomial = cached(k)
+        if monomial is None:
+            monomial = monomial_text(k)
+        a = c if c > 0 else -c
+        if not monomial:
+            body = str(a)
+        elif a == 1:
+            body = monomial
+        else:
+            body = f"{a}*{monomial}"
+        parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    text = " ".join(parts)  # "+ a - b": the first term keeps only a minus sign
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def parse_terms(text: str, bodies: dict[str, tuple[int, int]],
+                parse_monomial: Callable[[str, str, str], tuple[int, int]],
+                constant: tuple[int, int], digits_max: int) -> None:
+    """None: the pure reader leaves every text to the loop of ``MPoly.from_text``.
+
+    The compiled function of this name reads a text in the writer's form into
+    its term map, in one pass over its bytes; this one stands in for it
+    where it cannot be built.
+    """
+    return None

@@ -37,7 +37,13 @@ ENUMERATE_MAX = 10
 # at 51 (0.99-1.87 s), 1.00-1.87 s at 52 (1.05-1.93 s), 1.23-2.07 s at 53
 # (1.21-2.19 s), 1.16-1.92 s at 54 (1.46-2.28 s) and 1.36-2.14 s at 55
 # (1.44-2.42 s).
-# Csv and json take about as long, and neither engine is always the slower.
+# Csv and json took about as long, and neither engine is always the slower.
+# Since csv text is written by one C pass per cell (`kernel.format_terms`),
+# `dist --format csv` takes 0.73-1.06 s at area/sper 22 (0.96-1.43 s before)
+# and 0.85-1.22 s at lda 52 (1.00-1.56 s), 10 fresh runs each, 5 per engine,
+# alternating.  Json is written as before, so it still bounds both caps:
+# 0.88-1.17 s at area/sper 22 and 0.95-1.14 s at lda 52 (6 fresh runs each,
+# both engines).
 AREA_SPER_TABLE_MAX = 22
 LDA_TABLE_MAX = 52
 # `--engine brute` on the pure-Python kernel, from the same budget: 7 fresh

@@ -1,4 +1,4 @@
-"""Backend selection for the brute-force enumeration kernels and cell unpacking.
+"""Backend selection for the brute-force enumeration kernels, cell unpacking and table text.
 
 On import, loads the plain-C walkers of ``_kernel.c`` with ``ctypes`` from
 ``__pycache__/_kernel-<crc32>.so`` next to this file (the checksum covers the
@@ -11,12 +11,17 @@ the reason.  ``BACKEND`` says which walkers are active: ``"c"`` or
 ``"python"``.  Only the machine decides, and no setting forces either kernel;
 the pure functions can still be called directly from ``_kernel_py``.
 
-The same library holds ``unpack_slots``, which reads a packed table cell into
-its term map for ``mpoly.Kronecker.unpack``.  It uses the Python C API, so it
-is reached through a ``ctypes.PyDLL`` handle (the GIL stays held) and is
-compiled only where the interpreter's headers are found; without them the
-compiled walkers stay, ``_kernel_py.unpack_slots`` unpacks, and one stderr
-line says so.
+The same library holds three functions on Python objects: ``unpack_slots``,
+which reads a packed table cell into its term map for
+``mpoly.Kronecker.unpack``, and the text codec of ``mpoly.MPoly``:
+``format_terms`` writes a term map's canonical text (``to_text``), and
+``parse_terms`` reads a text in exactly that form back into a term map, or
+gives None for any other text, which ``from_text`` then reads with its own
+loop.  They use the Python C API, so they are reached through a
+``ctypes.PyDLL`` handle (the GIL stays held) and are compiled only where the
+interpreter's headers are found; without them the compiled walkers stay,
+``_kernel_py`` unpacks and writes, ``from_text``'s loop reads every text, and
+one stderr line says so.
 
 Both backends return the same values; see ``_kernel_py`` for the conventions.
 """
@@ -82,8 +87,8 @@ def _remove_other_libraries(target: str) -> None:
                 pass
 
 
-def _load() -> tuple[ctypes.CDLL | None, Callable[..., dict[int, int]] | None]:
-    """The compiled walkers and unpacking function, each None if it cannot be built or loaded."""
+def _load() -> tuple[ctypes.CDLL | None, ctypes.PyDLL | None]:
+    """The compiled walkers, and the functions on Python objects: each None if not loaded."""
     try:
         with open(_SOURCE, "rb") as fh:
             # The command and whether the headers are there are hashed too,
@@ -106,16 +111,21 @@ def _load() -> tuple[ctypes.CDLL | None, Callable[..., dict[int, int]] | None]:
         fn.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_int,
                        ctypes.POINTER(ctypes.c_longlong))
         fn.restype = None
-    try:
-        unpack = ctypes.PyDLL(target).unpack_slots
-    except AttributeError:  # built without Python.h
-        print(f"invbargraph: compiled unpacking unavailable (no Python.h in {_INCLUDE}); "
-              "using the C walkers and the pure-Python unpacking", file=sys.stderr)
+    pylib = ctypes.PyDLL(target)
+    if not hasattr(pylib, "unpack_slots"):  # built without Python.h
+        print(f"invbargraph: compiled unpacking and text codec unavailable (no Python.h in "
+              f"{_INCLUDE}); using the C walkers and the pure-Python unpacking and text",
+              file=sys.stderr)
         return lib, None
-    unpack.argtypes = (ctypes.py_object, ctypes.py_object, ctypes.c_int, ctypes.py_object,
-                       ctypes.py_object)
-    unpack.restype = ctypes.py_object
-    return lib, unpack
+    return lib, pylib
+
+
+def _on_objects(name: str, *argtypes) -> Callable[..., object]:
+    """The function `name` of the library, called with the GIL held and returning an object."""
+    fn = getattr(_pylib, name)
+    fn.argtypes = argtypes
+    fn.restype = ctypes.py_object
+    return fn
 
 
 def _walk(walker, n: int, dim1: int, dim2: int) -> Iterator[tuple[int, int, int, int]]:
@@ -150,7 +160,7 @@ def _lda_counts_c(n: int) -> dict[tuple[int, int, int, int], int]:
             for last, lev, des, c in _walk(_lib.lda_counts, n, n, n)}
 
 
-_lib, _unpack = _load()
+_lib, _pylib = _load()
 
 MAX_N = _kernel_py.MAX_N
 
@@ -162,4 +172,12 @@ else:
     BACKEND = "c"
     area_sper_counts = _area_sper_counts_c
     lda_counts = _lda_counts_c
-unpack_slots = _kernel_py.unpack_slots if _unpack is None else _unpack
+if _pylib is None:
+    unpack_slots = _kernel_py.unpack_slots
+    format_terms = _kernel_py.format_terms
+    parse_terms = _kernel_py.parse_terms
+else:
+    _OBJ = ctypes.py_object
+    unpack_slots = _on_objects("unpack_slots", _OBJ, _OBJ, ctypes.c_int, _OBJ, _OBJ)
+    format_terms = _on_objects("format_terms", _OBJ, _OBJ, _OBJ)
+    parse_terms = _on_objects("parse_terms", _OBJ, _OBJ, _OBJ, _OBJ, _OBJ)

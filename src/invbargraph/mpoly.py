@@ -62,8 +62,17 @@ coefficient off each term and reads the rest of the term from a cache of
 parsed bodies.  Only a body that parsed cleanly is cached, so a miss takes
 every check of the factor parser.  The caches only ever gain entries that
 are correct for their keys, so sharing them between threads is safe.
-`from_text` is the package's one reader (through `DistTable.from_csv`);
-nothing in the package reads JSON back.
+`to_text` is one call of `kernel.format_terms`, a C pass that sorts the
+keys and writes each term into one buffer (a coefficient in one conversion
+where it fits a long long).  `from_text` first hands its text to
+`kernel.parse_terms`, a C pass that reads a text exactly in the writer's
+form (printable ASCII, terms joined by " + " or " - ") with the same caches
+and the same parser on a miss; any other text, and one that pass gives up
+on, goes through the loop in `from_text`, which alone defines the accepted
+forms and the errors.  Where the library cannot be built, `_kernel_py`
+writes and the loop reads everything.  `from_text` is the package's one
+reader (through `DistTable.from_csv`); nothing in the package reads JSON
+back.
 
 Coefficients are Python ints and zero terms are never stored, so equality
 is plain term-map equality.  Every coefficient, exponent and scalar operand
@@ -118,10 +127,13 @@ _TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
 # for the constant), `to_json` the JSON that ends a term after its
 # coefficient, and `from_text` the (coefficient factor, packed key) of a term
 # body after its leading coefficient ("p^3*q^2", but also "q^2*p^3" or
-# "p*2").  In process, the area/sper table at n = 16 (139,342 terms) went from
-# 0.30-0.44 s to 0.08-0.12 s in `to_csv`, 0.38-0.46 s to 0.18-0.26 s in
-# `from_csv` and 0.62-0.80 s to 0.10-0.13 s in `to_json` (3 runs each, C
-# kernel, shared 2-core host; the first, cold run included).  Each cache holds
+# "p*2").  In the Python loops they took the area/sper table at n = 16
+# (139,342 terms) from 0.30-0.44 s to 0.08-0.12 s in `to_csv`, 0.38-0.46 s to
+# 0.18-0.26 s in `from_csv` and 0.62-0.80 s to 0.10-0.13 s in `to_json` (3
+# runs each, C kernel, shared 2-core host; the first, cold run included).  On
+# the compiled codec, which reads the same caches, `to_csv` takes 0.025-0.044 s
+# and `from_csv` 0.043-0.072 s (3 fresh processes, 3 runs each, the cold run
+# included; the loops took 0.052-0.072 s and 0.14-0.19 s then).  Each cache holds
 # at most this many entries: `dist` at the caps (area/sper n = 22, lda n = 50)
 # has 14,453 and 19,929 distinct monomials, and 65,536 entries hold about
 # 6.5 MB of text, 7.7 MB of JSON and 12 MB of parsed bodies (tracemalloc).
@@ -392,30 +404,19 @@ class MPoly:
 
     def to_text(self) -> str:
         """Canonical text form, terms in ascending (y,p,q,r,t) exponent order."""
-        terms = self._terms
-        if not terms:
-            return "0"
-        cached = _MONOMIAL_TEXT.get
-        parts: list[str] = []
-        for k in sorted(terms):
-            c = terms[k]
-            monomial = cached(k)
-            if monomial is None:
-                monomial = _monomial_text(k)
-            a = c if c > 0 else -c
-            if not monomial:
-                body = str(a)
-            elif a == 1:
-                body = monomial
-            else:
-                body = f"{a}*{monomial}"
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        text = " ".join(parts)  # "+ a - b": the first term keeps only a minus sign
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+        return kernel.format_terms(self._terms, _MONOMIAL_TEXT, _monomial_text)
 
     @classmethod
     def from_text(cls, text: str) -> "MPoly":
-        """Parse the canonical text form (inverse of to_text)."""
+        """Parse the canonical text form (inverse of to_text).
+
+        A text exactly as `to_text` writes it is read by `kernel.parse_terms`
+        in one pass; any other text, and one that pass gives up on, by the
+        loop below, which defines the accepted forms and every error.
+        """
+        read = kernel.parse_terms(text, _MONOMIAL_KEYS, _parse_monomial, _CONSTANT, DIGITS_MAX)
+        if read is not None:
+            return _raw(read)
         s = text.strip()
         if s == "0":
             return cls.zero()

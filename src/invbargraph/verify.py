@@ -216,8 +216,9 @@ def _suite_signbalance(t: _Tables) -> list[CheckResult]:
         for n, sweep in sweeps.items():
             undefined = {1: 0, 2: 0}
             for rho, st, mate, mate_st, back in sweep.pairs(bj.levels_involution):
-                if mate is None:
-                    undefined[rho.entries[-1]] += 1
+                if mate is None:  # a last letter other than 1 or 2 gets a count that fails
+                    last = rho.entries[-1]
+                    undefined[last] = undefined.get(last, 0) + 1
                 elif back is None:
                     yield rho, _outside(want), want
                 else:

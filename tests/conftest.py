@@ -70,9 +70,23 @@ def unpack_scans():
     scans = [_kernel_py.unpack_slots]
     if shutil.which("cc") and os.path.exists(
             os.path.join(sysconfig.get_path("include"), "Python.h")):
-        assert kernel._unpack is not None, "the compiled unpacking did not load"
-        scans.append(kernel._unpack)
+        assert kernel._pylib is not None, "the compiled unpacking did not load"
+        scans.append(kernel.unpack_slots)
     return scans
+
+
+@pytest.fixture(scope="session")
+def compiled_text():
+    """The compiled text codec of `kernel`: (format_terms, parse_terms).
+
+    Skipped only where it cannot be built (no C compiler, or no Python.h for
+    this interpreter); anywhere else it must have loaded.
+    """
+    if not (shutil.which("cc") and os.path.exists(
+            os.path.join(sysconfig.get_path("include"), "Python.h"))):
+        pytest.skip("no C compiler, or no Python.h")
+    assert kernel._pylib is not None, "the compiled codec did not load"
+    return kernel.format_terms, kernel.parse_terms
 
 
 @pytest.fixture

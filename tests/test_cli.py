@@ -674,6 +674,27 @@ def test_sweep_negative_controls(capsys, monkeypatch, name, broken, formula):
     assert re.fullmatch(r"[\d,]+: \(\w+=.*\) != \(\w+=.*\)", mismatch[formula])
 
 
+@pytest.mark.parametrize("suites", [("signbalance", "bijections"), ("signbalance",)])
+def test_levels_involution_undefined_past_letter_two_fails(in_process, monkeypatch, suites):
+    """A sequence left undefined whatever its last letter is counted, so the entry fails."""
+    monkeypatch.setattr(verify.bj, "levels_involution", lambda rho: None)
+    results, passed = verify.run_verify(suites, nmax=5, order=3)
+    entry, = [r for r in results if r.formula == "levels-involution-pairing"]
+    assert (passed, entry.status) == (False, "fail")
+    assert entry.first_mismatch == ("n=3 undefined count by last letter: "
+                                    "{1: 2, 2: 2, 3: 2} != {1: 2, 2: 2}")
+
+
+def test_levels_involution_undefined_fails_through_the_cli(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(verify.bj, "levels_involution", lambda rho: None)
+    path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "signbalance", "--nmax", "5",
+                             "--order", "3", "--out", str(path))
+    assert (code, out, err) == (1, "", "")
+    status = {r["formula-id"]: r["status"] for r in json.loads(path.read_text())}
+    assert {f for f, s in status.items() if s == "fail"} == {"levels-involution-pairing"}
+
+
 def test_adjacency_count_negative_control(capsys, monkeypatch):
     # The closed forms for levels, descents and ascents sum to (n-1)*n!, so a
     # brute ascent total one too high breaks both the adjacency count and the

@@ -132,25 +132,40 @@ def test_unpack_slots_reads_every_word(unpack_scans, words):
         assert _filled(scan, data, list(range(len(values))), words, 0) == dict(enumerate(values))
 
 
-@pytest.mark.skipif(kernel._unpack is None or shutil.which("nm") is None,
+@pytest.mark.skipif(kernel._pylib is None or shutil.which("nm") is None,
                     reason="no compiled unpacking, or no nm")
 def test_compiled_unpacking_uses_only_the_public_c_api():
     """The library refers to no private `_Py` symbol of the interpreter."""
     proc = subprocess.run(["nm", "-u", kernel._lib._name], capture_output=True, text=True,
                           check=True)
-    assert "PyDict_SetItem" in proc.stdout
+    assert "PyDict_SetItem" in proc.stdout and "PyUnicode_AsUTF8AndSize" in proc.stdout
     assert [line for line in proc.stdout.splitlines() if "_Py" in line] == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None or kernel._pylib is None,
+                    reason="no C compiler, or no Python.h")
+def test_the_source_builds_clean_with_warnings_as_errors(tmp_path):
+    """The walkers and the functions on Python objects compile with -Wall -Wextra -Werror."""
+    proc = subprocess.run([*kernel._CC, "-Wall", "-Wextra", "-Werror", "-o",
+                           str(tmp_path / "kernel.so"), kernel._SOURCE],
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 _PROBE = """
 from invbargraph import _kernel_py, kernel, recur
 assert kernel.area_sper_counts(7) == _kernel_py.area_sper_counts(7)
 assert kernel.lda_counts(7) == _kernel_py.lda_counts(7)
-compiled = kernel.unpack_slots is not _kernel_py.unpack_slots
+ours = [getattr(kernel, name) is getattr(_kernel_py, name)
+        for name in ("unpack_slots", "format_terms", "parse_terms")]
+assert len(set(ours)) == 1
 table = recur.b_table_lemma(24)
-kernel.unpack_slots = _kernel_py.unpack_slots
-assert table == recur.b_table_lemma(24)
-print(kernel.BACKEND, "compiled" if compiled else "pure")
+text = table.to_csv()
+assert recur.DistTable.from_csv(text) == table
+for name in ("unpack_slots", "format_terms", "parse_terms"):
+    setattr(kernel, name, getattr(_kernel_py, name))
+assert table == recur.b_table_lemma(24) and text == table.to_csv()
+print(kernel.BACKEND, "pure" if ours[0] else "compiled")
 """
 _NO_CC = ("invbargraph: C kernel unavailable ([Errno 2] No such file or directory: 'cc'); "
           "using the pure-Python kernel\n")
@@ -158,9 +173,9 @@ _NO_CC = ("invbargraph: C kernel unavailable ([Errno 2] No such file or director
 
 @pytest.mark.parametrize("with_cc, headers, stdout, stderr", [
     pytest.param(True, True, "c compiled\n", "", marks=needs_c),
-    pytest.param(True, False, "c pure\n", "invbargraph: compiled unpacking unavailable "
-                 "(no Python.h in {include}); using the C walkers and the pure-Python "
-                 "unpacking\n", marks=needs_c),
+    pytest.param(True, False, "c pure\n", "invbargraph: compiled unpacking and text codec "
+                 "unavailable (no Python.h in {include}); using the C walkers and the "
+                 "pure-Python unpacking and text\n", marks=needs_c),
     (False, True, "python pure\n", _NO_CC),
 ], ids=["True", "no-headers", "False"])
 def test_first_import_of_a_fresh_copy(tmp_path, fresh_copy, with_cc, headers, stdout, stderr):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invbargraph import kernel, mpoly
+from invbargraph import _kernel_py, kernel, mpoly
 from invbargraph.mpoly import (
     EXP_MAX,
     EXP_MIN,
@@ -25,7 +25,7 @@ from invbargraph.mpoly import (
     Y,
     lincomb,
 )
-from invbargraph.recur import _at_point, a_table_lemma, b_table_lemma, point_table
+from invbargraph.recur import DistTable, _at_point, a_table_lemma, b_table_lemma, point_table
 
 PQ2 = MPoly.monomial(1, p=1, q=2)
 
@@ -560,6 +560,106 @@ def test_text_forms_round_trip_with_cold_and_warm_caches(a):
             assert (text, js) == (ref_text(as_ref(a)), ref_json(as_ref(a)))
             assert MPoly.from_text(text) == a
             assert MPoly.from_json_obj(json.loads(js)) == a
+
+
+# -- the compiled text codec against its references --------------------------------
+
+# coefficients around the edges of one C conversion: units, a long long's ends, wide ints
+wide_coefficients = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1, 10**18, 10**19, -10**25, 7]),
+    st.integers(min_value=-10**30, max_value=10**30),
+)
+wide_polys = st.lists(
+    st.tuples(st.one_of(st.just(ZERO_EXP), st.tuples(*[exponents] * NVARS)), wide_coefficients),
+    max_size=8).map(lambda ts: MPoly(dict(ts)))
+JUNK = "0123456789ypqrtx^*+- \t\xa0\u3000\u0663\u00b2"
+
+
+def _parse_args(text):
+    return text, mpoly._MONOMIAL_KEYS, mpoly._parse_monomial, mpoly._CONSTANT, mpoly.DIGITS_MAX
+
+
+def _read_both(parse_terms, texts):
+    """`from_text` of each text, cold then warm, with the compiled reader and with the loop alone.
+
+    Each side gives the polynomial or the exception's type and message per
+    read, and the parsed-body cache after each; both sides must agree.
+    """
+    sides = []
+    for reader in (parse_terms, lambda *args: None):
+        outcomes = []
+        with fresh_caches(), mock.patch.object(kernel, "parse_terms", reader):
+            for text in texts:
+                for _ in "cold", "warm":
+                    try:
+                        outcomes.append(MPoly.from_text(text))
+                    except Exception as err:  # noqa: BLE001 - the exception is compared
+                        outcomes.append((type(err), str(err)))
+                    outcomes.append(list(mpoly._MONOMIAL_KEYS.items()))
+        sides.append(outcomes)
+    assert sides[0] == sides[1]
+
+
+@given(wide_polys)
+def test_compiled_writer_gives_the_reference_bytes(compiled_text, a):
+    format_terms, parse_terms = compiled_text
+    sides = []
+    for writer in (format_terms, _kernel_py.format_terms):
+        with fresh_caches():
+            sides.append([writer(a._terms, mpoly._MONOMIAL_TEXT, mpoly._monomial_text)
+                          for _ in ("cold", "warm")] + [dict(mpoly._MONOMIAL_TEXT)])
+    assert sides[0] == sides[1]
+    text = sides[0][0]
+    assert parse_terms(*_parse_args(text)) == a._terms  # the writer's form is read in one pass
+    _read_both(parse_terms, [text])
+
+
+@given(st.text(JUNK, max_size=24))
+def test_compiled_reader_on_junk(compiled_text, text):
+    _read_both(compiled_text[1], [text])
+
+
+@given(wide_polys, st.data())
+def test_compiled_reader_on_one_edit_of_a_canonical_text(compiled_text, a, data):
+    text = a.to_text()
+    i = data.draw(st.integers(min_value=0, max_value=len(text)))
+    c = data.draw(st.sampled_from(JUNK))
+    edited = [text[:i] + c + text[i:], text[:i] + text[i + 1:], text[:i] + c + text[i + 1:]]
+    _read_both(compiled_text[1], edited)
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-0", "007*p", "-007", "p + p", "p - p", "2*p*2 - 4*p", "p*q + q*p", "1*p",
+    "-" + "9" * 19 + "*p - " + "9" * 18, "9" * 4300 + "*p", "9" * 4301 + "*p",
+    "p - " + "9" * 4301, "p^-1 + q^16383", "p^16383*p", "- p", "--p", "p  + q", " p", "p ",
+    "p +q", "p + ", "-", "", "x", "p + x", "p\t+ q", "3*", "*p", "p - + q", "p + - + q",
+    "p\ud800", "p + \udcff",
+], ids=repr)
+def test_compiled_reader_on_edge_texts(compiled_text, text):
+    _read_both(compiled_text[1], [text])
+
+
+@pytest.mark.parametrize("text", ["-5*p + q", "p - 3*q^2 + 10000000000000000000000*y", "0"])
+def test_compiled_reader_takes_the_writers_form(compiled_text, text):
+    assert compiled_text[1](*_parse_args(text)) == MPoly.from_text(text)._terms
+
+
+@pytest.mark.parametrize("text", [" p", "p ", "p  + q", "p +q", "p\t+ q", "p + \xa0q", "- p",
+                                  "", "-", "p + ", "9" * 4301 + "*p", "p*x", "p - + q", "p\ud800"])
+def test_compiled_reader_gives_up_on_any_other_text(compiled_text, text):
+    with fresh_caches():
+        assert compiled_text[1](*_parse_args(text)) is None
+
+
+def test_compiled_reader_fills_the_cache_as_the_loop_does(compiled_text, a_lemma_8):
+    text = a_lemma_8.to_csv()
+    caches = []
+    for reader in (compiled_text[1], lambda *args: None):
+        with fresh_caches(), mock.patch.object(kernel, "parse_terms", reader):
+            assert DistTable.from_csv(text) == a_lemma_8
+            caches.append(list(mpoly._MONOMIAL_KEYS.items()))
+    assert caches[0] == caches[1]
 
 
 # -- the multiply-accumulate kernel ------------------------------------------------
