@@ -6,19 +6,41 @@ coefficients (after Monagan & Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).
 
 Key layout: one Python int with a field of W = 16 bits per variable, y in
-the most significant field and t in the least.  Field i holds e_i + OFFSET
-with OFFSET = 2^(W-2), so the exponent range is [EXP_MIN, EXP_MAX] =
-[-16384, 16383] and the top bit of every field (the guard bit) is clear:
+the most significant field and t in the least, above a mixing field of
+H = 28 bits.  Field i holds f_i = e_i + OFFSET with OFFSET = 2^(W-2), so the
+exponent range is [EXP_MIN, EXP_MAX] = [-16384, 16383] and the top bit of
+every field (its guard bit) is clear.  The mixing field holds the linear hash
+h = sum_i f_i m_i of all five fields, with the small positive multipliers
+m_i of `_MIX`:
 
     p*q^2  ->  {key(0, 1, 2, 0, 0): 1}
-    key(y, p, q, r, t) = sum_i (e_i + OFFSET) << (W * (4 - i))
+    key(y, p, q, r, t) = sum_i (e_i + OFFSET) * U_i,  U_i = 2^(H + W(4 - i)) + m_i
 
-Each field is nonnegative and below 2^W, so integer order on keys is the
-lexicographic (y, p, q, r, t) order on exponent vectors: sorted(keys) lists
-the terms in canonical order.  Multiplying monomials is one integer
-addition, key_a + key_b - key(0, 0, 0, 0, 0); a sum outside the range sets
-the guard bit of its field (directly, or through the borrow of a negative
-field), so one mask check over the result keys detects every overflow.
+A dict takes an int key's first slot from the low bits of its hash, the key
+mod 2^61 - 1.  Without the mixing field those bits are the t and r fields,
+OFFSET in every table cell, so every key of a cell would start its probes
+on one slot; with it the keys spread over the slots (see `_MIX`).
+
+For in-range exponents 0 <= h < 2^(H-1): h neither reaches its own guard
+bit (bit H - 1) nor carries into the t field, so the fields above it hold
+the f_i themselves.  Since h is a function of those fields, integer order
+on keys is the lexicographic (y, p, q, r, t) order on exponent vectors:
+sorted(keys) lists the terms in canonical order.  The key is linear in the
+exponents, so multiplying monomials is one integer addition,
+key_a + key_b - key(0, 0, 0, 0, 0).
+
+Every key computed from other keys is such a sum of two in-range keys less
+key(0, 0, 0, 0, 0): a product, a term plus a substitution's offset, a
+monomial plus one parsed factor.  Its fields are f_i = a_i + b_i + OFFSET in
+[-OFFSET, 3 OFFSET - 2], so |h| < 2^(H-1) (the bound at `_MIX`), and one
+mask check over the result keys (`_GUARD`: bit H - 1 and every field's
+guard bit) detects every exponent outside the range:
+  - if h < 0, some f_i is negative, and the low H bits hold 2^H + h, which
+    sets bit H - 1;
+  - if h >= 0, nothing carries or borrows out of the mixing field, and the
+    lowest field outside [0, 2^(W-1)) sets its own guard bit: directly when
+    it is too large, through its borrow when it is negative;
+  - if every exponent is in range, every guard bit is clear.
 Exponents outside the range raise OverflowError and never wrap.
 
 Every sum of products is built by one multiply-accumulate kernel,
@@ -50,10 +72,11 @@ two or three 64-bit words from one hex string, with the pure-Python scan of
 `_kernel_py` where the library cannot be built.  Both scans refuse a key
 already in the dict, so the cells of one B_n row (`recur.bn_poly_recurrence`)
 go into one dict with no merge and no term overwritten.  In process (best
-of 3 runs in each of 3 fresh processes) it unpacks the cells of
-`a_table_threeterm(20)` in 0.085-0.099 s against 0.16-0.18 s for the pure
-scan, and those of `b_table_threeterm(40)` in 0.07-0.09 s against
-0.14-0.16 s; most of that is inserting the terms into the dicts.
+of 3 runs in each of 6 fresh processes, 2-core shared host) it unpacks the
+cells of `a_table_threeterm(20)` in 0.064-0.090 s against 0.15-0.23 s for
+the pure scan, and those of `b_table_threeterm(40)` in 0.061-0.094 s against
+0.14-0.20 s.  A dict(zip(...)) of the same keys and coefficients alone takes
+about 0.040 s and 0.019 s of that.
 
 The text forms are table-driven, because a monomial is one int: `to_text`
 and `to_json` read each key's monomial text from a bounded cache and add
@@ -101,17 +124,33 @@ ExpVec = tuple[int, int, int, int, int]
 
 # Bits per exponent field.  Exponents span [-16384, 16383].  A full
 # `verify --nmax 9 --order 12` stays within [-11, 80] and `dist` at the CLI's
-# caps (area/sper n = 22, lda n = 50) within [0, 253], and an area/sper table
+# caps (area/sper n = 22, lda n = 52) within [0, 253], and an area/sper table
 # at n = 24, which takes about 1.5 s in process, has area exponents up to
 # n(n+1)/2 = 300: fifty times inside the range.
 W = 16
 _OFFSET = 1 << (W - 2)
 _FIELD = (1 << W) - 1
 EXP_MIN, EXP_MAX = -_OFFSET, _OFFSET - 1
-_SHIFTS = tuple(W * (NVARS - 1 - i) for i in range(NVARS))  # y most significant
-_ZERO_KEY = sum(_OFFSET << s for s in _SHIFTS)
-_GUARD = sum(1 << (s + W - 1) for s in _SHIFTS)
-_VAR_SHIFT = {v: s for v, s in zip(VARS, _SHIFTS)}
+# Bits of the mixing field below the exponent fields, and the multiplier of
+# each field in it (y, p, q, r, t).  The overflow check needs |h| < 2^(H-1)
+# when every field lies in [-OFFSET, 3 OFFSET - 2]: here
+# 3 * OFFSET * sum(_MIX) = 80,265,216 < 2^27.  The multipliers were chosen by
+# measurement.  Over the cells of a_table_lemma(20) and b_table_lemma(40), a
+# simulation of CPython 3.11's dict probing (inserts and resizes) looks at
+# 3.1 and 3.5 slots a term with them, against 24.7 and 15.2 without the field
+# and 3.8 and 3.6 for uniformly random hashes.  Eleven other random odd 9-bit
+# choices gave 2.8 to 4.5, and 21-bit multipliers with H = 40 no better.
+# dict(zip(keys, coefficients)) over those cells took 72 ns a term instead of
+# 111-113 and 65-68 instead of 82-87 (best of 5 in each of 3 fresh processes,
+# 2-core shared host).
+H = 28
+_MIX = (0x1A5, 0xC3, 0x159, 0xB7, 0x1E9)
+_SHIFTS = tuple(H + W * (NVARS - 1 - i) for i in range(NVARS))  # y most significant
+_UNITS = tuple((1 << s) + m for s, m in zip(_SHIFTS, _MIX))
+_ZERO_KEY = _OFFSET * sum(_UNITS)
+_GUARD = (1 << (H - 1)) + sum(1 << (s + W - 1) for s in _SHIFTS)
+_VAR_SHIFT = dict(zip(VARS, _SHIFTS))
+_VAR_UNIT = dict(zip(VARS, _UNITS))
 
 # Python's default limit on the digits of an int read or written as text.  A
 # reader bounds every digit run by it before int(), so that a longer one is an
@@ -166,10 +205,9 @@ def _pack(exp: Iterable[int]) -> int:
         raise ValueError(f"exponent vector must have length {NVARS}: {exp!r}")
     if min(exp) < EXP_MIN or max(exp) > EXP_MAX:
         raise _overflow(exp)
-    key = 0
-    for e in exp:
-        key = key << W | (e + _OFFSET)
-    return key
+    y, p, q, r, t = exp
+    uy, up, uq, ur, ut = _UNITS
+    return _ZERO_KEY + y * uy + p * up + q * uq + r * ur + t * ut
 
 
 def _unpack(key: int) -> ExpVec:
@@ -332,7 +370,7 @@ class MPoly:
         if sign == -1:  # (-u)^e = (-1)^e u^e, and e is odd where the field is (OFFSET is even)
             terms = {k: -c if k >> s & 1 else c for k, c in terms.items()}
         mask = _FIELD << s
-        zero_field = _OFFSET << s
+        unit_of_name = _VAR_UNIT[name]
         unit_exp = _unpack(unit)
         shifts: dict[int, int] = {}  # field of the variable -> key offset
         out: dict[int, int] = {}
@@ -343,7 +381,7 @@ class MPoly:
             if shift is None:
                 e = (field >> s) - _OFFSET
                 power = _pack([x * e for x in unit_exp])  # u^e, range-checked
-                shift = shifts[field] = power - _ZERO_KEY + zero_field - field
+                shift = shifts[field] = power - _ZERO_KEY - e * unit_of_name
             k += shift
             total = get(k, 0) + c
             if total:
@@ -538,7 +576,7 @@ def _parse_monomial(rest: str, body: str, text: str) -> tuple[int, int]:
             raise _overflow(part)
         # A field kept in range by every step stays detectable:
         # one in-range exponent cannot carry past the guard bit.
-        key += e << _VAR_SHIFT[m.group(1)]
+        key += e * _VAR_UNIT[m.group(1)]
         if key & _GUARD:
             raise _overflow(body)
     if len(_MONOMIAL_KEYS) < _MONOMIAL_CACHE_MAX:
@@ -655,8 +693,8 @@ class Kronecker:
             raise _overflow(f"{outer}^{outer_max} or {inner}^{slots - 1}")
         self._vars = (outer, inner, implied)
         self._bits, self._slots, self._words = 64 * words, slots, words
-        sw = (1 << _VAR_SHIFT[implied]) if implied else 0
-        du, dv = (1 << _VAR_SHIFT[outer]) - sw, (1 << _VAR_SHIFT[inner]) - sw
+        uw = _VAR_UNIT[implied] if implied else 0
+        du, dv = _VAR_UNIT[outer] - uw, _VAR_UNIT[inner] - uw
         self._keys = [_ZERO_KEY + a * du + b * dv
                       for a in range(outer_max + 1) for b in range(slots)]
         self._keys_of_degree: dict[int, list[int]] = {}  # w's degree d -> keys times w^d
@@ -705,7 +743,7 @@ class Kronecker:
                     if keys is None:
                         if degree > EXP_MAX:
                             raise _overflow(f"{implied}^{degree}")
-                        shift = degree << _VAR_SHIFT[implied]
+                        shift = degree * _VAR_UNIT[implied]
                         keys = self._keys_of_degree[degree] = [k + shift for k in self._keys]
                 if base:
                     offset = _pack(_as_expvec(base)) - _ZERO_KEY

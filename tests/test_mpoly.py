@@ -512,6 +512,138 @@ def ref_json(a):
     return json.dumps([{"coeff": str(a[e]), "exp": list(e)} for e in sorted(a)])
 
 
+# -- key arithmetic at the edges of the exponent range ------------------------------
+# Each operation equals the exponent-tuple reference or raises OverflowError with
+# its usual message, and raises exactly when an exponent leaves the range: a
+# result's, or one the operation range-checks on its way (a power u^e in
+# `substitute`, a factor or partial product in `from_text`, a base in `unpack`).
+
+OVERFLOW = re.escape(f"exponent outside the packable range [{EXP_MIN}, {EXP_MAX}]: ")
+edge_exponents = st.one_of(
+    st.sampled_from([EXP_MIN, EXP_MIN + 1, -HALF - 1, -HALF, -1, 0, 1, HALF - 1, HALF,
+                     EXP_MAX - 1, EXP_MAX]),
+    st.integers(EXP_MIN, EXP_MAX))
+edge_exps = st.tuples(*[edge_exponents] * NVARS)
+edge_polys = st.dictionaries(edge_exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+edge_units = st.tuples(st.tuples(*[st.integers(-2, 2)] * NVARS), st.sampled_from([1, -1]))
+
+
+def in_range(exps):
+    return all(EXP_MIN <= e <= EXP_MAX for exp in exps for e in exp)
+
+
+@given(st.lists(st.tuples(edge_polys, edge_polys), min_size=1, max_size=3))
+def test_products_at_the_range_edges(pairs):
+    """Fields of a sum of two keys reach [-OFFSET, 3 OFFSET - 2]: below zero the mixing field borrows."""
+    expected = reduce(ref_add, (ref_mul(a, b) for a, b in pairs), {})
+    mpairs = [(MPoly(a), MPoly(b)) for a, b in pairs]
+    if in_range(expected):
+        assert as_ref(lincomb(mpairs)) == expected
+    else:
+        with pytest.raises(OverflowError, match=f"^{OVERFLOW}in a product$"):
+            lincomb(mpairs)
+
+
+@given(edge_polys, st.sampled_from(range(NVARS)), edge_units)
+def test_unit_substitution_at_the_range_edges(a, i, unit):
+    """`name` -> +-u: each u^e is range-checked, then the result."""
+    u, sign = unit
+    powers = {e[i]: tuple(x * e[i] for x in u) for e in a}
+    expected = {}
+    for e, c in a.items():
+        rest = e[:i] + (0,) + e[i + 1:]
+        image = tuple(map(operator.add, rest, powers[e[i]]))
+        expected = ref_add(expected, {image: c * sign ** abs(e[i])})
+    poly, repl = MPoly(a), MPoly({u: sign})
+    if not in_range(powers.values()):
+        with pytest.raises(OverflowError, match=rf"^{OVERFLOW}\(.*\)$"):
+            poly.substitute(VARS[i], repl)
+    elif not in_range(expected):
+        with pytest.raises(OverflowError, match=f"^{OVERFLOW}in a substitution$"):
+            poly.substitute(VARS[i], repl)
+    else:
+        assert as_ref(poly.substitute(VARS[i], repl)) == expected
+
+
+@given(edge_exps, st.sampled_from([1, -1]),
+       st.one_of(st.integers(-3, 3), st.sampled_from([EXP_MAX, EXP_MIN, EXP_MAX + 1])))
+def test_monomial_powers_at_the_range_edges(e, c, n):
+    power = tuple(x * n for x in e)
+    if in_range([power]):
+        assert as_ref(MPoly({e: c}) ** n) == {power: c if n % 2 else 1}
+    else:
+        with pytest.raises(OverflowError, match=rf"^{OVERFLOW}\(.*\)$"):
+            MPoly({e: c}) ** n
+
+
+@given(st.lists(st.tuples(st.sampled_from(VARS),
+                          st.one_of(edge_exponents, st.sampled_from([EXP_MIN - 1, EXP_MAX + 1]))),
+                min_size=1, max_size=5),
+       st.sampled_from(["", "3*"]))
+def test_text_factors_at_the_range_edges(factors, coeff):
+    """A factor's exponent, and each partial product of the factors, is range-checked in turn."""
+    body = coeff + "*".join(f"{v}^{e}" for v, e in factors)
+    exp = dict.fromkeys(VARS, 0)
+    for v, e in factors:
+        part = f"{v}^{e}"
+        if not EXP_MIN <= e <= EXP_MAX:
+            message = re.escape(part)
+            break
+        exp[v] += e
+        if not EXP_MIN <= exp[v] <= EXP_MAX:
+            message = re.escape(body)
+            break
+    else:
+        assert as_ref(MPoly.from_text(body)) == {tuple(exp.values()): 3 if coeff else 1}
+        return
+    with pytest.raises(OverflowError, match=f"^{OVERFLOW}{message}$"):
+        MPoly.from_text(body)
+
+
+@given(st.sampled_from([None, "r"]),
+       st.lists(st.one_of(st.integers(0, EXP_MAX),
+                          st.sampled_from([0, 1, EXP_MAX - 1, EXP_MAX, EXP_MAX + 1])),
+                min_size=3, max_size=3),
+       st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(1, 9),
+                       max_size=4))
+def test_kronecker_bases_at_the_range_edges(unpack_scans, implied, base_exps, terms):
+    """y, t and r (implied, or a plain base variable) in the base, up to just past EXP_MAX."""
+    packing = Kronecker("p", "q", 2, 3, 1, implied=implied)
+    base = dict(zip("ytr", base_exps))
+    y, t, r = base_exps
+    value = sum(c << packing.shift(p=a, q=b) for (a, b), c in terms.items())
+    expected = {(y, a, b, r - a - b if implied else r, t): c for (a, b), c in terms.items()}
+    for scan in unpack_scans:
+        with mock.patch.object(kernel, "unpack_slots", scan):
+            if implied and r > EXP_MAX:
+                with pytest.raises(OverflowError, match=f"^{OVERFLOW}r\\^{r}$"):
+                    packing.unpack(value, "v", **base)
+            elif max(base_exps) > EXP_MAX:
+                with pytest.raises(OverflowError, match=rf"^{OVERFLOW}\(.*\)$"):
+                    packing.unpack(value, "v", **base)
+            else:
+                assert as_ref(packing.unpack(value, "v", **base)) == expected
+
+
+def test_mixing_field_bounds():
+    """|h| < 2^(H-1) for fields in [-OFFSET, 3 OFFSET - 2], which the overflow check needs."""
+    assert min(mpoly._MIX) > 0
+    assert 3 * mpoly._OFFSET * sum(mpoly._MIX) < 1 << (mpoly.H - 1)
+    assert mpoly._pack((EXP_MAX,) * NVARS) & mpoly._GUARD == 0
+
+
+def test_packed_keys_spread_over_dict_slots():
+    """A dict of up to 8,192 slots takes a key's first slot from the low 13 bits of its hash.
+
+    Over the monomials of these tables those bits take 2,303 and 3,156 values
+    (uniformly random hashes would take about 2,030 and 3,300); with the
+    exponent fields alone they took one, so every insert walked one probe chain.
+    """
+    for table in (a_table_lemma(14), b_table_lemma(30)):
+        keys = {k for _, _, cell in table.cells() for k in cell._terms}
+        assert len({hash(k) & 0x1FFF for k in keys}) >= 8192 // 8
+
+
 # -- the text-form caches ----------------------------------------------------------
 
 def fresh_caches():
