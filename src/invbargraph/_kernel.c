@@ -21,9 +21,11 @@
  * canonical text of an mpoly.MPoly term map, with the same API and loading.
  * The reader takes only text exactly in the writer's form and gives None
  * for any other, so MPoly.from_text's loop stays the one definition of the
- * accepted forms and of every error.  Every read is bounded by the text's
- * UTF-8 length, no array is sized at run time on the stack, and the
- * writer's buffer grows with an overflow check.
+ * accepted forms and of every error.  It only inserts: a monomial given
+ * twice, or with a numeric factor, is also refused, since the writer never
+ * writes either and merging them is the loop's work.  Every read is bounded
+ * by the text's UTF-8 length, no array is sized at run time on the stack,
+ * and the writer's buffer grows with an overflow check.
  */
 
 /* counts[(last * adim + area) * sdim + sper], where
@@ -250,8 +252,13 @@ static int buf_reserve(struct text_buf *b, size_t more)
     return 0;
 }
 
+/* Appends the `n` bytes at `src`.  Nothing is done for n = 0: the first
+ * term's empty sign comes before any buffer exists, and memcpy to NULL is
+ * undefined even for no bytes. */
 static int buf_add(struct text_buf *b, const char *src, size_t n)
 {
+    if (!n)
+        return 0;
     if (buf_reserve(b, n) < 0)
         return -1;
     memcpy(b->data + b->len, src, n);
@@ -390,10 +397,11 @@ static int writer_form(const unsigned char *s, Py_ssize_t len)
 /* The signed value of the ASCII digit run at `p` (`n` > 0 digits, at most
  * `digits_max`) as a new int, or NULL with no error set if it cannot be
  * read (the Python loop then reports why).  A run of up to LL_DIGITS digits
- * is converted here; a longer one is copied, NUL-ended, to the heap. */
+ * is converted here; a longer one is copied, NUL-ended and after a '-' when
+ * negative, to the heap. */
 static PyObject *digit_run(const unsigned char *p, Py_ssize_t n, int sign)
 {
-    PyObject *value, *negated;
+    PyObject *value;
     long long v = 0;
     char *copy;
     Py_ssize_t i;
@@ -403,73 +411,40 @@ static PyObject *digit_run(const unsigned char *p, Py_ssize_t n, int sign)
             v = 10 * v + (p[i] - '0');
         return PyLong_FromLongLong(sign * v);
     }
-    if (!(copy = PyMem_Malloc((size_t)n + 1)))
+    if (!(copy = PyMem_Malloc((size_t)n + 2)))
         return PyErr_NoMemory();
-    memcpy(copy, p, (size_t)n);
-    copy[n] = '\0';
-    value = PyLong_FromString(copy, NULL, 10);
+    copy[0] = '-';
+    memcpy(copy + 1, p, (size_t)n);
+    copy[n + 1] = '\0';
+    value = PyLong_FromString(copy + (sign > 0), NULL, 10);
     PyMem_Free(copy);
-    if (!value) {
+    if (!value)
         PyErr_Clear();
-        return NULL;
-    }
-    if (sign > 0)
-        return value;
-    negated = PyNumber_Negative(value);
-    Py_DecRef(value);
-    return negated;
-}
-
-/* Adds coeff * factor to terms[key], deleting a sum of zero, as the loop of
- * MPoly.from_text does; `one` is the int 1. */
-static int add_to_terms(PyObject *terms, PyObject *key, PyObject *coeff, PyObject *factor,
-                        PyObject *one)
-{
-    PyObject *old, *prod, *total;
-    int nonzero, ok;
-
-    old = PyDict_GetItemWithError(terms, key);
-    if (!old && PyErr_Occurred())
-        return -1;
-    if (!old && factor == one) {  /* the usual case: one new term */
-        if ((nonzero = PyObject_IsTrue(coeff)) <= 0)
-            return nonzero;
-        return PyDict_SetItem(terms, key, coeff);
-    }
-    if (!(prod = PyNumber_Multiply(coeff, factor)))
-        return -1;
-    total = old ? PyNumber_Add(old, prod) : prod;
-    if (old)
-        Py_DecRef(prod);
-    if (!total)
-        return -1;
-    if ((nonzero = PyObject_IsTrue(total)) < 0)
-        ok = -1;
-    else if (nonzero)
-        ok = PyDict_SetItem(terms, key, total);
-    else
-        ok = old ? PyDict_DelItem(terms, key) : 0;
-    Py_DecRef(total);
-    return ok;
+    return value;
 }
 
 /* The term dict {packed key: coefficient} of `text` if it is in the
  * writer's form (see writer_form), or None.  Each term is digits,
  * digits*body or body.  A body is looked up in the dict `bodies`; on a miss,
  * parse_monomial(rest, body, text) gives its (factor, key) and fills that
- * cache, as in the loop of MPoly.from_text.  A digit-only term is
- * `constant` times its digits.  None is also returned, with no error set,
- * when a digit run is longer than `digits_max`, when parse_monomial raises
- * and when the text has no UTF-8 form: the loop then raises its own error.
- * Other errors (such as MemoryError) propagate. */
+ * cache, as in the loop of MPoly.from_text.  A digit-only term is the
+ * monomial `constant` with its digits as coefficient.  A term of coefficient
+ * 0 adds nothing; any other is inserted, and the text refused, if its
+ * monomial has a numeric factor other than 1 or is already in the map: the
+ * writer never gives either, and the loop multiplies and merges them.  The
+ * refusal comes after the parse_monomial calls the loop makes on the same
+ * terms, so the cache ends the same.  None is also returned, with no error
+ * set, when a digit run is longer than `digits_max`, when parse_monomial
+ * raises and when the text has no UTF-8 form: the loop then raises its own
+ * error.  Other errors (such as MemoryError) propagate. */
 PyObject *parse_terms(PyObject *text, PyObject *bodies, PyObject *parse_monomial,
                       PyObject *constant, PyObject *digits_max)
 {
     const unsigned char *s, *end, *p, *q, *star;
     PyObject *terms = NULL, *rest = NULL, *body = NULL, *parsed = NULL, *coeff = NULL;
-    PyObject *one = NULL, *factor, *key;
-    Py_ssize_t len, limit, nhead;
-    int sign = 1;
+    PyObject *factor;
+    Py_ssize_t len, limit, nhead, size;
+    int sign = 1, nonzero, overflow;
 
     if (!PyUnicode_Check(text))
         return Py_BuildValue("");
@@ -486,7 +461,7 @@ PyObject *parse_terms(PyObject *text, PyObject *bodies, PyObject *parse_monomial
      * see only the calls the loop would make on the same text */
     if (!s || !writer_form(s, len))
         return Py_BuildValue("");
-    if (!(terms = PyDict_New()) || !(one = PyLong_FromLong(1)))
+    if (!(terms = PyDict_New()))
         goto fail;
     end = s + len;
     p = s;
@@ -534,9 +509,17 @@ PyObject *parse_terms(PyObject *text, PyObject *bodies, PyObject *parse_monomial
         if (!PyTuple_Check(parsed) || PyTuple_Size(parsed) != 2)
             goto refuse;
         factor = PyTuple_GetItem(parsed, 0);
-        key = PyTuple_GetItem(parsed, 1);
-        if (add_to_terms(terms, key, coeff, factor, one) < 0)
+        if (!PyLong_Check(factor) || PyLong_AsLongAndOverflow(factor, &overflow) != 1)
+            goto refuse;
+        if ((nonzero = PyObject_IsTrue(coeff)) < 0)
             goto fail;
+        if (nonzero) {  /* a key is new exactly when the map grows */
+            size = PyDict_Size(terms);
+            if (PyDict_SetItem(terms, PyTuple_GetItem(parsed, 1), coeff) < 0)
+                goto fail;
+            if (PyDict_Size(terms) == size)
+                goto refuse;
+        }
         Py_DecRef(parsed);
         Py_DecRef(coeff);
         Py_DecRef(rest);
@@ -547,7 +530,6 @@ PyObject *parse_terms(PyObject *text, PyObject *bodies, PyObject *parse_monomial
         sign = q[1] == '+' ? 1 : -1;
         p = q + 3;
     }
-    Py_DecRef(one);
     return terms;
 refuse_or_fail:
     if (PyErr_Occurred())
@@ -564,7 +546,6 @@ done:
     Py_DecRef(coeff);
     Py_DecRef(rest);
     Py_DecRef(body);
-    Py_DecRef(one);
     return terms;
 }
 #endif

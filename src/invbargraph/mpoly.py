@@ -45,9 +45,8 @@ Exponents outside the range raise OverflowError and never wrap.
 
 Every sum of products is built by one multiply-accumulate kernel,
 lincomb(pairs) = sum of m * x over (multiplier, polynomial) pairs.  It
-seeds one output dict with the largest product (one shifted copy of a term
-map) and merges every other product's terms into it in place by one loop,
-so a chain such as a*x - b*y + c*z copies and hashes each term once instead
+merges every product's terms into one output dict, which starts empty, by
+one loop, so a chain such as a*x - b*y + c*z hashes each term once instead
 of once per intermediate result.  `+`, `-` and `*` are calls of it, and so
 is each side of an identity the checks compare.  The tables are built on
 packed ints (`Kronecker`, below), not on `MPoly`: only the tests' reference
@@ -89,8 +88,9 @@ are correct for their keys, so sharing them between threads is safe.
 keys and writes each term into one buffer (a coefficient in one conversion
 where it fits a long long).  `from_text` first hands its text to
 `kernel.parse_terms`, a C pass that reads a text exactly in the writer's
-form (printable ASCII, terms joined by " + " or " - ") with the same caches
-and the same parser on a miss; any other text, and one that pass gives up
+form (printable ASCII, terms joined by " + " or " - ", each monomial once
+and without a numeric factor) with the same caches and the same parser on
+a miss, and merges nothing; any other text, and one that pass gives up
 on, goes through the loop in `from_text`, which alone defines the accepted
 forms and the errors.  Where the library cannot be built, `_kernel_py`
 writes and the loop reads everything.  `from_text` is the package's one
@@ -607,41 +607,30 @@ def lincomb(pairs: Iterable[tuple["MPoly | int", "MPoly | int"]]) -> MPoly:
 
     Each pair is split into rows, one per term of its smaller factor: that
     term's coefficient c and key shift applied to every term of the larger
-    factor.  The row over the most terms seeds the output with one
-    comprehension (its keys are one shift of a term map's, so they cannot
-    collide), and every other row merges into that dict in place by one
-    loop, tuned for no engine: the tables are built on packed ints, and only
-    the tests' reference ring (`recur._SYMBOLIC`) runs the table recurrences
+    factor.  Every row merges into one dict, which starts empty, by one loop
+    tuned for no engine: the tables are built on packed ints, and only the
+    tests' reference ring (`recur._SYMBOLIC`) runs the table recurrences
     here.  Zero sums are deleted as they appear, and one guard-bit scan at
     the end catches any exponent that left the range (none can when no row
     shifts).  No pairs, or only zero products, give zero.
     """
-    rows: list[tuple[int, int, dict[int, int]]] = []
-    most = seed = shifted = 0
+    out: dict[int, int] = {}
+    get = out.get
+    shifted = 0
     for m, x in pairs:
         a, b = _terms_of(m), _terms_of(x)
         if len(a) > len(b):
             a, b = b, a
-        if a and len(b) > most:
-            most, seed = len(b), len(rows)
         for ka, ca in a.items():
             shift = ka - _ZERO_KEY
             shifted |= shift
-            rows.append((shift, ca, b))
-    if not rows:
-        return MPoly.zero()
-    rows[0], rows[seed] = rows[seed], rows[0]
-    shift, c, b = rows[0]
-    out = {kb + shift: c * cb for kb, cb in b.items()}
-    get = out.get
-    for shift, c, b in rows[1:]:
-        for kb, cb in b.items():
-            k = kb + shift
-            s = get(k, 0) + c * cb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+            for kb, cb in b.items():
+                k = kb + shift
+                s = get(k, 0) + ca * cb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
     if shifted and reduce(operator.or_, out, 0) & _GUARD:
         raise _overflow("in a product")
     return _raw(out)

@@ -17,6 +17,18 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+# Polynomial texts at the edges of the compiled reader's form: zeros, leading
+# zeros, monomials given twice or with a numeric factor, digit runs around
+# the long long and int-string limits, exponents at the range's ends, stray
+# spaces and signs, and text with no UTF-8 form.
+EDGE_TEXTS = [
+    "0", "-0", "007*p", "-007", "p + p", "p - p", "2*p*2 - 4*p", "p*q + q*p", "1*p",
+    "-" + "9" * 19 + "*p - " + "9" * 18, "9" * 4300 + "*p", "9" * 4301 + "*p",
+    "p - " + "9" * 4301, "p^-1 + q^16383", "p^16383*p", "- p", "--p", "p  + q", " p", "p ",
+    "p +q", "p + ", "-", "", "x", "p + x", "p\t+ q", "3*", "*p", "p - + q", "p + - + q",
+    "p\ud800", "p + \udcff",
+]
+
 
 @pytest.fixture(autouse=True)
 def no_child_outlives_a_test():

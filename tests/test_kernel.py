@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import EDGE_TEXTS
 from invbargraph import _kernel_py, kernel
 
 # Without a compiler the C backend cannot load; anywhere else it must, so a
@@ -150,6 +152,124 @@ def test_the_source_builds_clean_with_warnings_as_errors(tmp_path):
                            str(tmp_path / "kernel.so"), kernel._SOURCE],
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
+
+
+# Runs every function of a library built from _kernel.c (its path is argv[1])
+# on fixed inputs: the walkers (against the pure ones up to n = 6, by their
+# totals beyond), unpack_slots on 1-3-word slots (also the refused calls),
+# format_terms/parse_terms round trips of wide-coefficient polynomials, and
+# parse_terms on the texts of argv[2] (a JSON list) and on one-byte edits of
+# the round trips' texts, where it must give None or what the loop reads.
+_SANITIZED_PROBE = """
+import ctypes, json, random, sys
+from math import factorial
+from unittest import mock
+from invbargraph import _kernel_py, kernel, mpoly
+from invbargraph.mpoly import MPoly
+
+kernel._lib = ctypes.CDLL(sys.argv[1])
+for fn in (kernel._lib.area_sper_counts, kernel._lib.lda_counts):
+    fn.argtypes = (ctypes.c_int,) * 3 + (ctypes.POINTER(ctypes.c_longlong),)
+    fn.restype = None
+kernel._pylib = ctypes.PyDLL(sys.argv[1])
+obj = ctypes.py_object
+unpack = kernel._on_objects("unpack_slots", obj, obj, ctypes.c_int, obj, obj)
+write = kernel._on_objects("format_terms", obj, obj, obj)
+read = kernel._on_objects("parse_terms", obj, obj, obj, obj, obj)
+
+for n in range(1, 10):
+    for walk in ("area_sper_counts", "lda_counts"):
+        counts = getattr(kernel, walk)(n)
+        assert sum(counts.values()) == factorial(n)
+        assert n > 6 or counts == getattr(_kernel_py, walk)(n)
+
+keys = [10, 20, 30, 40]
+for words in 1, 2, 3:
+    values = [5, 0, (1 << 64 * words) - 1, 1 << 64 * (words - 1)]
+    data = b"".join(v.to_bytes(8 * words, "little") for v in values)
+    for offset in 0, 1000:
+        want = {k + offset: v for k, v in zip(keys, values) if v}
+        assert unpack(data, keys, words, offset, {}) == want
+    for args in ((data, keys[:3], words, 0, {}), (data, keys, words, 0, {30: 1}),
+                 (data[1:], keys, words, 0, {})):
+        try:
+            unpack(*args)
+        except ValueError:
+            continue
+        raise AssertionError(args)
+
+def loop(text):
+    with mock.patch.object(kernel, "parse_terms", lambda *args: None):
+        try:
+            return MPoly.from_text(text)._terms
+        except (ValueError, OverflowError):
+            return None
+
+def check_read(text):
+    got = read(text, mpoly._MONOMIAL_KEYS, mpoly._parse_monomial, mpoly._CONSTANT,
+               mpoly.DIGITS_MAX)
+    assert got is None or got == loop(text), text
+
+rng = random.Random(30)
+coefficients = [1, -1, 7, 2**63 - 1, 2**63, -2**63, -2**63 - 1, 10**18, -10**19]
+texts = []
+for _ in range(100):
+    poly = MPoly({tuple(rng.randrange(-3, 12) for _ in range(5)):
+                  rng.choice(coefficients + [rng.randrange(-10**30, 10**30)])
+                  for _ in range(rng.randrange(9))})
+    text = write(poly._terms, mpoly._MONOMIAL_TEXT, mpoly._monomial_text)
+    assert text == _kernel_py.format_terms(poly._terms, mpoly._MONOMIAL_TEXT,
+                                           mpoly._monomial_text)
+    assert read(text, mpoly._MONOMIAL_KEYS, mpoly._parse_monomial, mpoly._CONSTANT,
+                mpoly.DIGITS_MAX) == poly._terms
+    texts.append(text)
+for text in json.loads(sys.argv[2]):
+    check_read(text)
+for text in texts[:20]:
+    for i in range(len(text) + 1):
+        check_read(text[:i] + text[i + 1:])
+        for c in "9 -*":
+            check_read(text[:i] + c + text[i:])
+            check_read(text[:i] + c + text[i + 1:])
+print("ok")
+"""
+
+
+def _libasan() -> str | None:
+    """The path of gcc's AddressSanitizer runtime, or None without cc or the runtime."""
+    if shutil.which("cc") is None:
+        return None
+    path = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
+                          text=True, check=False).stdout.strip()
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+_LIBASAN = _libasan()
+
+
+@pytest.mark.skipif(_LIBASAN is None or kernel._pylib is None,
+                    reason="no C compiler, no libasan, or no Python.h")
+def test_the_library_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
+    """A build of _kernel.c with ASan and UBSan runs a fixed probe of every function without a report.
+
+    UBSan does not recover, so any undefined behaviour ends the probe with
+    exit code 1; leak detection is off, since the interpreter leaves objects
+    alive at exit, and PYTHONMALLOC=malloc puts every object under ASan.
+    """
+    library = tmp_path / "kernel.so"
+    proc = subprocess.run(
+        ["cc", "-shared", "-fPIC", f"-I{kernel._INCLUDE}", "-O1", "-g",
+         "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined",
+         "-fno-omit-frame-pointer", "-o", str(library), kernel._SOURCE],
+        capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    env = {**os.environ, "LD_PRELOAD": _LIBASAN, "PYTHONMALLOC": "malloc",
+           "ASAN_OPTIONS": "detect_leaks=0",
+           "PYTHONPATH": str(Path(kernel.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _SANITIZED_PROBE, str(library),
+                           json.dumps(EDGE_TEXTS)],
+                          env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 _PROBE = """

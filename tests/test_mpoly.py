@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import EDGE_TEXTS
 from invbargraph import _kernel_py, kernel, mpoly
 from invbargraph.mpoly import (
     EXP_MAX,
@@ -761,13 +762,7 @@ def test_compiled_reader_on_one_edit_of_a_canonical_text(compiled_text, a, data)
     _read_both(compiled_text[1], edited)
 
 
-@pytest.mark.parametrize("text", [
-    "0", "-0", "007*p", "-007", "p + p", "p - p", "2*p*2 - 4*p", "p*q + q*p", "1*p",
-    "-" + "9" * 19 + "*p - " + "9" * 18, "9" * 4300 + "*p", "9" * 4301 + "*p",
-    "p - " + "9" * 4301, "p^-1 + q^16383", "p^16383*p", "- p", "--p", "p  + q", " p", "p ",
-    "p +q", "p + ", "-", "", "x", "p + x", "p\t+ q", "3*", "*p", "p - + q", "p + - + q",
-    "p\ud800", "p + \udcff",
-], ids=repr)
+@pytest.mark.parametrize("text", EDGE_TEXTS, ids=repr)
 def test_compiled_reader_on_edge_texts(compiled_text, text):
     _read_both(compiled_text[1], [text])
 
@@ -777,8 +772,11 @@ def test_compiled_reader_takes_the_writers_form(compiled_text, text):
     assert compiled_text[1](*_parse_args(text)) == MPoly.from_text(text)._terms
 
 
+# The last four are in the writer's form but for a monomial given twice or
+# with a numeric factor, which the writer never writes: the loop merges them.
 @pytest.mark.parametrize("text", [" p", "p ", "p  + q", "p +q", "p\t+ q", "p + \xa0q", "- p",
-                                  "", "-", "p + ", "9" * 4301 + "*p", "p*x", "p - + q", "p\ud800"])
+                                  "", "-", "p + ", "9" * 4301 + "*p", "p*x", "p - + q", "p\ud800",
+                                  "p + p", "p - p", "p*q + q*p", "2*p*2 - 4*p"])
 def test_compiled_reader_gives_up_on_any_other_text(compiled_text, text):
     with fresh_caches():
         assert compiled_text[1](*_parse_args(text)) is None
