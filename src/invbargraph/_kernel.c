@@ -1,32 +1,39 @@
-/* Compiled enumeration kernels for invbargraph.kernel.
+/* Compiled kernels for invbargraph.kernel: the enumeration walkers, the
+ * packed-cell unpacker and the polynomial text codec.  The library is built
+ * whole or not at all: it includes Python.h, and kernel.py compiles it only
+ * where that header is found (else the pure invbargraph._kernel_py runs all
+ * five functions).  It is loaded with ctypes.PyDLL, so every call holds the
+ * GIL.
  *
- * Walks all n! inversion sequences with an incremental depth-first sweep and
- * tallies joint statistic counts into a flat array of long long that the
- * caller allocates zeroed and sizes from n.  The walkers use no Python API:
- * the module is loaded with ctypes, and kernel.py checks 1 <= n <= MAX_N and
- * turns the array into the same dicts as invbargraph._kernel_py.  Every
- * sequence is visited; no states are merged, so the walk stays independent
- * of the recurrences it is checked against.
+ * The walkers, area_sper_counts and lda_counts, walk all n! inversion
+ * sequences with an incremental depth-first sweep and tally joint statistic
+ * counts into a flat array of long long that the caller allocates zeroed
+ * and sizes from n.  They use no Python API: kernel.py checks
+ * 1 <= n <= MAX_N and turns the array into the same dicts as _kernel_py.
+ * Every sequence is visited; no states are merged, so the walk stays
+ * independent of the recurrences it is checked against.
  *
- * One more function, unpack_slots (at the end), reads a packed table cell
- * (mpoly.Kronecker) into a term dict the caller passes.  It uses the public
- * CPython C API, is called through ctypes.PyDLL (so with the GIL held) and
- * is compiled only where the interpreter's headers are found.  A coefficient
- * of one word is one PyLong_FromUnsignedLongLong; a wider one (two or three
- * words for the lda tables from n = 22 and 36, which is 180 k of the 288 k
- * coefficients of b_table_lemma(40)) is written as one hex string and read
- * by one PyLong_FromString, instead of a shift and an or per word.
+ * unpack_slots (after them) reads a packed table cell (mpoly.Kronecker) into
+ * a term dict the caller passes, with the public CPython C API.  A
+ * coefficient of one word is one PyLong_FromUnsignedLongLong; a wider one
+ * (two or three words for the lda tables from n = 22 and 36, which is 180 k
+ * of the 288 k coefficients of b_table_lemma(40)) is written as one hex
+ * string and read by one PyLong_FromString, instead of a shift and an or
+ * per word.
  *
- * Two more, format_terms and parse_terms (after it), write and read the
- * canonical text of an mpoly.MPoly term map, with the same API and loading.
- * The reader takes only text exactly in the writer's form and gives None
- * for any other, so MPoly.from_text's loop stays the one definition of the
- * accepted forms and of every error.  It only inserts: a monomial given
- * twice, or with a numeric factor, is also refused, since the writer never
- * writes either and merging them is the loop's work.  Every read is bounded
- * by the text's UTF-8 length, no array is sized at run time on the stack,
- * and the writer's buffer grows with an overflow check.
+ * format_terms and parse_terms (after it) write and read the canonical text
+ * of an mpoly.MPoly term map, with the same API.  The reader takes only
+ * text exactly in the writer's form and gives None for any other, so
+ * MPoly.from_text's loop stays the one definition of the accepted forms and
+ * of every error.  It only inserts: a monomial given twice, or with a
+ * numeric factor, is also refused, since the writer never writes either and
+ * merging them is the loop's work.  Every read is bounded by the text's
+ * UTF-8 length, no array is sized at run time on the stack, and the
+ * writer's buffer grows with an overflow check.
  */
+
+#include <Python.h>
+#include <string.h>
 
 /* counts[(last * adim + area) * sdim + sper], where
  * boundary = rho_1 + sum_{2<=j<=i} |rho_j - rho_{j-1}|. */
@@ -89,11 +96,6 @@ void lda_counts(int n, int ldim, int ddim, long long *counts)
     else
         walk_lda(1, n, 1, 0, 0, counts, ldim, ddim);
 }
-
-#if defined(__has_include)
-#if __has_include(<Python.h>)
-#include <Python.h>
-#include <string.h>
 
 /* References are released with Py_DecRef, the function form of Py_XDECREF
  * (NULL is allowed), and None is returned as Py_BuildValue(""), so the
@@ -548,5 +550,3 @@ done:
     Py_DecRef(body);
     return terms;
 }
-#endif
-#endif

@@ -109,6 +109,8 @@ class RationalSeries:
         return tuple(Fraction(a, self._den) for a in self._nums)
 
     def coeff(self, k: int) -> Fraction:
+        if not 0 <= k < len(self._nums):
+            raise IndexError(f"no coefficient {k} in a series of order {self.order}")
         return Fraction(self._nums[k], self._den)
 
     def truncate(self, order: int) -> "RationalSeries":

@@ -79,11 +79,13 @@ class DistTable:
         return self._rows[m - 1][i - 1]
 
     def row(self, m: int) -> tuple[MPoly, ...]:
+        if not 1 <= m <= self.n:
+            raise KeyError(f"no row {m} in a table of size {self.n}")
         return self._rows[m - 1]
 
     def row_sum(self, m: int) -> MPoly:
         """Sum of the cells of row m (the row polynomial at y = 1)."""
-        row = self._rows[m - 1]
+        row = self.row(m)
         if isinstance(row[0], MPoly):
             return lincomb((1, cell) for cell in row)
         return sum(row)
@@ -104,6 +106,7 @@ class DistTable:
 
     def with_cell(self, m: int, i: int, poly: MPoly) -> "DistTable":
         """A copy with cell (m, i) replaced (tables are immutable)."""
+        self[m, i]  # a cell the table does not have is refused as on reading
         rows = [list(row) for row in self._rows]
         rows[m - 1][i - 1] = poly
         return DistTable(rows)

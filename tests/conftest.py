@@ -17,6 +17,12 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+# Where the compiled kernel library can be built (a C compiler on PATH and
+# this interpreter's Python.h), it must load, and the C backend runs all
+# five kernel functions; anywhere else the pure-Python kernel runs them.
+COMPILES = shutil.which("cc") is not None and os.path.exists(
+    os.path.join(sysconfig.get_path("include"), "Python.h"))
+
 # Polynomial texts at the edges of the compiled reader's form: zeros, leading
 # zeros, monomials given twice or with a numeric factor, digit runs around
 # the long long and int-string limits, exponents at the range's ends, stray
@@ -80,9 +86,8 @@ def unpack_scans():
     patched, so its ids are those of a single run.
     """
     scans = [_kernel_py.unpack_slots]
-    if shutil.which("cc") and os.path.exists(
-            os.path.join(sysconfig.get_path("include"), "Python.h")):
-        assert kernel._pylib is not None, "the compiled unpacking did not load"
+    if COMPILES:
+        assert kernel.BACKEND == "c", "the compiled library did not load"
         scans.append(kernel.unpack_slots)
     return scans
 
@@ -94,10 +99,9 @@ def compiled_text():
     Skipped only where it cannot be built (no C compiler, or no Python.h for
     this interpreter); anywhere else it must have loaded.
     """
-    if not (shutil.which("cc") and os.path.exists(
-            os.path.join(sysconfig.get_path("include"), "Python.h"))):
+    if not COMPILES:
         pytest.skip("no C compiler, or no Python.h")
-    assert kernel._pylib is not None, "the compiled codec did not load"
+    assert kernel.BACKEND == "c", "the compiled library did not load"
     return kernel.format_terms, kernel.parse_terms
 
 

@@ -40,6 +40,14 @@ def test_mul_basic():
     assert (series(1, 1) * series(1, -1)).coeffs[:3] == (F(1), F(0), F(-1))
 
 
+def test_coeff_refuses_an_index_outside_the_series():
+    s = series(1, 2, 3, order=2)
+    assert [s.coeff(k) for k in range(3)] == [1, 2, 3]
+    for k in (-1, -3, 3):
+        with pytest.raises(IndexError, match=f"^no coefficient {k} in a series of order 2$"):
+            s.coeff(k)
+
+
 def test_geometric_self_check():
     assert series(1, -1) * geometric(1, 8) == RationalSeries.one(8)
 

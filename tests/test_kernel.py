@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -9,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EDGE_TEXTS
+from conftest import COMPILES, EDGE_TEXTS
 from invbargraph import _kernel_py, kernel
 
-# Without a compiler the C backend cannot load; anywhere else it must, so a
-# broken build fails here instead of silently running the pure kernel.
-needs_c = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+# Without a compiler or Python.h the C backend cannot load; anywhere else it
+# must, so a broken build fails here instead of silently running the pure kernel.
+needs_c = pytest.mark.skipif(not COMPILES, reason="no C compiler, or no Python.h")
+FUNCTIONS = ("area_sper_counts", "lda_counts", "unpack_slots", "format_terms", "parse_terms")
 
 
 def test_selected_backend_exposed():
@@ -24,6 +26,17 @@ def test_selected_backend_exposed():
 @needs_c
 def test_c_backend_selected():
     assert kernel.BACKEND == "c"
+
+
+def test_one_backend_runs_all_five_functions():
+    """Each function is the pure one exactly when the backend is Python.
+
+    The compiled walkers are wrappers around the library's, so they are
+    never `_kernel_py`'s; the other three are the library's own functions.
+    """
+    for name in FUNCTIONS:
+        assert (getattr(kernel, name) is getattr(_kernel_py, name)) == \
+            (kernel.BACKEND == "python"), name
 
 
 def test_n1_base_cases():
@@ -62,14 +75,13 @@ def test_backends_agree(n):
     assert kernel.lda_counts(n) == _kernel_py.lda_counts(n)
 
 
-class _NoCalls:
-    def __getattr__(self, name):
-        raise AssertionError(f"C walker {name} reached")
+def _no_walk(walker, *args):
+    raise AssertionError(f"C walker {walker.__name__} reached")
 
 
 @needs_c
 def test_compiled_guard(monkeypatch):
-    monkeypatch.setattr(kernel, "_lib", _NoCalls())
+    monkeypatch.setattr(kernel, "_walk", _no_walk)
     with pytest.raises(ValueError):
         kernel.area_sper_counts(0)
     with pytest.raises(ValueError):
@@ -134,8 +146,8 @@ def test_unpack_slots_reads_every_word(unpack_scans, words):
         assert _filled(scan, data, list(range(len(values))), words, 0) == dict(enumerate(values))
 
 
-@pytest.mark.skipif(kernel._pylib is None or shutil.which("nm") is None,
-                    reason="no compiled unpacking, or no nm")
+@pytest.mark.skipif(not COMPILES or shutil.which("nm") is None,
+                    reason="no C compiler, no Python.h, or no nm")
 def test_compiled_unpacking_uses_only_the_public_c_api():
     """The library refers to no private `_Py` symbol of the interpreter."""
     proc = subprocess.run(["nm", "-u", kernel._lib._name], capture_output=True, text=True,
@@ -144,8 +156,7 @@ def test_compiled_unpacking_uses_only_the_public_c_api():
     assert [line for line in proc.stdout.splitlines() if "_Py" in line] == []
 
 
-@pytest.mark.skipif(shutil.which("cc") is None or kernel._pylib is None,
-                    reason="no C compiler, or no Python.h")
+@pytest.mark.skipif(not COMPILES, reason="no C compiler, or no Python.h")
 def test_the_source_builds_clean_with_warnings_as_errors(tmp_path):
     """The walkers and the functions on Python objects compile with -Wall -Wextra -Werror."""
     proc = subprocess.run([*kernel._CC, "-Wall", "-Wextra", "-Werror", "-o",
@@ -167,21 +178,13 @@ from unittest import mock
 from invbargraph import _kernel_py, kernel, mpoly
 from invbargraph.mpoly import MPoly
 
-kernel._lib = ctypes.CDLL(sys.argv[1])
-for fn in (kernel._lib.area_sper_counts, kernel._lib.lda_counts):
-    fn.argtypes = (ctypes.c_int,) * 3 + (ctypes.POINTER(ctypes.c_longlong),)
-    fn.restype = None
-kernel._pylib = ctypes.PyDLL(sys.argv[1])
-obj = ctypes.py_object
-unpack = kernel._on_objects("unpack_slots", obj, obj, ctypes.c_int, obj, obj)
-write = kernel._on_objects("format_terms", obj, obj, obj)
-read = kernel._on_objects("parse_terms", obj, obj, obj, obj, obj)
+area_sper, lda, unpack, write, read = kernel._bind(ctypes.PyDLL(sys.argv[1]))
 
 for n in range(1, 10):
-    for walk in ("area_sper_counts", "lda_counts"):
-        counts = getattr(kernel, walk)(n)
+    for walk, pure in ((area_sper, _kernel_py.area_sper_counts), (lda, _kernel_py.lda_counts)):
+        counts = walk(n)
         assert sum(counts.values()) == factorial(n)
-        assert n > 6 or counts == getattr(_kernel_py, walk)(n)
+        assert n > 6 or counts == pure(n)
 
 keys = [10, 20, 30, 40]
 for words in 1, 2, 3:
@@ -247,7 +250,7 @@ def _libasan() -> str | None:
 _LIBASAN = _libasan()
 
 
-@pytest.mark.skipif(_LIBASAN is None or kernel._pylib is None,
+@pytest.mark.skipif(_LIBASAN is None or not COMPILES,
                     reason="no C compiler, no libasan, or no Python.h")
 def test_the_library_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
     """A build of _kernel.c with ASan and UBSan runs a fixed probe of every function without a report.
@@ -272,12 +275,11 @@ def test_the_library_runs_clean_under_address_and_undefined_sanitizers(tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
-_PROBE = """
+_PROBE = f"""
 from invbargraph import _kernel_py, kernel, recur
 assert kernel.area_sper_counts(7) == _kernel_py.area_sper_counts(7)
 assert kernel.lda_counts(7) == _kernel_py.lda_counts(7)
-ours = [getattr(kernel, name) is getattr(_kernel_py, name)
-        for name in ("unpack_slots", "format_terms", "parse_terms")]
+ours = [getattr(kernel, name) is getattr(_kernel_py, name) for name in {FUNCTIONS!r}]
 assert len(set(ours)) == 1
 table = recur.b_table_lemma(24)
 text = table.to_csv()
@@ -291,35 +293,44 @@ _NO_CC = ("invbargraph: C kernel unavailable ([Errno 2] No such file or director
           "using the pure-Python kernel\n")
 
 
-@pytest.mark.parametrize("with_cc, headers, stdout, stderr", [
-    pytest.param(True, True, "c compiled\n", "", marks=needs_c),
-    pytest.param(True, False, "c pure\n", "invbargraph: compiled unpacking and text codec "
-                 "unavailable (no Python.h in {include}); using the C walkers and the "
-                 "pure-Python unpacking and text\n", marks=needs_c),
-    (False, True, "python pure\n", _NO_CC),
+@pytest.mark.parametrize("cc, headers, stdout, stderr", [
+    pytest.param("real", True, "c compiled\n", "", marks=needs_c),
+    ("fake", False, "python pure\n", "invbargraph: C kernel unavailable (no Python.h in "
+     "{include}); using the pure-Python kernel\n"),
+    (None, True, "python pure\n", _NO_CC),
 ], ids=["True", "no-headers", "False"])
-def test_first_import_of_a_fresh_copy(tmp_path, fresh_copy, with_cc, headers, stdout, stderr):
-    """A copy with no built kernel compiles it on import, or falls back without a compiler.
+def test_first_import_of_a_fresh_copy(tmp_path, fresh_copy, cc, headers, stdout, stderr):
+    """A copy with no built kernel compiles it on import, or falls back to the pure kernel.
 
-    With the interpreter's headers the library also unpacks packed cells;
-    without them (here: the copy looks for them in an empty directory) the
-    walkers stay compiled and only the unpacking falls back.  Each fallback
-    says why in one stderr line.
+    There are two outcomes: the compiled library runs all five functions, or
+    the pure kernel does, and one stderr line says why.  Without the
+    interpreter's headers (here: the copy looks for them in an empty
+    directory) no compiler runs: the `cc` on PATH is then a fake that only
+    records that it ran.
     """
     include = tmp_path / "include"
+    env = fresh_copy(cc == "real")
+    ran = tmp_path / "cc-ran"
     if not headers:
         include.mkdir()
         source = tmp_path / "invbargraph" / "kernel.py"
         text = source.read_text()
         assert text.count('sysconfig.get_path("include")') == 1
         source.write_text(text.replace('sysconfig.get_path("include")', repr(str(include))))
-    proc = subprocess.run([sys.executable, "-c", _PROBE], env=fresh_copy(with_cc), cwd=tmp_path,
+    if cc == "fake":
+        fake = tmp_path / "fake-bin" / "cc"
+        fake.parent.mkdir()
+        fake.write_text(f"#!/bin/sh\n: > {shlex.quote(str(ran))}\nexit 1\n")
+        fake.chmod(0o755)
+        env["PATH"] = str(fake.parent)
+    proc = subprocess.run([sys.executable, "-c", _PROBE], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == stdout
     built = list((tmp_path / "invbargraph" / "__pycache__").glob("_kernel-*"))
-    assert [p.suffix for p in built] == ([".so"] if with_cc else [])
+    assert [p.suffix for p in built] == ([".so"] if cc == "real" else [])
     assert proc.stderr == stderr.format(include=include)
+    assert not ran.exists()
 
 
 @needs_c

@@ -52,6 +52,19 @@ def test_a_lemma_small_cells():
     assert table[3, 1] == mono(p=3, q=4) * (MPoly.one() + P * Q)
 
 
+@pytest.mark.parametrize("read", [
+    lambda t: t.row(0), lambda t: t.row(-1), lambda t: t.row(5), lambda t: t.row_sum(0),
+    lambda t: t.with_cell(0, 0, MPoly.one()), lambda t: t.with_cell(4, 0, MPoly.one()),
+    lambda t: t.with_cell(-1, -1, MPoly.one()), lambda t: t.with_cell(3, 4, MPoly.one()),
+    lambda t: table_stat_total(t, 0, "p"),
+], ids=["row-0", "row-neg", "row-past", "row-sum-0", "cell-0-0", "cell-4-0", "cell-neg",
+        "cell-past-diagonal", "stat-total-0"])
+def test_a_row_or_cell_the_table_does_not_have_is_refused(read):
+    """Indices below 1 are refused as `table[m, i]` refuses them, not read from the end."""
+    with pytest.raises(KeyError, match="in a table of size 4"):
+        read(a_table_lemma(4))
+
+
 def test_a_threeterm_small_cells():
     table = a_table_threeterm(3)
     assert table[2, 1] == mono(p=2, q=3)
