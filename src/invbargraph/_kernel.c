@@ -22,14 +22,15 @@
  * per word.
  *
  * format_terms and parse_terms (after it) write and read the canonical text
- * of an mpoly.MPoly term map, with the same API.  The reader takes only
- * text exactly in the writer's form and gives None for any other, so
- * MPoly.from_text's loop stays the one definition of the accepted forms and
- * of every error.  It only inserts: a monomial given twice, or with a
- * numeric factor, is also refused, since the writer never writes either and
- * merging them is the loop's work.  Every read is bounded by the text's
- * UTF-8 length, no array is sized at run time on the stack, and the
- * writer's buffer grows with an overflow check.
+ * of an mpoly.MPoly term map, with the same API.  The reader takes exactly
+ * the texts _kernel_py.parse_terms takes, into the same term map and with
+ * the same calls on its cache.  It gives None exactly where that reference
+ * refuses a text itself (MPoly.from_text then calls it for the message),
+ * and an error of the monomial parser propagates from both.  It only
+ * inserts: a monomial given twice is refused, since the writer never
+ * writes one.  Every read is bounded by the text's UTF-8 length, no array
+ * is sized at run time on the stack, and the writer's buffer grows with an
+ * overflow check.
  */
 
 #include <Python.h>
@@ -216,9 +217,8 @@ fail:
 /* The canonical text form of mpoly.MPoly, written and read in one pass.
  *
  * format_terms writes the text of a term map, keys sorted; parse_terms
- * reads back a text that is exactly in the form the writer gives and
- * returns None for any other, which MPoly.from_text then reads (or refuses)
- * with its own loop.  A digit run the reader converts itself is at most
+ * reads back a text in exactly the form the writer gives and returns None
+ * for any other.  A digit run the reader converts itself is at most
  * LL_DIGITS long, so it fits a long long; a longer one is copied to the
  * heap and read by PyLong_FromString. */
 #define LL_DIGITS 18
@@ -396,11 +396,10 @@ static int writer_form(const unsigned char *s, Py_ssize_t len)
     }
 }
 
-/* The signed value of the ASCII digit run at `p` (`n` > 0 digits, at most
- * `digits_max`) as a new int, or NULL with no error set if it cannot be
- * read (the Python loop then reports why).  A run of up to LL_DIGITS digits
- * is converted here; a longer one is copied, NUL-ended and after a '-' when
- * negative, to the heap. */
+/* The signed value of the ASCII digit run at `p` (`n` > 0 digits) as a new
+ * int, or NULL with the error set.  A run of up to LL_DIGITS digits is
+ * converted here; a longer one is copied, NUL-ended and after a '-' when
+ * negative, to the heap, and read as int() would read it. */
 static PyObject *digit_run(const unsigned char *p, Py_ssize_t n, int sign)
 {
     PyObject *value;
@@ -420,33 +419,30 @@ static PyObject *digit_run(const unsigned char *p, Py_ssize_t n, int sign)
     copy[n + 1] = '\0';
     value = PyLong_FromString(copy + (sign > 0), NULL, 10);
     PyMem_Free(copy);
-    if (!value)
-        PyErr_Clear();
     return value;
 }
 
 /* The term dict {packed key: coefficient} of `text` if it is in the
  * writer's form (see writer_form), or None.  Each term is digits,
  * digits*body or body.  A body is looked up in the dict `bodies`; on a miss,
- * parse_monomial(rest, body, text) gives its (factor, key) and fills that
- * cache, as in the loop of MPoly.from_text.  A digit-only term is the
- * monomial `constant` with its digits as coefficient.  A term of coefficient
- * 0 adds nothing; any other is inserted, and the text refused, if its
- * monomial has a numeric factor other than 1 or is already in the map: the
- * writer never gives either, and the loop multiplies and merges them.  The
- * refusal comes after the parse_monomial calls the loop makes on the same
- * terms, so the cache ends the same.  None is also returned, with no error
- * set, when a digit run is longer than `digits_max`, when parse_monomial
- * raises and when the text has no UTF-8 form: the loop then raises its own
- * error.  Other errors (such as MemoryError) propagate. */
+ * parse_monomial(rest, body, text) gives its key and fills that cache.  A
+ * digit-only term is the monomial `zero_key` with its digits as
+ * coefficient.  A term of coefficient 0 adds nothing; any other is
+ * inserted, and the text refused if its monomial is already in the map.
+ * None is also returned for a digit run longer than `digits_max` and for a
+ * text that is not a str or has no UTF-8 form.  _kernel_py.parse_terms
+ * raises exactly there (a ValueError naming the fault, or a TypeError for
+ * a text that is not a str), after the same parse_monomial calls, so the
+ * cache ends the same.  Any other error,
+ * parse_monomial's included, propagates: both readers raise it from the
+ * same call. */
 PyObject *parse_terms(PyObject *text, PyObject *bodies, PyObject *parse_monomial,
-                      PyObject *constant, PyObject *digits_max)
+                      PyObject *zero_key, PyObject *digits_max)
 {
     const unsigned char *s, *end, *p, *q, *star;
-    PyObject *terms = NULL, *rest = NULL, *body = NULL, *parsed = NULL, *coeff = NULL;
-    PyObject *factor;
+    PyObject *terms = NULL, *rest = NULL, *body = NULL, *key = NULL, *coeff = NULL;
     Py_ssize_t len, limit, nhead, size;
-    int sign = 1, nonzero, overflow;
+    int sign = 1, nonzero;
 
     if (!PyUnicode_Check(text))
         return Py_BuildValue("");
@@ -459,12 +455,12 @@ PyObject *parse_terms(PyObject *text, PyObject *bodies, PyObject *parse_monomial
     s = (const unsigned char *)PyUnicode_AsUTF8AndSize(text, &len);
     if (!s)  /* a lone surrogate, say: not the writer's form either */
         PyErr_Clear();
-    /* the whole form is checked before any term is read, so that the caches
-     * see only the calls the loop would make on the same text */
+    /* the whole form is checked before any term is read, so that the cache
+     * sees only the calls the reference makes on the same text */
     if (!s || !writer_form(s, len))
         return Py_BuildValue("");
     if (!(terms = PyDict_New()))
-        goto fail;
+        return NULL;
     end = s + len;
     p = s;
     if (*p == '-') {
@@ -480,10 +476,10 @@ PyObject *parse_terms(PyObject *text, PyObject *bodies, PyObject *parse_monomial
             if (nhead > limit)
                 goto refuse;
             if (!(coeff = digit_run(p, nhead, sign)))
-                goto refuse_or_fail;
+                goto fail;
             if (star == q) {
-                parsed = constant;
-                Py_IncRef(parsed);
+                key = zero_key;
+                Py_IncRef(key);
             } else {
                 star++;
             }
@@ -492,50 +488,37 @@ PyObject *parse_terms(PyObject *text, PyObject *bodies, PyObject *parse_monomial
                 goto fail;
             star = p;
         }
-        if (!parsed) {
+        if (!key) {
             if (!(rest = PyUnicode_FromStringAndSize((const char *)star, q - star)))
                 goto fail;
-            if ((parsed = PyDict_GetItemWithError(bodies, rest))) {
-                Py_IncRef(parsed);
-            } else {
-                if (PyErr_Occurred()
-                    || !(body = PyUnicode_FromStringAndSize((const char *)p, q - p)))
-                    goto fail;
-                if (!(parsed = PyObject_CallFunctionObjArgs(parse_monomial, rest, body, text,
-                                                             NULL))) {
-                    PyErr_Clear();
-                    goto refuse;
-                }
-            }
+            if ((key = PyDict_GetItemWithError(bodies, rest)))
+                Py_IncRef(key);
+            else if (PyErr_Occurred()
+                     || !(body = PyUnicode_FromStringAndSize((const char *)p, q - p))
+                     || !(key = PyObject_CallFunctionObjArgs(parse_monomial, rest, body, text,
+                                                             NULL)))
+                goto fail;
         }
-        if (!PyTuple_Check(parsed) || PyTuple_Size(parsed) != 2)
-            goto refuse;
-        factor = PyTuple_GetItem(parsed, 0);
-        if (!PyLong_Check(factor) || PyLong_AsLongAndOverflow(factor, &overflow) != 1)
-            goto refuse;
         if ((nonzero = PyObject_IsTrue(coeff)) < 0)
             goto fail;
         if (nonzero) {  /* a key is new exactly when the map grows */
             size = PyDict_Size(terms);
-            if (PyDict_SetItem(terms, PyTuple_GetItem(parsed, 1), coeff) < 0)
+            if (PyDict_SetItem(terms, key, coeff) < 0)
                 goto fail;
             if (PyDict_Size(terms) == size)
                 goto refuse;
         }
-        Py_DecRef(parsed);
+        Py_DecRef(key);
         Py_DecRef(coeff);
         Py_DecRef(rest);
         Py_DecRef(body);
-        parsed = coeff = rest = body = NULL;
+        key = coeff = rest = body = NULL;
         if (q == end)
             break;
         sign = q[1] == '+' ? 1 : -1;
         p = q + 3;
     }
     return terms;
-refuse_or_fail:
-    if (PyErr_Occurred())
-        goto fail;
 refuse:
     Py_DecRef(terms);
     terms = Py_BuildValue("");
@@ -544,7 +527,7 @@ fail:
     Py_DecRef(terms);
     terms = NULL;
 done:
-    Py_DecRef(parsed);
+    Py_DecRef(key);
     Py_DecRef(coeff);
     Py_DecRef(rest);
     Py_DecRef(body);

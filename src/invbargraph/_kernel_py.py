@@ -5,9 +5,10 @@ statistic counts.  They are the reference implementation of the compiled
 walkers in ``_kernel.c``, and ``kernel`` returns the same dicts from both.
 ``unpack_slots`` is likewise the reference of the compiled function of the
 same name, which ``mpoly.Kronecker.unpack`` calls through ``kernel``, and
-``format_terms`` that of the compiled writer behind ``mpoly.MPoly.to_text``.
-``parse_terms`` reads nothing: without the compiled reader, the loop of
-``mpoly.MPoly.from_text`` reads every text.
+``format_terms`` and ``parse_terms`` those of the compiled text codec behind
+``mpoly.MPoly.to_text`` and ``from_text``.  ``parse_terms`` defines the one
+text form ``from_text`` reads, the writer's, and names the fault of any
+other text; the compiled reader gives None exactly there.
 
 Conventions (shared with the compiled kernel):
 
@@ -23,6 +24,7 @@ imports only the standard library.
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from collections.abc import Callable
@@ -174,13 +176,49 @@ def format_terms(terms: dict[int, int], texts: dict[int, str],
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def parse_terms(text: str, bodies: dict[str, tuple[int, int]],
-                parse_monomial: Callable[[str, str, str], tuple[int, int]],
-                constant: tuple[int, int], digits_max: int) -> None:
-    """None: the pure reader leaves every text to the loop of ``MPoly.from_text``.
+# A polynomial text in the writer's form, after its leading "-" if any:
+# terms of printable ASCII without spaces, joined by " + " or " - ".
+_WRITTEN_TERMS = re.compile(r"[!-~]+(?: [+-] [!-~]+)*")
+_SEPARATOR = re.compile(r" ([+-]) ")
 
-    The compiled function of this name reads a text in the writer's form into
-    its term map, in one pass over its bytes; this one stands in for it
-    where it cannot be built.
+
+def parse_terms(text: str, bodies: dict[str, int], parse_monomial: Callable[[str, str, str], int],
+                zero_key: int, digits_max: int) -> dict[int, int]:
+    """The term map {packed key: coefficient} of a text in the writer's form.
+
+    That is the form of ``format_terms``: terms of printable ASCII without
+    spaces, joined by " + " or " - ", the first led by at most one "-".
+    Each term is digits, digits*rest or rest.  A rest is looked up in
+    `bodies`; on a miss, ``parse_monomial(rest, term, text)`` gives its key
+    and fills that cache, and its errors propagate.  A digit-only term is
+    the monomial `zero_key`.  A term of coefficient 0 adds nothing.  A text
+    outside the form, a coefficient of more than `digits_max` digits and a
+    monomial given twice are each a ValueError that names it, raised after
+    the ``parse_monomial`` calls of the terms before it, and a text that is
+    not a str is a TypeError; the compiled reader gives None exactly there.
     """
-    return None
+    first, unsigned = ("-", text[1:]) if text[:1] == "-" else ("+", text)
+    if not _WRITTEN_TERMS.fullmatch(unsigned):
+        raise ValueError(f"polynomial text {text!r} is not terms of printable ASCII without "
+                         "spaces joined by ' + ' or ' - '")
+    pieces = _SEPARATOR.split(unsigned)
+    terms: dict[int, int] = {}
+    for sign, term in zip([first, *pieces[1::2]], pieces[::2]):
+        head, star, rest = term.partition("*")
+        if head.isdigit():  # a leading coefficient (the text is ASCII)
+            if len(head) > digits_max:
+                raise ValueError(f"coefficient of more than {digits_max} digits "
+                                 f"in the term {term!r} of polynomial text")
+            coeff = int(head)
+            key = bodies.get(rest) if star else zero_key
+        else:
+            coeff, rest = 1, term
+            key = bodies.get(rest)
+        if key is None:
+            key = parse_monomial(rest, term, text)
+        if coeff:
+            if key in terms:
+                raise ValueError(f"the monomial of the term {term!r} appears twice "
+                                 f"in polynomial text {text!r}")
+            terms[key] = coeff if sign == "+" else -coeff
+    return terms

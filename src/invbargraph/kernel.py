@@ -18,9 +18,10 @@ The five are the walkers ``area_sper_counts`` and ``lda_counts``;
 ``unpack_slots``, which reads a packed table cell into its term map for
 ``mpoly.Kronecker.unpack``; and the text codec of ``mpoly.MPoly``:
 ``format_terms`` writes a term map's canonical text (``to_text``), and
-``parse_terms`` reads a text in exactly that form back into a term map, or
-gives None for any other text, which ``from_text`` then reads with its own
-loop.  The last three use the Python C API.  The library is reached through
+``parse_terms`` reads a text in exactly that form back into a term map
+(``from_text``).  The compiled reader gives None for any other text, where
+the pure one raises the ValueError that names the fault.  The last three use
+the Python C API.  The library is reached through
 one ``ctypes.PyDLL`` handle, so every call, the walks included, holds the
 GIL; ``_bind`` declares the types of all five.
 

@@ -80,22 +80,23 @@ about 0.040 s and 0.019 s of that.
 The text forms are table-driven, because a monomial is one int: `to_text`
 and `to_json` read each key's monomial text from a bounded cache and add
 only the coefficient, and `from_text` splits a leading ASCII-digit
-coefficient off each term and reads the rest of the term from a cache of
-parsed bodies.  Only a body that parsed cleanly is cached, so a miss takes
-every check of the factor parser.  The caches only ever gain entries that
-are correct for their keys, so sharing them between threads is safe.
-`to_text` is one call of `kernel.format_terms`, a C pass that sorts the
-keys and writes each term into one buffer (a coefficient in one conversion
-where it fits a long long).  `from_text` first hands its text to
-`kernel.parse_terms`, a C pass that reads a text exactly in the writer's
-form (printable ASCII, terms joined by " + " or " - ", each monomial once
-and without a numeric factor) with the same caches and the same parser on
-a miss, and merges nothing; any other text, and one that pass gives up
-on, goes through the loop in `from_text`, which alone defines the accepted
-forms and the errors.  Where the library cannot be built, `_kernel_py`
-writes and the loop reads everything.  `from_text` is the package's one
-reader (through `DistTable.from_csv`); nothing in the package reads JSON
-back.
+coefficient off each term and reads the packed key of the rest of the term
+from a cache of parsed bodies.  Only a body that parsed cleanly is cached,
+so a miss takes every check of the factor parser.  The caches only ever
+gain entries that are correct for their keys, so sharing them between
+threads is safe.  `to_text` is one call of `kernel.format_terms`, a C pass
+that sorts the keys and writes each term into one buffer (a coefficient in
+one conversion where it fits a long long).  `from_text` reads only the
+writer's form: terms of printable ASCII without spaces, joined by " + " or
+" - ", each monomial once.  It calls `kernel.parse_terms`, a C pass that
+reads that form with the same caches and the same parser on a miss, and
+merges nothing.  The parser refuses a factor that is no variable or power
+of one (the numeric 2 of "2*p*2", say) from either reader; where the C
+pass gives None, the pure reference `_kernel_py.parse_terms`, which
+defines the form, refuses the text with a ValueError that names the fault
+(stray spacing, a monomial given twice).  Where the library cannot be
+built, `_kernel_py` writes and reads everything.  `from_text` is the package's one reader
+(through `DistTable.from_csv`); nothing in the package reads JSON back.
 
 Coefficients are Python ints and zero terms are never stored, so equality
 is plain term-map equality.  Every coefficient, exponent and scalar operand
@@ -114,7 +115,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Iterator, Mapping
 
-from invbargraph import kernel
+from invbargraph import _kernel_py, kernel
 
 VARS = ("y", "p", "q", "r", "t")
 NVARS = len(VARS)
@@ -149,8 +150,6 @@ _SHIFTS = tuple(H + W * (NVARS - 1 - i) for i in range(NVARS))  # y most signifi
 _UNITS = tuple((1 << s) + m for s, m in zip(_SHIFTS, _MIX))
 _ZERO_KEY = _OFFSET * sum(_UNITS)
 _GUARD = (1 << (H - 1)) + sum(1 << (s + W - 1) for s in _SHIFTS)
-_VAR_SHIFT = dict(zip(VARS, _SHIFTS))
-_VAR_UNIT = dict(zip(VARS, _UNITS))
 
 # Python's default limit on the digits of an int read or written as text.  A
 # reader bounds every digit run by it before int(), so that a longer one is an
@@ -158,39 +157,45 @@ _VAR_UNIT = dict(zip(VARS, _UNITS))
 DIGITS_MAX = 4300
 _DIGITS = rf"[0-9]{{1,{DIGITS_MAX}}}"
 _FACTOR_RE = re.compile(rf"([ypqrt])(?:\^(-?{_DIGITS}))?")
-_DIGITS_RE = re.compile(_DIGITS)
 _COEFF_RE = re.compile(rf"-?{_DIGITS}")  # a JSON coefficient, as to_json writes it
-_TERM_SPLIT_RE = re.compile(r"\s+([+-])\s+")
 # Per-monomial caches of the text forms, so that each term costs a lookup:
 # `to_text` reads the coefficient-free text of a packed key ("p^3*q^2", ""
 # for the constant), `to_json` the JSON that ends a term after its
-# coefficient, and `from_text` the (coefficient factor, packed key) of a term
-# body after its leading coefficient ("p^3*q^2", but also "q^2*p^3" or
-# "p*2").  In the Python loops they took the area/sper table at n = 16
-# (139,342 terms) from 0.30-0.44 s to 0.08-0.12 s in `to_csv`, 0.38-0.46 s to
-# 0.18-0.26 s in `from_csv` and 0.62-0.80 s to 0.10-0.13 s in `to_json` (3
-# runs each, C kernel, shared 2-core host; the first, cold run included).  On
+# coefficient, and `from_text` the packed key of a term body after its
+# leading coefficient ("p^3*q^2", but also "q^2*p^3").  In the Python loops
+# they took the area/sper table at n = 16 (139,342 terms) from 0.30-0.44 s
+# to 0.08-0.12 s in `to_csv`, 0.38-0.46 s to 0.18-0.26 s in `from_csv` and
+# 0.62-0.80 s to 0.10-0.13 s in `to_json` (3 runs each, C kernel, shared
+# 2-core host; the first, cold run included).  On
 # the compiled codec, which reads the same caches, `to_csv` takes 0.025-0.044 s
 # and `from_csv` 0.043-0.072 s (3 fresh processes, 3 runs each, the cold run
 # included; the loops took 0.052-0.072 s and 0.14-0.19 s then).  Each cache holds
-# at most this many entries: `dist` at the caps (area/sper n = 22, lda n = 50)
-# has 14,453 and 19,929 distinct monomials, and 65,536 entries hold about
-# 6.5 MB of text, 7.7 MB of JSON and 12 MB of parsed bodies (tracemalloc).
+# at most this many entries: `dist` at the caps (area/sper n = 22, lda n = 52)
+# has 14,453 and 22,446 distinct monomials, and a full cache of those
+# monomials holds about 3.3 MB of text, 4.0 MB of JSON or 4.4 MB of parsed
+# bodies (tracemalloc).
 _MONOMIAL_CACHE_MAX = 1 << 15
 _MONOMIAL_TEXT: dict[int, str] = {}
 _EXP_JSON: dict[int, str] = {}
-_MONOMIAL_KEYS: dict[str, tuple[int, int]] = {}
-_CONSTANT = (1, _ZERO_KEY)
+_MONOMIAL_KEYS: dict[str, int] = {}
 
 
 class MissingAssignmentError(KeyError):
     """A variable with nonzero exponent has no assigned value."""
 
 
+def _var(name: str) -> int:
+    """The index of variable `name` in VARS; ValueError for any other name."""
+    i = _VAR_INDEX.get(name)
+    if i is None:
+        raise ValueError(f"unknown variable {name!r}")
+    return i
+
+
 def _as_expvec(exps: Mapping[str, int]) -> ExpVec:
     vec = [0] * NVARS
     for name, e in exps.items():
-        vec[_VAR_INDEX[name]] = operator.index(e)
+        vec[_var(name)] = operator.index(e)
     return tuple(vec)
 
 
@@ -328,7 +333,7 @@ class MPoly:
         """Largest exponent of `name` appearing (0 for the zero polynomial)."""
         if not self._terms:
             return 0
-        s = _VAR_SHIFT[name]
+        s = _SHIFTS[_var(name)]
         return max((k >> s) & _FIELD for k in self._terms) - _OFFSET
 
     def coeff_sum(self) -> int:
@@ -341,7 +346,7 @@ class MPoly:
         Equals the derivative with respect to `name` evaluated at the
         all-ones point; used to extract statistic totals from distributions.
         """
-        s = _VAR_SHIFT[name]
+        s = _SHIFTS[_var(name)]
         return sum(c * (((k >> s) & _FIELD) - _OFFSET) for k, c in self._terms.items())
 
     # -- substitution and evaluation ----------------------------------------
@@ -358,19 +363,18 @@ class MPoly:
         non-constant u can push another field out of range, so only then is
         the guard-bit scan run.
         """
-        if name not in _VAR_SHIFT:
-            raise ValueError(f"unknown variable {name!r}")
+        i = _var(name)
         repl_terms = _terms_of(repl)
         unit, sign = next(iter(repl_terms.items())) if len(repl_terms) == 1 else (0, 0)
         if sign != 1 and sign != -1:
             raise ValueError(f"cannot substitute {_raw(repl_terms).to_text()} for {name}: "
                              "the replacement must be +-1 times a monomial")
-        s = _VAR_SHIFT[name]
+        s = _SHIFTS[i]
         terms = self._terms
         if sign == -1:  # (-u)^e = (-1)^e u^e, and e is odd where the field is (OFFSET is even)
             terms = {k: -c if k >> s & 1 else c for k, c in terms.items()}
         mask = _FIELD << s
-        unit_of_name = _VAR_UNIT[name]
+        unit_of_name = _UNITS[i]
         unit_exp = _unpack(unit)
         shifts: dict[int, int] = {}  # field of the variable -> key offset
         out: dict[int, int] = {}
@@ -408,7 +412,7 @@ class MPoly:
         """
         values: list[Fraction | None] = [None] * NVARS
         for name, v in assignment.items():
-            values[_VAR_INDEX[name]] = Fraction(v)
+            values[_var(name)] = Fraction(v)
         terms = self._terms
         scale = Fraction(1)
         # (field mask, N keyed by the masked field) per occurring variable
@@ -446,40 +450,15 @@ class MPoly:
 
     @classmethod
     def from_text(cls, text: str) -> "MPoly":
-        """Parse the canonical text form (inverse of to_text).
+        """Parse the canonical text form (inverse of to_text), and no other.
 
-        A text exactly as `to_text` writes it is read by `kernel.parse_terms`
-        in one pass; any other text, and one that pass gives up on, by the
-        loop below, which defines the accepted forms and every error.
+        `kernel.parse_terms` reads the text in one pass; where it gives None,
+        `_kernel_py.parse_terms`, the reference that defines the form,
+        refuses the text with a ValueError that names the fault.
         """
-        read = kernel.parse_terms(text, _MONOMIAL_KEYS, _parse_monomial, _CONSTANT, DIGITS_MAX)
-        if read is not None:
-            return _raw(read)
-        s = text.strip()
-        if s == "0":
-            return cls.zero()
-        terms: dict[int, int] = {}
-        cached = _MONOMIAL_KEYS.get
-        for sign, body in _iter_signed_terms(s):
-            head, star, rest = body.partition("*")
-            if head.isdigit() and head.isascii():  # a leading coefficient
-                if len(head) > DIGITS_MAX:
-                    raise ValueError(f"coefficient of more than {DIGITS_MAX} digits "
-                                     f"in the term {body!r} of polynomial text")
-                coeff = sign * int(head)
-                parsed = cached(rest) if star else _CONSTANT
-            else:
-                coeff, rest = sign, body
-                parsed = cached(rest)
-            if parsed is None:
-                parsed = _parse_monomial(rest, body, text)
-            factor, key = parsed
-            total = terms.get(key, 0) + coeff * factor
-            if total:
-                terms[key] = total
-            else:
-                terms.pop(key, None)
-        return _raw(terms)
+        args = (text, _MONOMIAL_KEYS, _parse_monomial, _ZERO_KEY, DIGITS_MAX)
+        terms = kernel.parse_terms(*args)
+        return _raw(_kernel_py.parse_terms(*args) if terms is None else terms)
 
     def to_json(self) -> str:
         """JSON text of the term list, `[{"coeff": "c", "exp": [y, p, q, r, t]}, ...]`.
@@ -539,7 +518,7 @@ def _monomial_text(key: int) -> str:
     """Coefficient-free text of a packed key ("" for the constant), cached."""
     text = "*".join(
         v if e == 1 else f"{v}^{e}"
-        for v, s in _VAR_SHIFT.items()
+        for v, s in zip(VARS, _SHIFTS)
         if (e := ((key >> s) & _FIELD) - _OFFSET)
     )
     if len(_MONOMIAL_TEXT) < _MONOMIAL_CACHE_MAX:
@@ -555,44 +534,28 @@ def _exp_json(key: int) -> str:
     return text
 
 
-def _parse_monomial(rest: str, body: str, text: str) -> tuple[int, int]:
-    """(coefficient factor, packed key) of the '*'-separated factors in `rest`.
+def _parse_monomial(rest: str, body: str, text: str) -> int:
+    """The packed key of the '*'-separated factors in `rest`, each a variable or variable^exponent.
 
     `rest` is the term `body` of `text` without its leading coefficient;
     both appear in the error messages.  A cleanly parsed `rest` is cached.
     """
-    factor = 1
     key = _ZERO_KEY
     for part in rest.split("*"):
-        part = part.strip()
         m = _FACTOR_RE.fullmatch(part)
         if m is None:
-            if not _DIGITS_RE.fullmatch(part):
-                raise ValueError(f"bad factor {part!r} in polynomial text {text!r}")
-            factor *= int(part)
-            continue
+            raise ValueError(f"bad factor {part!r} in polynomial text {text!r}")
         e = int(m.group(2) or 1)
         if not EXP_MIN <= e <= EXP_MAX:
             raise _overflow(part)
         # A field kept in range by every step stays detectable:
         # one in-range exponent cannot carry past the guard bit.
-        key += e * _VAR_UNIT[m.group(1)]
+        key += e * _UNITS[_var(m.group(1))]
         if key & _GUARD:
             raise _overflow(body)
     if len(_MONOMIAL_KEYS) < _MONOMIAL_CACHE_MAX:
-        _MONOMIAL_KEYS[rest] = (factor, key)
-    return factor, key
-
-
-def _iter_signed_terms(s: str) -> Iterator[tuple[int, str]]:
-    pieces = _TERM_SPLIT_RE.split(s)
-    first = pieces[0].strip()
-    sign = 1
-    if first.startswith("-"):
-        sign, first = -1, first[1:].strip()
-    yield sign, first
-    for op, body in zip(pieces[1::2], pieces[2::2]):
-        yield (1 if op == "+" else -1), body.strip()
+        _MONOMIAL_KEYS[rest] = key
+    return key
 
 
 def _terms_of(x: "MPoly | int") -> dict[int, int]:
@@ -682,8 +645,8 @@ class Kronecker:
             raise _overflow(f"{outer}^{outer_max} or {inner}^{slots - 1}")
         self._vars = (outer, inner, implied)
         self._bits, self._slots, self._words = 64 * words, slots, words
-        uw = _VAR_UNIT[implied] if implied else 0
-        du, dv = _VAR_UNIT[outer] - uw, _VAR_UNIT[inner] - uw
+        uw = _UNITS[_var(implied)] if implied else 0
+        du, dv = _UNITS[_var(outer)] - uw, _UNITS[_var(inner)] - uw
         self._keys = [_ZERO_KEY + a * du + b * dv
                       for a in range(outer_max + 1) for b in range(slots)]
         self._keys_of_degree: dict[int, list[int]] = {}  # w's degree d -> keys times w^d
@@ -732,7 +695,7 @@ class Kronecker:
                     if keys is None:
                         if degree > EXP_MAX:
                             raise _overflow(f"{implied}^{degree}")
-                        shift = degree * _VAR_UNIT[implied]
+                        shift = degree * _UNITS[_var(implied)]
                         keys = self._keys_of_degree[degree] = [k + shift for k in self._keys]
                 if base:
                     offset = _pack(_as_expvec(base)) - _ZERO_KEY

@@ -122,7 +122,10 @@ class DistTable:
         """Parse `to_csv` text; a duplicate, missing or out-of-range cell is a ValueError.
 
         The row and column of a cell are ASCII digits, as `to_csv` writes
-        them; any other line is a ValueError that names it.
+        them; any other line is a ValueError that names it.  A cell's
+        polynomial is read by `MPoly.from_text`, in the writer's form only;
+        its refusal (an exponent out of range included) is a ValueError that
+        names the cell.
         """
         cells: dict[tuple[int, int], MPoly] = {}
         for line in text.strip().splitlines():
@@ -134,7 +137,10 @@ class DistTable:
             cell = (int(m_str), int(i_str))
             if cell in cells:
                 raise ValueError(f"cell {cell} appears twice")
-            cells[cell] = MPoly.from_text(poly_str)
+            try:
+                cells[cell] = MPoly.from_text(poly_str)
+            except (ValueError, OverflowError) as err:
+                raise ValueError(f"cell {cell}: {err}") from err
         if not cells:
             raise ValueError("a table needs at least one cell")
         n = max(m for m, _ in cells)

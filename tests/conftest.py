@@ -23,10 +23,11 @@ settings.load_profile("suite")
 COMPILES = shutil.which("cc") is not None and os.path.exists(
     os.path.join(sysconfig.get_path("include"), "Python.h"))
 
-# Polynomial texts at the edges of the compiled reader's form: zeros, leading
-# zeros, monomials given twice or with a numeric factor, digit runs around
-# the long long and int-string limits, exponents at the range's ends, stray
-# spaces and signs, and text with no UTF-8 form.
+# Polynomial texts at the edges of the writer's form, the one form both text
+# readers take: zeros, leading zeros, digit runs around the long long and
+# int-string limits, and exponents at the range's ends, which are read; and
+# monomials given twice or with a numeric factor, stray spaces and signs, and
+# text with no UTF-8 form, which are refused.
 EDGE_TEXTS = [
     "0", "-0", "007*p", "-007", "p + p", "p - p", "2*p*2 - 4*p", "p*q + q*p", "1*p",
     "-" + "9" * 19 + "*p - " + "9" * 18, "9" * 4300 + "*p", "9" * 4301 + "*p",

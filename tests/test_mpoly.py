@@ -135,6 +135,18 @@ def test_coeff_lookup():
     assert MPoly.monomial(2, y=2, p=1, r=1).coeff(y=2, p=1, r=1) == 2
 
 
+@pytest.mark.parametrize("call", [
+    lambda: PQ2.coeff(x=1), lambda: PQ2.coeff({"x": 1}), lambda: MPoly.monomial(1, x=2),
+    lambda: MPoly.var("x"), lambda: PQ2.degree("x"), lambda: PQ2.eval_rational({"x": 1}),
+    lambda: PQ2.weighted_exponent_sum("x"), lambda: PQ2.substitute("x", 1),
+    lambda: Kronecker("p", "x", 2, 3, 1),
+], ids=["coeff", "coeff-mapping", "monomial", "var", "degree", "eval_rational",
+        "weighted_exponent_sum", "substitute", "kronecker"])
+def test_unknown_variable_is_refused_by_name(call):
+    with pytest.raises(ValueError, match="^unknown variable 'x'$"):
+        call()
+
+
 def test_coeff_wrong_length_exponent_vector():
     with pytest.raises(ValueError, match="exponent vector must have length 5: \\(0, 1\\)"):
         PQ2.coeff((0, 1))
@@ -156,12 +168,51 @@ def test_text_parse_examples():
     assert MPoly.from_text("q^-2") == MPoly.monomial(1, q=-2)
 
 
-# non-ASCII digits ("\u0663" is ARABIC-INDIC DIGIT THREE) are no coefficient or exponent
+def _outside_the_form(text):
+    return (f"polynomial text {text!r} is not terms of printable ASCII without spaces joined "
+            "by ' + ' or ' - '")
+
+
+# A term that is no product of variables and powers has a bad factor.  Non-ASCII
+# digits ("\u0663" is ARABIC-INDIC DIGIT THREE) are no coefficient or exponent:
+# a text with one, like the empty text, is outside the writer's form.
 @pytest.mark.parametrize("text", ["p*x", "2.5*p", "p^", "p^+2", "p**2", "", "2*", "\u0663*p",
                                   "p*\u0663", "p^\u0663", "\u00b2*p"])
 def test_text_parse_bad_factor(text):
-    with pytest.raises(ValueError, match="bad factor"):
+    message = "bad factor '.*' in polynomial text " if text.isascii() and text else \
+        re.escape(_outside_the_form(text))
+    with pytest.raises(ValueError, match=f"^{message}"):
         MPoly.from_text(text)
+
+
+# Texts the writer never writes, and the message that refuses each: stray or
+# missing spacing, no text, a lone sign, a long digit run, a bad or numeric
+# factor, a monomial given twice, and no UTF-8 form.
+REFUSED = {
+    **{text: _outside_the_form(text)
+       for text in [" p", "p ", "p  + q", "p +q", "p\t+ q", "p + \xa0q", "- p", "", "-", "p + ",
+                    "p - + q", "p\ud800", "p +  q", "p\n+ q"]},
+    "9" * 4301 + "*p": f"coefficient of more than 4300 digits in the term {'9' * 4301 + '*p'!r} "
+                       "of polynomial text",
+    "p*x": "bad factor 'x' in polynomial text 'p*x'",
+    "2*p*2 - 4*p": "bad factor '2' in polynomial text '2*p*2 - 4*p'",
+    "p*2": "bad factor '2' in polynomial text 'p*2'",
+    "p + p": "the monomial of the term 'p' appears twice in polynomial text 'p + p'",
+    "p - p": "the monomial of the term 'p' appears twice in polynomial text 'p - p'",
+    "p*q + q*p": "the monomial of the term 'q*p' appears twice in polynomial text 'p*q + q*p'",
+    "1 - 3*p^0": "the monomial of the term '3*p^0' appears twice in polynomial text '1 - 3*p^0'",
+}
+
+
+@pytest.mark.parametrize("text", list(REFUSED))
+def test_text_outside_the_writers_form_is_refused(text):
+    with pytest.raises(ValueError, match=f"^{re.escape(REFUSED[text])}$"):
+        MPoly.from_text(text)
+
+
+def test_a_zero_term_adds_nothing():
+    assert MPoly.from_text("-0") == MPoly.from_text("0 + 0*p") == MPoly.zero()
+    assert MPoly.from_text("p + 0*p - 007") == P - 7
 
 
 def test_immutability():
@@ -710,28 +761,40 @@ JUNK = "0123456789ypqrtx^*+- \t\xa0\u3000\u0663\u00b2"
 
 
 def _parse_args(text):
-    return text, mpoly._MONOMIAL_KEYS, mpoly._parse_monomial, mpoly._CONSTANT, mpoly.DIGITS_MAX
+    return text, mpoly._MONOMIAL_KEYS, mpoly._parse_monomial, mpoly._ZERO_KEY, mpoly.DIGITS_MAX
+
+
+# The reference reader's own refusals; any other error is the monomial parser's.
+READER_FAULTS = ("polynomial text ", "coefficient of more than ", "the monomial of the term ")
 
 
 def _read_both(parse_terms, texts):
-    """`from_text` of each text, cold then warm, with the compiled reader and with the loop alone.
+    """Each text read, cold then warm, by `parse_terms` and by the reference `_kernel_py.parse_terms`.
 
-    Each side gives the polynomial or the exception's type and message per
-    read, and the parsed-body cache after each; both sides must agree.
+    The reader contract: `parse_terms` gives the reference's term map, or
+    None exactly where the reference refuses the text itself, or raises the
+    monomial parser's error as the reference does; and after each read the
+    parsed-body cache holds the same entries, in the same order, on both
+    sides.
     """
     sides = []
-    for reader in (parse_terms, lambda *args: None):
+    for reader in (parse_terms, _kernel_py.parse_terms):
         outcomes = []
-        with fresh_caches(), mock.patch.object(kernel, "parse_terms", reader):
+        with fresh_caches():
             for text in texts:
                 for _ in "cold", "warm":
                     try:
-                        outcomes.append(MPoly.from_text(text))
-                    except Exception as err:  # noqa: BLE001 - the exception is compared
+                        outcomes.append(reader(*_parse_args(text)))
+                    except (ValueError, OverflowError) as err:
                         outcomes.append((type(err), str(err)))
                     outcomes.append(list(mpoly._MONOMIAL_KEYS.items()))
         sides.append(outcomes)
-    assert sides[0] == sides[1]
+    for got, want in zip(*sides):
+        if got is None:
+            assert isinstance(want, tuple) and want[0] is ValueError \
+                and want[1].startswith(READER_FAULTS), want
+        else:
+            assert got == want
 
 
 @given(wide_polys)
@@ -772,20 +835,25 @@ def test_compiled_reader_takes_the_writers_form(compiled_text, text):
     assert compiled_text[1](*_parse_args(text)) == MPoly.from_text(text)._terms
 
 
-# The last four are in the writer's form but for a monomial given twice or
-# with a numeric factor, which the writer never writes: the loop merges them.
+# It reads none of these texts: it gives None where the reference refuses the
+# text itself, and raises the error of a bad or numeric factor itself, from the
+# same call of the monomial parser as the reference.
 @pytest.mark.parametrize("text", [" p", "p ", "p  + q", "p +q", "p\t+ q", "p + \xa0q", "- p",
                                   "", "-", "p + ", "9" * 4301 + "*p", "p*x", "p - + q", "p\ud800",
                                   "p + p", "p - p", "p*q + q*p", "2*p*2 - 4*p"])
 def test_compiled_reader_gives_up_on_any_other_text(compiled_text, text):
     with fresh_caches():
-        assert compiled_text[1](*_parse_args(text)) is None
+        try:
+            got = compiled_text[1](*_parse_args(text))
+        except ValueError as err:
+            got = str(err)
+    assert got == (None if REFUSED[text].startswith(READER_FAULTS) else REFUSED[text])
 
 
-def test_compiled_reader_fills_the_cache_as_the_loop_does(compiled_text, a_lemma_8):
+def test_compiled_reader_fills_the_cache_as_the_reference_does(compiled_text, a_lemma_8):
     text = a_lemma_8.to_csv()
     caches = []
-    for reader in (compiled_text[1], lambda *args: None):
+    for reader in (compiled_text[1], _kernel_py.parse_terms):
         with fresh_caches(), mock.patch.object(kernel, "parse_terms", reader):
             assert DistTable.from_csv(text) == a_lemma_8
             caches.append(list(mpoly._MONOMIAL_KEYS.items()))

@@ -607,8 +607,14 @@ TABLE_2 = "1,1,p*q^2\n2,1,p^2*q^3\n2,2,p^3*q^2\n"
     ("0,1,q\n", "cell (0, 1) is outside 1 <= i <= m"),
     (TABLE_2.replace("2,2,", "3,3,"), "cell (2, 2) is missing from a table of 3 rows"),
     ("1,1,1\n" + "9" * 30 + ",1,1\n", f"cell (2, 1) is missing from a table of {'9' * 30} rows"),
+    (TABLE_2.replace("p^3*q^2", "p^99999"),
+     "cell (2, 2): exponent outside the packable range [-16384, 16383]: p^99999"),
+    ("1,1,p*x\n", "cell (1, 1): bad factor 'x' in polynomial text 'p*x'"),
+    ("1,1,q + q\n", "cell (1, 1): the monomial of the term 'q' appears twice in polynomial "
+                    "text 'q + q'"),
+    ("1,1,p  + q\n", "cell (1, 1): polynomial text 'p  + q' is not terms of printable ASCII"),
 ], ids=["empty", "blank", "duplicate", "past-m", "i-zero", "m-zero", "only-outside", "missing",
-        "huge-m"])
+        "huge-m", "cell-exponent", "cell-factor", "cell-twice", "cell-spacing"])
 def test_malformed_table_is_refused_by_name(text, message):
     assert DistTable.from_csv(TABLE_2).n == 2
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
